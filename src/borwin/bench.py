@@ -32,6 +32,7 @@ CSV_COLUMNS = [
     "labels_pruned_bound",
     "labels_pruned_dom",
     "labels_pruned_ub",
+    "error",
 ]
 
 ALGOS = ("borwin", "rcsp", "oracle")
@@ -50,6 +51,7 @@ class BenchRecord:
     labels_pruned_bound: Optional[int] = None
     labels_pruned_dom: Optional[int] = None
     labels_pruned_ub: Optional[int] = None
+    error: Optional[str] = None  # "Class: message" when status is "error"
 
     def row(self) -> list[str]:
         def opt(x) -> str:
@@ -67,6 +69,7 @@ class BenchRecord:
             opt(self.labels_pruned_bound),
             opt(self.labels_pruned_dom),
             opt(self.labels_pruned_ub),
+            opt(self.error),
         ]
 
 
@@ -118,9 +121,10 @@ def run_one(
     except TimeoutExceeded:
         rec.status = "timeout"
         rec.value = None
-    except Exception:
+    except Exception as exc:
         rec.status = "error"
         rec.value = None
+        rec.error = f"{type(exc).__name__}: {exc}"
     rec.time_ms = (time.perf_counter() - start) * 1000.0
     return rec
 

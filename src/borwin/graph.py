@@ -16,10 +16,11 @@ vertex, a best path to the sink under a parametric arc weight.
 from __future__ import annotations
 
 import heapq
-
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from itertools import chain
+from math import lcm
+from typing import Iterator, Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
 
@@ -98,6 +99,7 @@ class WindowedDag:
         "out_arcs",
         "in_arcs",
         "_topo_pos",
+        "_int_arcs",
     )
 
     def __init__(
@@ -136,6 +138,13 @@ class WindowedDag:
                     break
                 pos[u] = i
             self._topo_pos = pos
+        self._int_arcs: Optional[IntArcs] = None
+
+    def int_arcs(self) -> "IntArcs":
+        """Integer-scaled arc data, built on first use and kept."""
+        if self._int_arcs is None:
+            self._int_arcs = IntArcs.of(self.arcs)
+        return self._int_arcs
 
     # -- lookups -----------------------------------------------------------
 
@@ -351,6 +360,40 @@ class TailInfo:
     next_arc: Optional[int]  # None at the sink
 
 
+class IntArcs:
+    """Arc data scaled to integers for the sweep kernel.
+
+    ``val[i] = dv * arcs[i].value`` and ``res[i] = dr * arcs[i].resource``,
+    where ``dv`` and ``dr`` are the lcms of the value and resource
+    denominators, so every entry is an exact integer.
+    """
+
+    __slots__ = ("dst", "val", "res", "dv", "dr")
+
+    def __init__(self, dst: list[int], val: list[int], res: list[int], dv: int, dr: int):
+        self.dst = dst
+        self.val = val
+        self.res = res
+        self.dv = dv
+        self.dr = dr
+
+    @classmethod
+    def of(cls, arcs: Sequence[Arc]) -> "IntArcs":
+        dv = lcm(*{a.value.denominator for a in arcs})
+        dr = lcm(*{a.resource.denominator for a in arcs})
+        return cls(
+            [a.dst for a in arcs],
+            [a.value.numerator * (dv // a.value.denominator) for a in arcs],
+            [a.resource.numerator * (dr // a.resource.denominator) for a in arcs],
+            dv,
+            dr,
+        )
+
+    def negated(self) -> "IntArcs":
+        """The same arcs with every resource negated."""
+        return IntArcs(self.dst, self.val, [-r for r in self.res], self.dv, self.dr)
+
+
 class TailMap:
     """Best window-relaxed tails to the sink for one aggregation weight.
 
@@ -358,78 +401,128 @@ class TailMap:
     are absent. Tie-breaks are deterministic: among equal aggregate
     steps prefer the larger arc value, then the larger arc resource,
     then the smaller successor index, then the smaller arc index.
+
+    The sweep runs on the instance's :class:`IntArcs`; a vertex's
+    :class:`TailInfo`, in exact Fractions, is built the first time the
+    vertex is looked up and memoized.
     """
 
-    def __init__(self, dag: WindowedDag, info: dict[int, TailInfo]):
-        self._dag = dag
-        self._info = info
+    __slots__ = ("dag", "delta", "_arcs", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
+
+    def __init__(self, dag: WindowedDag, delta: Weight):
+        arcs = dag.int_arcs()
+        if isinstance(delta, _PlusInfinity):
+            wv, wr, scale = 0, 1, arcs.dr
+        else:
+            # q*dv*dr * (value + p/q * resource) = q*dr * val + p*dv * res
+            p, q = delta.numerator, delta.denominator
+            wv, wr, scale = q * arcs.dr, p * arcs.dv, q * arcs.dv * arcs.dr
+        self.dag = dag
+        self.delta = delta
+        self._arcs = arcs
+        self._scale = scale
+        self._mu, self._nxt, self._val, self._res = _sweep(dag, arcs, wv, wr)
+        self._info: dict[int, TailInfo] = {}
 
     def __contains__(self, u: int) -> bool:
-        return u in self._info
+        try:
+            return u >= 0 and self._mu[u] is not None
+        except (IndexError, TypeError):
+            return False
 
     def __getitem__(self, u: int) -> TailInfo:
-        return self._info[u]
+        try:
+            return self._info[u]
+        except KeyError:
+            return self._build(u)
 
     def get(self, u: int) -> Optional[TailInfo]:
-        return self._info.get(u)
+        try:
+            return self._info[u]
+        except KeyError:
+            return self._build(u) if u in self else None
+
+    def _build(self, u: int) -> TailInfo:
+        if u not in self:
+            raise KeyError(u)
+        arcs = self._arcs
+        info = TailInfo(
+            mu=Fraction(self._mu[u], self._scale),
+            value=Fraction(self._val[u], arcs.dv),
+            resource=Fraction(self._res[u], arcs.dr),
+            next_arc=self._nxt[u],
+        )
+        self._info[u] = info
+        return info
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._info)
+        """Sink first, then every other vertex reaching it in reverse
+        topological order."""
+        sink = self.dag.sink
+        mu = self._mu
+        rest = (u for u in reversed(self.dag.topo_order) if u != sink and mu[u] is not None)
+        return chain((sink,), rest)
 
     def arc_ids(self, u: int) -> tuple[int, ...]:
+        if u not in self:
+            raise KeyError(u)
+        nxt = self._nxt
+        dst = self._arcs.dst
         ids = []
-        cur = u
-        while True:
-            nxt = self._info[cur].next_arc
-            if nxt is None:
-                return tuple(ids)
-            ids.append(nxt)
-            cur = self._dag.arcs[nxt].dst
+        aidx = nxt[u]
+        while aidx is not None:
+            ids.append(aidx)
+            aidx = nxt[dst[aidx]]
+        return tuple(ids)
 
     def path(self, u: int) -> Path:
-        return path_metrics(self._dag, self.arc_ids(u), start=u)
+        return path_metrics(self.dag, self.arc_ids(u), start=u)
 
 
-def _sweep_tails(dag: WindowedDag, step: Callable[[Arc], Fraction]) -> dict[int, TailInfo]:
+def _sweep(dag: WindowedDag, arcs: IntArcs, wv: int, wr: int):
+    """Reverse-topological DP maximizing ``wv * val + wr * res`` to the
+    sink. Returns per-vertex lists of the aggregate, the chosen arc and
+    the scaled tail value and resource; ``None`` aggregate means the
+    vertex cannot reach the sink."""
     if dag.topo_order is None:
         raise GraphError("instance is not acyclic")
-    mu: dict[int, Fraction] = {dag.sink: ZERO}
-    val: dict[int, Fraction] = {dag.sink: ZERO}
-    res: dict[int, Fraction] = {dag.sink: ZERO}
-    nxt: dict[int, Optional[int]] = {dag.sink: None}
-    key: dict[int, tuple] = {}
+    dst, val, res = arcs.dst, arcs.val, arcs.res
+    weight = [wv * v + wr * r for v, r in zip(val, res)]
+    n = dag.n
+    mu: list[Optional[int]] = [None] * n
+    nxt: list[Optional[int]] = [None] * n
+    tval = [0] * n
+    tres = [0] * n
+    mu[dag.sink] = 0
+    out_arcs = dag.out_arcs
     for u in reversed(dag.topo_order):
-        for aidx in dag.out_arcs[u]:
-            a = dag.arcs[aidx]
-            if a.dst not in mu:
+        best = -1
+        best_mu = 0
+        for aidx in out_arcs[u]:
+            m = mu[dst[aidx]]
+            if m is None:
                 continue
-            cand = step(a) + mu[a.dst]
-            ck = (cand, a.value, a.resource, -a.dst, -aidx)
-            if u not in key or ck > key[u]:
-                key[u] = ck
-                mu[u] = cand
-                val[u] = a.value + val[a.dst]
-                res[u] = a.resource + res[a.dst]
-                nxt[u] = aidx
-    return {
-        u: TailInfo(mu=mu[u], value=val[u], resource=res[u], next_arc=nxt[u])
-        for u in mu
-    }
+            cand = weight[aidx] + m
+            if best < 0 or cand > best_mu:
+                best, best_mu = aidx, cand
+            elif cand == best_mu and (val[aidx], res[aidx], dst[best]) > (val[best], res[best], dst[aidx]):
+                # out-arcs come in increasing index order, so a full tie
+                # keeps the earlier, smaller arc index
+                best = aidx
+        if best >= 0:
+            v = dst[best]
+            mu[u] = best_mu
+            nxt[u] = best
+            tval[u] = val[best] + tval[v]
+            tres[u] = res[best] + tres[v]
+    return mu, nxt, tval, tres
 
 
 def all_tails(dag: WindowedDag, delta: Weight) -> TailMap:
     """For every vertex that reaches the sink, a tail maximizing the
     aggregated weight value + delta * resource (resource alone for the
     +infinity sentinel), windows ignored."""
-    if isinstance(delta, _PlusInfinity):
-        info = _sweep_tails(dag, lambda a: a.resource)
-    else:
-        d = delta
-        if d == 0:
-            info = _sweep_tails(dag, lambda a: a.value)
-        else:
-            info = _sweep_tails(dag, lambda a: a.value + d * a.resource)
-    return TailMap(dag, info)
+    return TailMap(dag, delta)
 
 
 def longest_path(dag: WindowedDag, delta: Weight, start: Optional[int] = None) -> tuple[Path, Fraction]:

@@ -123,7 +123,11 @@ def cumulative_flows(inst: HucInstance) -> list[Fraction]:
 
 def legal_moves(inst: HucInstance, level: int, hold: int) -> list[tuple[int, int]]:
     """Successor (level, hold) states for one period step."""
-    flows = cumulative_flows(inst)
+    return _moves(inst, cumulative_flows(inst), level, hold)
+
+
+def _moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: int) -> list[tuple[int, int]]:
+    """:func:`legal_moves` given the instance's ``cumulative_flows``."""
     span = inst.min_updown - 1
     out = [(level, hold - 1 if hold > 0 else hold + 1 if hold < 0 else 0)]
     if hold >= 0:
@@ -190,12 +194,21 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     cum_v = cumulative_values(inst)
     cum_f = cumulative_flows(inst)
     span = inst.min_updown - 1
+    holds = range(-span, span + 1)
+    # successors depend on (level, hold) alone, not on the period: keep
+    # each as its level and its id offset within the next period's block
+    first = vmap.id_of(1, 0, -span)
+    moves = {
+        (i, l): [(i2, vmap.id_of(1, i2, l2) - first) for i2, l2 in _moves(inst, cum_f, i, l)]
+        for i in range(inst.levels)
+        for l in holds
+    }
 
     windows: list[Window] = [Window(ZERO, None)]
     labels: list[str] = ["s"]
     for t in range(1, inst.periods + 1):
         for i in range(inst.levels):
-            for l in range(-span, span + 1):
+            for l in holds:
                 windows.append(Window(inst.win_lo[t - 1], inst.win_hi[t - 1]))
                 labels.append(f"t{t}i{i}l{l}")
     windows.append(Window(inst.win_lo[-1], inst.win_hi[-1]))
@@ -203,26 +216,21 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
 
     arcs: list[Arc] = []
 
-    def link(t: int, i: int, l: int, t2: int, i2: int, l2: int) -> None:
-        arcs.append(
-            Arc(
-                vmap.id_of(t, i, l),
-                vmap.id_of(t2, i2, l2),
-                cum_v[t2 - 1][i2],
-                cum_f[i2],
-            )
-        )
+    def link(t: int, i: int, l: int) -> None:
+        src = vmap.id_of(t, i, l)
+        block = vmap.id_of(t + 1, 0, -span)
+        values = cum_v[t]  # period t + 1
+        for i2, offset in moves[(i, l)]:
+            arcs.append(Arc(src, block + offset, values[i2], cum_f[i2]))
 
-    for i2, l2 in legal_moves(inst, inst.initial_point, inst.initial_hold):
-        link(0, inst.initial_point, inst.initial_hold, 1, i2, l2)
+    link(0, inst.initial_point, inst.initial_hold)
     for t in range(1, inst.periods):
         for i in range(inst.levels):
-            for l in range(-span, span + 1):
-                for i2, l2 in legal_moves(inst, i, l):
-                    link(t, i, l, t + 1, i2, l2)
+            for l in holds:
+                link(t, i, l)
     sink = vmap.id_of(inst.periods + 1, 0, 0)
     for i in range(inst.levels):
-        for l in range(-span, span + 1):
+        for l in holds:
             arcs.append(Arc(vmap.id_of(inst.periods, i, l), sink, ZERO, ZERO))
 
     dag = WindowedDag(windows, arcs, 0, sink, labels=labels)

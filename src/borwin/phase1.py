@@ -18,17 +18,18 @@ re-read on the original instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .graph import (
+    Arc,
     Path,
     SinkUnreachable,
+    TailMap,
     Window,
     WindowedDag,
     all_tails,
-    longest_path,
     path_metrics,
 )
 from .rational import PLUS_INF, floor_rat, is_integral
@@ -49,10 +50,14 @@ class GraphInvariantError(Exception):
 
 @dataclass(frozen=True)
 class SolvedAtSp:
-    """The window-relaxed optimum already satisfies the sink window."""
+    """The window-relaxed optimum already satisfies the sink window.
+
+    ``tails`` is the ``delta = 0`` sweep of the instance that found it.
+    """
 
     path: Path
     delta: Fraction = ZERO
+    tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,10 @@ class Pair:
     both are paths of the original instance. ``ub_mu`` is the common
     aggregated value of the pair and ``ub_v1 = ub_mu - delta * beta``
     bounds the value of every feasible path.
+
+    ``work`` is the instance in the pair's coordinates (the oriented copy
+    under LIE, the instance itself under LID) and ``tails`` its sweep at
+    the final ``delta``; the enumeration phase reuses both.
     """
 
     x_a: Path
@@ -83,6 +92,8 @@ class Pair:
     beta: Fraction
     alpha: Optional[Fraction]
     iterations: int
+    work: Optional[WindowedDag] = field(default=None, compare=False, repr=False)
+    tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
 
 
 PhaseOneOutcome = Union[SolvedAtSp, Infeasible, Pair]
@@ -99,9 +110,8 @@ class Phase1TraceEvent:
 
 def orient_dag(dag: WindowedDag) -> WindowedDag:
     """Negate every arc resource and flip every window; arc order, vertex
-    ids and labels are preserved so paths can be mapped back by arc index."""
-    from .graph import Arc
-
+    ids and labels are preserved so paths can be mapped back by arc index.
+    The copy's integer arc data is the original's with resources negated."""
     arcs = [Arc(a.src, a.dst, a.value, -a.resource) for a in dag.arcs]
     windows = [
         Window(
@@ -110,7 +120,9 @@ def orient_dag(dag: WindowedDag) -> WindowedDag:
         )
         for w in dag.windows
     ]
-    return WindowedDag(windows, arcs, dag.source, dag.sink, labels=dag.labels, topo_order=dag.topo_order)
+    oriented = WindowedDag(windows, arcs, dag.source, dag.sink, labels=dag.labels, topo_order=dag.topo_order)
+    oriented._int_arcs = dag.int_arcs().negated()
+    return oriented
 
 
 def _pareto_eq(x: Path, y: Path) -> bool:
@@ -128,10 +140,14 @@ def run_phase1(
     current pair, re-optimizes, and replaces one endpoint until the new
     optimum is Pareto-equal (componentwise equal image) to an endpoint.
     """
-    sp_path, _ = longest_path(dag, ZERO, dag.source)
+    sp_tails = all_tails(dag, ZERO)
+    if dag.source not in sp_tails:
+        raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
+    # later sweeps run on the same arcs, so the source reaches the sink there too
+    sp_path = sp_tails.path(dag.source)
     sink_window = dag.windows[dag.sink]
     if sink_window.contains(sp_path.resource):
-        return SolvedAtSp(path=sp_path)
+        return SolvedAtSp(path=sp_path, tails=sp_tails)
 
     if sink_window.hi is not None and sp_path.resource > sink_window.hi:
         orientation = LIE
@@ -142,14 +158,16 @@ def run_phase1(
 
     beta = work.windows[work.sink].lo
     alpha = work.windows[work.sink].hi
-    assert beta is not None, "orientation guarantees a finite sink lower bound"
+    if beta is None:
+        raise GraphInvariantError("orientation left the sink without a finite lower bound")
 
     x_a = path_metrics(work, sp_path.arc_ids)
-    x_b, _ = longest_path(work, PLUS_INF, work.source)
+    x_b = all_tails(work, PLUS_INF).path(work.source)
     if x_b.resource < beta:
         return Infeasible(max_resource=x_b.resource)
 
     x_c: Optional[Path] = None
+    tails: Optional[TailMap] = None
     delta = ZERO
     iterations = 0
     while x_c is None or (not _pareto_eq(x_c, x_a) and not _pareto_eq(x_c, x_b)):
@@ -163,7 +181,8 @@ def run_phase1(
                 "straddling pair lost its resource gap; endpoints are Pareto-comparable"
             )
         delta = (x_a.value - x_b.value) / (x_b.resource - x_a.resource)
-        x_c, _ = longest_path(work, delta, work.source)
+        tails = all_tails(work, delta)
+        x_c = tails.path(work.source)
         iterations += 1
         if trace is not None:
             trace(
@@ -188,12 +207,15 @@ def run_phase1(
         beta=beta,
         alpha=alpha,
         iterations=iterations,
+        work=work,
+        tails=tails,
     )
 
 
 def _reread(dag: WindowedDag, path: Path) -> Path:
     """Re-read an (possibly re-oriented) path on the original instance."""
-    assert path.arc_ids is not None
+    if path.arc_ids is None:
+        raise GraphInvariantError("phase-1 path lost its arc indices")
     return path_metrics(dag, path.arc_ids, start=path.start)
 
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Protocol
 from .graph import (
     GraphError,
     Path,
+    TailMap,
     TimeoutExceeded,
     WindowViolation,
     WindowedDag,
@@ -40,10 +41,6 @@ from .graph import (
 )
 
 ZERO = Fraction(0)
-
-
-class NoFeasiblePath(GraphError):
-    """The label store emptied without any window-feasible path."""
 
 
 class UbProvider(Protocol):
@@ -130,6 +127,17 @@ class SolveStats:
     labels_pruned_ub: int = 0
 
 
+class NoFeasiblePath(GraphError):
+    """The label store emptied without any window-feasible path.
+
+    ``stats`` holds the work the enumeration did before it gave up.
+    """
+
+    def __init__(self, message: str, stats: Optional[SolveStats] = None):
+        super().__init__(message)
+        self.stats = stats if stats is not None else SolveStats()
+
+
 @dataclass
 class SolveResult:
     best: Optional[Path]
@@ -211,11 +219,13 @@ def run_phase2(
     use_ub_prune: bool = True,
     trace: Optional[Trace] = None,
     deadline: Optional[float] = None,
+    tails: Optional[TailMap] = None,
 ) -> SolveResult:
     """Exact enumeration under the coordinates of ``dag`` (already oriented
     if need be) for the aggregation weight ``delta`` from the bounding
-    phase. Raises :class:`NoFeasiblePath` when no window-feasible path
-    exists.
+    phase. ``tails`` may pass in the sweep of ``dag`` at ``delta`` when
+    the bounding phase already made it. Raises :class:`NoFeasiblePath`
+    when no window-feasible path exists.
     """
     if not isinstance(delta, Fraction) or delta < 0:
         raise ValueError("delta must be a nonnegative rational")
@@ -223,14 +233,17 @@ def run_phase2(
         from .bounds import ValueTailBound
 
         ub = ValueTailBound(dag)
-    tails = all_tails(dag, delta)
+    if tails is None:
+        tails = all_tails(dag, delta)
+    elif tails.dag is not dag or tails.delta != delta:
+        raise ValueError("tails were swept on another instance or weight")
     beta = dag.windows[dag.sink].lo
     stats = SolveStats()
     if dag.source not in tails:
-        raise NoFeasiblePath("sink unreachable from source")
+        raise NoFeasiblePath("sink unreachable from source", stats)
 
     if not dag.windows[dag.source].contains(ZERO):
-        raise NoFeasiblePath("source window excludes the empty prefix")
+        raise NoFeasiblePath("source window excludes the empty prefix", stats)
 
     store = LabelStore()
     frontier: dict[int, dict[Fraction, Fraction]] = {}
@@ -320,7 +333,7 @@ def run_phase2(
         )
 
     if incumbent is None:
-        raise NoFeasiblePath("no window-feasible path")
+        raise NoFeasiblePath("no window-feasible path", stats)
     best = path_metrics(dag, incumbent.full_arc_ids(), start=dag.source)
     return SolveResult(best=best, value=incumbent.value, stats=stats)
 

@@ -10,12 +10,13 @@ from .bounds import OrientedBound, ValueTailBound
 from .graph import Path, SinkUnreachable, WindowedDag, check_windows, path_metrics
 from .phase1 import (
     LIE,
+    GraphInvariantError,
     Infeasible,
     Pair,
     Phase1TraceEvent,
     PhaseOneOutcome,
     SolvedAtSp,
-    orient_dag,
+    orient_dag,  # noqa: F401  the pipeline's orientation step stays patchable here
     run_phase1,
 )
 from .phase2 import NoFeasiblePath, SolveStats, Trace, run_phase2
@@ -68,12 +69,14 @@ def solve_awclpp(
         delta = ZERO
         oriented = False
         iterations = 0
-    else:
-        assert isinstance(outcome, Pair)
+    elif isinstance(outcome, Pair):
+        # phase 1 already oriented the instance and swept it at delta
         oriented = outcome.orientation == LIE
-        work = orient_dag(dag) if oriented else dag
+        work = outcome.work
         delta = outcome.delta
         iterations = outcome.iterations
+    else:
+        raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
     if ub_provider == "default":
         ub = ValueTailBound(work)
@@ -92,14 +95,16 @@ def solve_awclpp(
             use_ub_prune=use_ub_prune and ub is not None,
             trace=trace_phase2,
             deadline=deadline,
+            tails=outcome.tails,
         )
-    except NoFeasiblePath:
-        stats = SolveStats(phase1_iterations=iterations)
-        return AwclppSolution(INFEASIBLE, None, None, outcome, stats)
+    except NoFeasiblePath as exc:
+        exc.stats.phase1_iterations = iterations
+        return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
 
     result.stats.phase1_iterations = iterations
     best = result.best
-    assert best is not None and best.arc_ids is not None
+    if best is None or best.arc_ids is None:
+        raise GraphInvariantError("enumeration returned no arc-indexed incumbent")
     if oriented:
         best = path_metrics(dag, best.arc_ids, start=best.start)
     return AwclppSolution(OPTIMAL, best, best.value, outcome, result.stats)

@@ -9,6 +9,7 @@ from borwin.graph import (
     Arc,
     NonContiguous,
     SinkUnreachable,
+    TailInfo,
     Window,
     WindowedDag,
     all_tails,
@@ -19,6 +20,7 @@ from borwin.graph import (
     prune_unreachable,
     validate,
 )
+from borwin.phase1 import orient_dag
 from borwin.rational import PLUS_INF
 
 F = Fraction
@@ -205,6 +207,98 @@ def test_longest_path_beats_enumerated_mu(wclpp):
         ):
             p = path_by_vertices(wclpp, names)
             assert p.value + delta * p.resource <= best_mu
+
+
+def reference_tails(dag, delta):
+    """Plain Fraction sweep with the documented tie-break, kept here as
+    the oracle for the library's integer kernel."""
+    if delta is PLUS_INF:
+        step = lambda a: a.resource  # noqa: E731
+    else:
+        step = lambda a: a.value + delta * a.resource  # noqa: E731
+    mu = {dag.sink: F(0)}
+    val = {dag.sink: F(0)}
+    res = {dag.sink: F(0)}
+    nxt = {dag.sink: None}
+    key = {}
+    for u in reversed(dag.topo_order):
+        for aidx in dag.out_arcs[u]:
+            a = dag.arcs[aidx]
+            if a.dst not in mu:
+                continue
+            cand = step(a) + mu[a.dst]
+            ck = (cand, a.value, a.resource, -a.dst, -aidx)
+            if u not in key or ck > key[u]:
+                key[u] = ck
+                mu[u] = cand
+                val[u] = a.value + val[a.dst]
+                res[u] = a.resource + res[a.dst]
+                nxt[u] = aidx
+    return {u: TailInfo(mu=mu[u], value=val[u], resource=res[u], next_arc=nxt[u]) for u in mu}
+
+
+_fractions = st.builds(
+    F, st.integers(min_value=-12, max_value=12), st.sampled_from([1, 2, 3, 4, 6, 7])
+)
+_deltas = st.one_of(
+    st.just(F(0)),
+    st.just(PLUS_INF),
+    st.builds(F, st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=8)),
+)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random DAG on a shuffled vertex order (so the stored topological
+    order is not the identity), with fractional data of mixed
+    denominators, negative resources, exact parallel duplicates,
+    parallel arcs whose aggregate ties under the drawn weight and equal
+    arcs into distinct successors of equal tails (through a relay vertex
+    with a zero arc on), possibly re-oriented. Ties are built in the
+    coordinates that get swept."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations(range(n)))
+    delta = draw(_deltas)
+    oriented = draw(st.booleans())
+    sign = -1 if oriented else 1
+    arcs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n)) if n > 1 else 0):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        a = Arc(order[i], order[j], draw(_fractions), draw(_fractions))
+        arcs.append(a)
+        twin = draw(st.sampled_from(["none", "copy", "tie", "relay"]))
+        if twin == "copy":
+            arcs.append(a)
+        elif twin == "relay":
+            relay = n + len(arcs)  # fresh vertex id; unused ids stay isolated
+            arcs.append(Arc(a.src, relay, a.value, a.resource))
+            arcs.append(Arc(relay, a.dst, F(0), F(0)))
+        elif twin == "tie":
+            k = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+            if delta is PLUS_INF:
+                arcs.append(Arc(a.src, a.dst, a.value + k, a.resource))
+            else:
+                arcs.append(Arc(a.src, a.dst, a.value - delta * k, a.resource + sign * k))
+    size = n + len(arcs)
+    dag = WindowedDag([Window()] * size, arcs, order[0], order[-1])
+    return (orient_dag(dag) if oriented else dag), delta
+
+
+@given(case=sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_all_tails_matches_fraction_reference(case):
+    dag, delta = case
+    tails = all_tails(dag, delta)
+    ref = reference_tails(dag, delta)
+    for u in range(dag.n):
+        assert (u in tails) == (u in ref)
+        assert tails.get(u) == ref.get(u)
+        if u in ref:
+            assert tails[u] == ref[u]
+            assert tails.arc_ids(u)[:1] == (() if ref[u].next_arc is None else (ref[u].next_arc,))
+            assert tails.path(u).value == ref[u].value
+    assert list(tails.vertices()) == list(ref)
+    assert -1 not in tails and dag.n not in tails and tails.get(dag.n) is None
 
 
 def test_prune_unreachable_keeps_fixture(wclpp):

@@ -247,3 +247,16 @@ def test_bench_timeout_rows():
     write_csv(records, buf)
     rows = list(csv.DictReader(iomod.StringIO(buf.getvalue())))
     assert all(r["status"] == "timeout" and r["value"] == "" for r in rows)
+
+
+def test_bench_error_rows_record_the_exception():
+    from borwin.bench import run_one, write_csv
+    import io as iomod
+
+    rec = run_one("bad.json", "dag", None, "nope", None)
+    assert rec.status == "error"
+    assert rec.error == "ValueError: unknown algorithm 'nope'"
+    buf = iomod.StringIO()
+    write_csv([rec], buf)
+    (row,) = csv.DictReader(iomod.StringIO(buf.getvalue()))
+    assert row["status"] == "error" and row["error"] == rec.error

@@ -126,6 +126,33 @@ def test_no_feasible_path_raises(wclpp):
         run_phase2(dag, F(1, 19))
 
 
+def test_infeasible_solve_keeps_enumeration_stats(wclpp):
+    # the sink window straddles the relaxed optimum, so phase 1 returns a
+    # pair, but vertex 2's window rules out every path: the store empties
+    # with no incumbent
+    windows = list(wclpp.windows)
+    windows[wclpp.vertex("2")] = Window(F(10), F(14))
+    windows[wclpp.sink] = Window(F(22), F(29))
+    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
+    assert brute_force(dag).status == "infeasible"
+    sol = solve_awclpp(dag)
+    assert sol.status == "infeasible"
+    assert sol.phase1.iterations >= 1
+    assert sol.stats.phase1_iterations == sol.phase1.iterations
+    assert sol.stats.phase2_iterations > 0
+    assert sol.stats.labels_created >= sol.stats.phase2_iterations
+
+
+def test_phase1_tails_serve_phase2(wclpp):
+    out = run_phase1(wclpp)
+    assert out.work is wclpp and out.tails.delta == out.delta
+    reused = run_phase2(out.work, out.delta, tails=out.tails)
+    fresh = run_phase2(wclpp, out.delta)
+    assert (reused.value, reused.best.arc_ids, reused.stats) == (fresh.value, fresh.best.arc_ids, fresh.stats)
+    with pytest.raises(ValueError):
+        run_phase2(wclpp, F(0), tails=out.tails)
+
+
 def test_feasible_pops_still_extend():
     """A feasible pop whose tail is aggregate-best but value-poor must not
     end the search: the better completion through the same anchor wins."""
