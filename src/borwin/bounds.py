@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .graph import WindowedDag, all_tails
+from .graph import TailMap, WindowedDag, all_tails
 
 ZERO = Fraction(0)
 
@@ -191,10 +191,19 @@ def _lp_remainder(mckp: NestedMckp, start: int, cum_weight: Fraction) -> Optiona
 class ValueTailBound:
     """Default bound: prefix value plus the best window-relaxed completion
     value from the anchor. Vertices that cannot reach the sink have no
-    completion at all."""
+    completion at all.
 
-    def __init__(self, dag: WindowedDag):
-        self._tails = all_tails(dag, ZERO)
+    ``tails`` may pass in a ``delta = 0`` sweep already made of ``dag``
+    or of a copy of it that differs only in resource signs (tail values
+    and reachability are the same on both); otherwise ``dag`` is swept.
+    """
+
+    def __init__(self, dag: WindowedDag, tails: Optional[TailMap] = None):
+        if tails is None:
+            tails = all_tails(dag, ZERO)
+        elif tails.delta != 0 or tails.dag.n != dag.n or len(tails.dag.arcs) != len(dag.arcs):
+            raise ValueError("value tails must be a delta = 0 sweep of the same graph")
+        self._tails = tails
 
     def bound(
         self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction

@@ -11,7 +11,7 @@ from pathlib import Path as FsPath
 from .baselines import brute_force, rcsp_label_setting
 from .bench import ALGOS, run_bench, write_csv, write_summary
 from .generate import GeneratorConfig, generate
-from .graph import prune_unreachable, validate
+from .graph import GraphError, prune_unreachable, validate
 from .huc import build_graph, export_milp, solve_huc
 from .io import InstanceFormatError, dump_json, load_instance
 from .rational import rat_str
@@ -65,6 +65,10 @@ def cmd_solve(args) -> int:
         dag, _ = prune_unreachable(dag)
     else:
         dag = obj
+        report = validate(dag)
+        if not report.ok:
+            print(f"error: {report.code}: {report.detail}", file=sys.stderr)
+            return EXIT_ERROR
 
     if args.algo == "borwin":
         sol = solve_awclpp(dag, trace_phase1=t1, trace_phase2=t2)
@@ -236,6 +240,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except GraphError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 from .graph import Arc, Window, WindowedDag
 from .huc import HucInstance, OperatingPoint, cumulative_flows, legal_moves, schedule_is_legal
 from .io import dag_to_dict, huc_to_dict
+from .phase1 import GraphInvariantError
 
 ZERO = Fraction(0)
 
@@ -192,5 +193,6 @@ def random_huc(
         win_hi=tuple(win_hi),
     )
     inst.check()
-    assert schedule_is_legal(inst, walked), "generator walked an illegal schedule"
+    if not schedule_is_legal(inst, walked):
+        raise GraphInvariantError("generator walked an illegal schedule")
     return inst

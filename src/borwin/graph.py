@@ -19,8 +19,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from typing import Iterator, Optional, Sequence, Union
+from math import ceil, floor, lcm
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
 
@@ -100,6 +100,7 @@ class WindowedDag:
         "in_arcs",
         "_topo_pos",
         "_int_arcs",
+        "_int_windows",
     )
 
     def __init__(
@@ -139,12 +140,31 @@ class WindowedDag:
                 pos[u] = i
             self._topo_pos = pos
         self._int_arcs: Optional[IntArcs] = None
+        self._int_windows: Optional[tuple[list[int], list[int]]] = None
 
     def int_arcs(self) -> "IntArcs":
         """Integer-scaled arc data, built on first use and kept."""
         if self._int_arcs is None:
             self._int_arcs = IntArcs.of(self.arcs)
         return self._int_arcs
+
+    def int_windows(self) -> tuple[list[int], list[int]]:
+        """Per-vertex windows on the scaled cumulative resource of
+        :meth:`int_arcs`, built on first use and kept: ``lo[v] =
+        ceil(dr * lo)`` and ``hi[v] = floor(dr * hi)``, so an integer
+        ``r`` lies in ``[lo[v], hi[v]]`` exactly when ``r / dr`` lies in
+        the window. An unbounded side gets a bound beyond the sum of all
+        absolute arc resources, which no path's cumulative resource
+        reaches."""
+        if self._int_windows is None:
+            arcs = self.int_arcs()
+            dr = arcs.dr
+            beyond = sum(abs(r) for r in arcs.res) + 1
+            self._int_windows = (
+                [-beyond if w.lo is None else ceil(dr * w.lo) for w in self.windows],
+                [beyond if w.hi is None else floor(dr * w.hi) for w in self.windows],
+            )
+        return self._int_windows
 
     # -- lookups -----------------------------------------------------------
 
@@ -394,6 +414,22 @@ class IntArcs:
         return IntArcs(self.dst, self.val, [-r for r in self.res], self.dv, self.dr)
 
 
+class SweepInts(NamedTuple):
+    """The integer arrays of one sweep, indexed by vertex: the scaled
+    aggregate ``mu = wv * val + wr * res`` (``None`` off the sink's
+    reach), the chosen next arc, and the tail's scaled value and
+    resource. ``scale`` is the factor from the aggregate in exact
+    Fractions to ``mu``."""
+
+    mu: list[Optional[int]]
+    next_arc: list[Optional[int]]
+    val: list[int]
+    res: list[int]
+    wv: int
+    wr: int
+    scale: int
+
+
 class TailMap:
     """Best window-relaxed tails to the sink for one aggregation weight.
 
@@ -407,7 +443,7 @@ class TailMap:
     vertex is looked up and memoized.
     """
 
-    __slots__ = ("dag", "delta", "_arcs", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
+    __slots__ = ("dag", "delta", "_arcs", "_wv", "_wr", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
 
     def __init__(self, dag: WindowedDag, delta: Weight):
         arcs = dag.int_arcs()
@@ -420,9 +456,15 @@ class TailMap:
         self.dag = dag
         self.delta = delta
         self._arcs = arcs
-        self._scale = scale
+        self._wv, self._wr, self._scale = wv, wr, scale
         self._mu, self._nxt, self._val, self._res = _sweep(dag, arcs, wv, wr)
         self._info: dict[int, TailInfo] = {}
+
+    @property
+    def ints(self) -> SweepInts:
+        """The sweep's integer arrays and weight factors, for callers that
+        work on the instance's scaled data; read only."""
+        return SweepInts(self._mu, self._nxt, self._val, self._res, self._wv, self._wr, self._scale)
 
     def __contains__(self, u: int) -> bool:
         try:

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from .bounds import NMCKP, MckpItem, NestedMckp, UbProvider
 from .graph import Arc, Path, Window, WindowedDag, prune_unreachable
+from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
 from .rational import decimal_str
 from .solver import INFEASIBLE, OPTIMAL, AwclppSolution, solve_awclpp
@@ -377,7 +378,8 @@ def solve_huc(
         return HucSolution(INFEASIBLE, None, None, None, sol.stats, sol)
 
     path = sol.path
-    assert path is not None
+    if path is None:
+        raise GraphInvariantError("an optimal solve returned no path")
     old_vertices = [old_of_new[v] for v in path.vertices()]
     schedule = [
         vmap.state_of(v)[1] for v in old_vertices if 1 <= vmap.state_of(v)[0] <= inst.periods

@@ -18,6 +18,7 @@ re-read on the original instance.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -27,6 +28,7 @@ from .graph import (
     Path,
     SinkUnreachable,
     TailMap,
+    TimeoutExceeded,
     Window,
     WindowedDag,
     all_tails,
@@ -45,7 +47,8 @@ class NotAPair(Exception):
 
 
 class GraphInvariantError(Exception):
-    """An internal invariant of the dichotomy failed."""
+    """An internal invariant failed: a defect in the solver or the
+    generators, not in the input."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,7 @@ class Pair:
     iterations: int
     work: Optional[WindowedDag] = field(default=None, compare=False, repr=False)
     tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
+    sp_tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
 
 
 PhaseOneOutcome = Union[SolvedAtSp, Infeasible, Pair]
@@ -111,7 +115,8 @@ class Phase1TraceEvent:
 def orient_dag(dag: WindowedDag) -> WindowedDag:
     """Negate every arc resource and flip every window; arc order, vertex
     ids and labels are preserved so paths can be mapped back by arc index.
-    The copy's integer arc data is the original's with resources negated."""
+    The copy's integer arc data is the original's with resources negated;
+    its integer windows are built on first use, like any instance's."""
     arcs = [Arc(a.src, a.dst, a.value, -a.resource) for a in dag.arcs]
     windows = [
         Window(
@@ -132,6 +137,7 @@ def _pareto_eq(x: Path, y: Path) -> bool:
 def run_phase1(
     dag: WindowedDag,
     trace: Optional[Callable[[Phase1TraceEvent], None]] = None,
+    deadline: Optional[float] = None,
 ) -> PhaseOneOutcome:
     """Dichotomic search for the straddling supported pair.
 
@@ -139,8 +145,16 @@ def run_phase1(
     window-relaxed instance; each round aggregates with the slope of the
     current pair, re-optimizes, and replaces one endpoint until the new
     optimum is Pareto-equal (componentwise equal image) to an endpoint.
+    ``deadline`` (a ``time.monotonic`` value) is checked before every
+    sweep; past it, :class:`TimeoutExceeded` is raised.
     """
-    sp_tails = all_tails(dag, ZERO)
+
+    def sweep(work: WindowedDag, delta) -> TailMap:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutExceeded("bounding phase hit its deadline")
+        return all_tails(work, delta)
+
+    sp_tails = sweep(dag, ZERO)
     if dag.source not in sp_tails:
         raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
     # later sweeps run on the same arcs, so the source reaches the sink there too
@@ -162,7 +176,7 @@ def run_phase1(
         raise GraphInvariantError("orientation left the sink without a finite lower bound")
 
     x_a = path_metrics(work, sp_path.arc_ids)
-    x_b = all_tails(work, PLUS_INF).path(work.source)
+    x_b = sweep(work, PLUS_INF).path(work.source)
     if x_b.resource < beta:
         return Infeasible(max_resource=x_b.resource)
 
@@ -181,7 +195,7 @@ def run_phase1(
                 "straddling pair lost its resource gap; endpoints are Pareto-comparable"
             )
         delta = (x_a.value - x_b.value) / (x_b.resource - x_a.resource)
-        tails = all_tails(work, delta)
+        tails = sweep(work, delta)
         x_c = tails.path(work.source)
         iterations += 1
         if trace is not None:
@@ -209,6 +223,7 @@ def run_phase1(
         iterations=iterations,
         work=work,
         tails=tails,
+        sp_tails=sp_tails,
     )
 
 

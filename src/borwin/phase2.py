@@ -19,6 +19,21 @@ adopting a window-feasible slice of its tail and then deviating by one
 arc becomes a new label. Extensions run on every pop, feasible or not:
 a feasible pop's tail maximizes the aggregate, not the value, so a
 better-value completion through the same anchor may still be pending.
+
+Labels hold no paths. A label keeps its aggregate, anchor and prefix
+totals, and how its prefix was made: a parent label, how many arcs of
+the parent's tail it adopted, and the arc it branched on. Prefix arcs
+are rebuilt from that chain only for the returned incumbent and for
+trace events. Each pop walks its tail once; the walk gives both the
+feasibility verdict and the window-feasible slice of the tail that the
+extensions branch from.
+
+The loop runs on exact integers: the instance's scaled arc data and
+windows and the sweep's scaled tails (:class:`~borwin.graph.SweepInts`).
+Every aggregate is the exact Fraction aggregate times the sweep's
+positive scale, so pops, prunes and ties are those of the rational
+arithmetic. Fractions appear only where numbers leave the loop: calls to
+the value-bound provider, trace events and the result.
 """
 
 from __future__ import annotations
@@ -27,7 +42,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Protocol
+from math import floor
+from typing import Callable, Optional, Protocol, Sequence
 
 from .graph import (
     GraphError,
@@ -57,29 +73,62 @@ class UbProvider(Protocol):
     ) -> Optional[Fraction]: ...
 
 
-@dataclass
 class Label:
-    """Hybrid path: feasible prefix plus window-relaxed tail."""
+    """Hybrid path: a window-feasible prefix to ``anchor`` glued to a tail.
 
-    prefix_arc_ids: tuple[int, ...]
-    anchor: int
-    prefix_value: Fraction
-    prefix_resource: Fraction
-    tail_arc_ids: tuple[int, ...]
-    value: Fraction  # prefix + tail
-    resource: Fraction
-    mu: Fraction
-    seq: int = 0
-    alive: bool = True
+    Numbers are scaled integers: ``val`` and ``res`` are the prefix totals
+    in the instance's value and resource scales (``IntArcs.dv``/``dr``),
+    ``mu`` the hybrid's aggregate in the sweep's scale. ``tail[u]`` is the
+    arc the tail takes out of vertex ``u`` (the sweep's next-arc array).
+    The prefix is ``parent``'s prefix, then the first ``cut`` arcs of
+    ``parent``'s tail, then arc ``arc``; the root has no parent.
+    """
+
+    __slots__ = ("mu", "anchor", "val", "res", "parent", "cut", "arc", "tail", "alive")
+
+    def __init__(
+        self,
+        mu: int,
+        anchor: int,
+        val: int,
+        res: int,
+        parent: Optional["Label"],
+        cut: int,
+        arc: Optional[int],
+        tail: Sequence[Optional[int]],
+    ):
+        self.mu = mu
+        self.anchor = anchor
+        self.val = val
+        self.res = res
+        self.parent = parent
+        self.cut = cut
+        self.arc = arc
+        self.tail = tail
+        self.alive = True
+
+    def prefix_arc_ids(self, dag: WindowedDag) -> list[int]:
+        dst = dag.int_arcs().dst
+        chain = []
+        label = self
+        while label.parent is not None:
+            chain.append(label)
+            label = label.parent
+        ids: list[int] = []
+        for label in reversed(chain):
+            parent = label.parent
+            tail = parent.tail
+            u = parent.anchor
+            for _ in range(label.cut):
+                aid = tail[u]
+                ids.append(aid)
+                u = dst[aid]
+            ids.append(label.arc)
+        return ids
 
     def prefix_vertices(self, dag: WindowedDag) -> tuple[int, ...]:
-        verts = [dag.source]
-        for aid in self.prefix_arc_ids:
-            verts.append(dag.arcs[aid].dst)
-        return tuple(verts)
-
-    def full_arc_ids(self) -> tuple[int, ...]:
-        return self.prefix_arc_ids + self.tail_arc_ids
+        dst = dag.int_arcs().dst
+        return (dag.source, *[dst[aid] for aid in self.prefix_arc_ids(dag)])
 
 
 class LabelStore:
@@ -90,14 +139,13 @@ class LabelStore:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[Fraction, int, Label]] = []
+        self._heap: list[tuple[int, int, Label]] = []
         self._entries: list[Label] = []
         self._next_seq = 0
 
     def push(self, label: Label) -> None:
-        label.seq = self._next_seq
+        heapq.heappush(self._heap, (-label.mu, self._next_seq, label))
         self._next_seq += 1
-        heapq.heappush(self._heap, (-label.mu, label.seq, label))
         self._entries.append(label)
 
     def pop(self) -> Optional[Label]:
@@ -160,43 +208,54 @@ Trace = Callable[[TraceEvent], None]
 
 
 def make_label(
-    dag: WindowedDag,
-    delta: Fraction,
-    tails,
-    prefix_arc_ids: tuple[int, ...],
+    mu: int,
     anchor: int,
-    prefix_value: Fraction,
-    prefix_resource: Fraction,
+    val: int,
+    res: int,
+    parent: Optional[Label],
+    cut: int,
+    arc: Optional[int],
+    tail: Sequence[Optional[int]],
 ) -> Label:
-    info = tails[anchor]
-    value = prefix_value + info.value
-    resource = prefix_resource + info.resource
-    return Label(
-        prefix_arc_ids=prefix_arc_ids,
-        anchor=anchor,
-        prefix_value=prefix_value,
-        prefix_resource=prefix_resource,
-        tail_arc_ids=tails.arc_ids(anchor),
-        value=value,
-        resource=resource,
-        mu=value + delta * resource,
-    )
+    """A new label: the root, or a candidate child of ``parent``. Every
+    label the enumeration considers is made here once, before the pruning
+    rules judge it."""
+    return Label(mu, anchor, val, res, parent, cut, arc, tail)
+
+
+def _walk(label: Label, lo, hi, dst, res, sink: int):
+    """One pass along the label's tail, continuing the cumulative resource
+    from the prefix total. Returns the first window violation as
+    ``(vertex, side)`` or None, and the arcs of the tail adopted before
+    it (window-feasible at their heads)."""
+    u = label.anchor
+    r = label.res
+    if r < lo[u]:
+        return (u, "lo"), []
+    if r > hi[u]:
+        return (u, "hi"), []
+    tail = label.tail
+    adopted = []
+    while u != sink:
+        aid = tail[u]
+        r += res[aid]
+        u = dst[aid]
+        if r < lo[u]:
+            return (u, "lo"), adopted
+        if r > hi[u]:
+            return (u, "hi"), adopted
+        adopted.append(aid)
+    return None, adopted
 
 
 def feasible_hybrid(dag: WindowedDag, label: Label) -> Optional[WindowViolation]:
-    """Window check along the tail only; the prefix is feasible by
-    construction. Cumulative resource continues from the prefix total."""
-    cum = label.prefix_resource
-    side = dag.windows[label.anchor].violated_side(cum)
-    if side is not None:
-        return WindowViolation(label.anchor, side)
-    for aid in label.tail_arc_ids:
-        a = dag.arcs[aid]
-        cum += a.resource
-        side = dag.windows[a.dst].violated_side(cum)
-        if side is not None:
-            return WindowViolation(a.dst, side)
-    return None
+    """Window check of the anchor and along the tail; the prefix is
+    feasible by construction. Cumulative resource continues from the
+    prefix total."""
+    lo, hi = dag.int_windows()
+    arcs = dag.int_arcs()
+    violation, _ = _walk(label, lo, hi, arcs.dst, arcs.res, dag.sink)
+    return None if violation is None else WindowViolation(*violation)
 
 
 def lower_bound_mu(incumbent_value: Fraction, delta: Fraction, beta: Optional[Fraction]) -> Fraction:
@@ -225,7 +284,8 @@ def run_phase2(
     if need be) for the aggregation weight ``delta`` from the bounding
     phase. ``tails`` may pass in the sweep of ``dag`` at ``delta`` when
     the bounding phase already made it. Raises :class:`NoFeasiblePath`
-    when no window-feasible path exists.
+    when no window-feasible path exists, and ValueError for a positive
+    ``delta`` on a sink without a lower bound.
     """
     if not isinstance(delta, Fraction) or delta < 0:
         raise ValueError("delta must be a nonnegative rational")
@@ -237,30 +297,37 @@ def run_phase2(
         tails = all_tails(dag, delta)
     elif tails.dag is not dag or tails.delta != delta:
         raise ValueError("tails were swept on another instance or weight")
-    beta = dag.windows[dag.sink].lo
+    sweep = tails.ints
+    tmu, nxt, tval = sweep.mu, sweep.next_arc, sweep.val
+    wv, wr, scale = sweep.wv, sweep.wr, sweep.scale
+    arcs = dag.int_arcs()
+    dst, val, res, dv, dr = arcs.dst, arcs.val, arcs.res, arcs.dv, arcs.dr
+    lo, hi = dag.int_windows()
+    out_arcs = dag.out_arcs
+    source, sink = dag.source, dag.sink
+    # the bound rule's floor for incumbent value V (scaled) is wv * V + beta_floor
+    beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.windows[sink].lo))
+    ub_on = use_ub_prune and ub is not None
     stats = SolveStats()
-    if dag.source not in tails:
+    if tmu[source] is None:
         raise NoFeasiblePath("sink unreachable from source", stats)
-
-    if not dag.windows[dag.source].contains(ZERO):
+    if not lo[source] <= 0 <= hi[source]:
         raise NoFeasiblePath("source window excludes the empty prefix", stats)
 
+    def prune_event(label: Label, rule: str, prefix: tuple[int, ...]) -> TraceEvent:
+        return TraceEvent(kind="prune", mu=Fraction(label.mu, scale), anchor=label.anchor, rule=rule, prefix=prefix)
+
     store = LabelStore()
-    frontier: dict[int, dict[Fraction, Fraction]] = {}
+    push = store.push
+    frontier: dict[tuple[int, int], int] = {}
     incumbent: Optional[Label] = None
+    incumbent_val = 0
+    mu_floor: Optional[int] = None  # set with the incumbent
+    value_floor = ZERO
+    pops = created = pruned_bound = pruned_dom = pruned_ub = 0
 
-    def emit(event: TraceEvent) -> None:
-        if trace is not None:
-            trace(event)
-
-    root = make_label(dag, delta, tails, (), dag.source, ZERO, ZERO)
-    store.push(root)
-    stats.labels_created += 1
-
-    def incumbent_bounds() -> tuple[Optional[Fraction], Optional[Fraction]]:
-        if incumbent is None:
-            return None, None
-        return lower_bound_mu(incumbent.value, delta, beta), incumbent.value
+    push(make_label(tmu[source], source, 0, 0, None, 0, None, nxt))
+    created += 1
 
     while True:
         if deadline is not None:
@@ -269,177 +336,106 @@ def run_phase2(
         label = store.pop()
         if label is None:
             break
-        stats.phase2_iterations += 1
-        violation = feasible_hybrid(dag, label)
+        pops += 1
+        violation, adopted = _walk(label, lo, hi, dst, res, sink)
         if violation is None:
-            if incumbent is None or label.value > incumbent.value:
-                incumbent = label
+            value = label.val + tval[label.anchor]
+            pop_floor = wv * value + beta_floor
+            pop_value = Fraction(value, dv)
+            if incumbent is None or value > incumbent_val:
+                incumbent, incumbent_val, mu_floor, value_floor = label, value, pop_floor, pop_value
             # Purge against the popped hybrid's own bounds (the incumbent
             # is at least as good, so this is the weaker, faithful purge).
-            mu_floor = lower_bound_mu(label.value, delta, beta)
             for entry in store.live():
-                if use_bound_prune and entry.mu <= mu_floor:
+                if use_bound_prune and entry.mu <= pop_floor:
                     entry.alive = False
-                    stats.labels_pruned_bound += 1
-                    emit(
-                        TraceEvent(
-                            kind="prune",
-                            mu=entry.mu,
-                            anchor=entry.anchor,
-                            rule="bound",
-                            prefix=entry.prefix_vertices(dag),
-                        )
-                    )
-                elif use_ub_prune and ub is not None:
-                    cap = ub.bound(entry.anchor, entry.prefix_resource, entry.prefix_value)
-                    if cap is None or cap <= label.value:
+                    pruned_bound += 1
+                    if trace is not None:
+                        trace(prune_event(entry, "bound", entry.prefix_vertices(dag)))
+                elif ub_on:
+                    cap = ub.bound(entry.anchor, Fraction(entry.res, dr), Fraction(entry.val, dv))
+                    if cap is None or cap <= pop_value:
                         entry.alive = False
-                        stats.labels_pruned_ub += 1
-                        emit(
-                            TraceEvent(
-                                kind="prune",
-                                mu=entry.mu,
-                                anchor=entry.anchor,
-                                rule="ub",
-                                prefix=entry.prefix_vertices(dag),
-                            )
-                        )
-            emit(
+                        pruned_ub += 1
+                        if trace is not None:
+                            trace(prune_event(entry, "ub", entry.prefix_vertices(dag)))
+            if trace is not None:
+                trace(
+                    TraceEvent(
+                        kind="pop",
+                        mu=Fraction(label.mu, scale),
+                        anchor=label.anchor,
+                        feasible=True,
+                        action="incumbent" if incumbent is label else "kept",
+                    )
+                )
+        elif trace is not None:
+            trace(
                 TraceEvent(
-                    kind="pop",
-                    mu=label.mu,
-                    anchor=label.anchor,
-                    feasible=True,
-                    action="incumbent" if incumbent is label else "kept",
+                    kind="pop", mu=Fraction(label.mu, scale), anchor=label.anchor, feasible=False, action="extended"
                 )
             )
-        else:
-            emit(TraceEvent(kind="pop", mu=label.mu, anchor=label.anchor, feasible=False, action="extended"))
 
-        _extend(
-            dag,
-            delta,
-            tails,
-            label,
-            store,
-            frontier,
-            stats,
-            incumbent_bounds,
-            ub,
-            use_dominance,
-            use_bound_prune,
-            use_ub_prune,
-            emit,
-        )
+        # Generalized extension: from the anchor and every adopted tail
+        # vertex (the sink excluded), branch on every non-tail arc.
+        u, cum_v, cum_r = label.anchor, label.val, label.res
+        if trace is not None:
+            stop_prefix = list(label.prefix_vertices(dag))  # vertices up to u, for events
+        for cut in range(len(adopted) + 1):
+            if cut:
+                aid = adopted[cut - 1]
+                u = dst[aid]
+                cum_v += val[aid]
+                cum_r += res[aid]
+                if trace is not None:
+                    stop_prefix.append(u)
+            if u == sink:
+                break
+            skip = nxt[u]
+            for aid in out_arcs[u]:
+                if aid == skip:
+                    continue
+                v = dst[aid]
+                tail_mu = tmu[v]
+                if tail_mu is None:
+                    continue  # cannot complete to the sink
+                new_r = cum_r + res[aid]
+                if new_r < lo[v] or new_r > hi[v]:
+                    continue
+                new_v = cum_v + val[aid]
+                child = make_label(wv * new_v + wr * new_r + tail_mu, v, new_v, new_r, label, cut, aid, nxt)
+                if use_dominance:
+                    key = (v, new_r)
+                    best_v = frontier.get(key)
+                    if best_v is not None and best_v >= new_v:
+                        pruned_dom += 1
+                        if trace is not None:
+                            trace(prune_event(child, "dominance", (*stop_prefix, v)))
+                        continue
+                if mu_floor is not None:
+                    if use_bound_prune and child.mu <= mu_floor:
+                        pruned_bound += 1
+                        if trace is not None:
+                            trace(prune_event(child, "bound", (*stop_prefix, v)))
+                        continue
+                    if ub_on:
+                        cap = ub.bound(v, Fraction(new_r, dr), Fraction(new_v, dv))
+                        if cap is None or cap <= value_floor:
+                            pruned_ub += 1
+                            if trace is not None:
+                                trace(prune_event(child, "ub", (*stop_prefix, v)))
+                            continue
+                push(child)
+                created += 1
+                if use_dominance:
+                    frontier[key] = new_v
 
+    stats.phase2_iterations = pops
+    stats.labels_created = created
+    stats.labels_pruned_bound = pruned_bound
+    stats.labels_pruned_dominance = pruned_dom
+    stats.labels_pruned_ub = pruned_ub
     if incumbent is None:
         raise NoFeasiblePath("no window-feasible path", stats)
-    best = path_metrics(dag, incumbent.full_arc_ids(), start=dag.source)
-    return SolveResult(best=best, value=incumbent.value, stats=stats)
-
-
-def _extend(
-    dag: WindowedDag,
-    delta: Fraction,
-    tails,
-    label: Label,
-    store: LabelStore,
-    frontier: dict[int, dict[Fraction, Fraction]],
-    stats: SolveStats,
-    incumbent_bounds,
-    ub: Optional[UbProvider],
-    use_dominance: bool,
-    use_bound_prune: bool,
-    use_ub_prune: bool,
-    emit: Trace,
-) -> None:
-    """Generalized extension: for each tail vertex u (sink excluded) whose
-    adopted tail slice stays window-feasible, branch on every non-tail arc
-    out of u."""
-    mu_floor, value_floor = incumbent_bounds()
-    tail_vertices = [label.anchor] + [dag.arcs[aid].dst for aid in label.tail_arc_ids]
-    adopted: list[int] = []
-    cum_v = label.prefix_value
-    cum_r = label.prefix_resource
-    for pos, u in enumerate(tail_vertices):
-        if pos > 0:
-            # adopt the next tail arc; slices are nested, so the first
-            # window failure ends every deeper extension too
-            aid = label.tail_arc_ids[pos - 1]
-            a = dag.arcs[aid]
-            cum_v += a.value
-            cum_r += a.resource
-            if not dag.windows[u].contains(cum_r):
-                break
-            adopted.append(aid)
-        if u == dag.sink:
-            break
-        skip = tails[u].next_arc
-        for aid in dag.out_arcs[u]:
-            if aid == skip:
-                continue
-            a = dag.arcs[aid]
-            v = a.dst
-            if v not in tails:
-                continue  # cannot complete to the sink
-            new_r = cum_r + a.resource
-            if not dag.windows[v].contains(new_r):
-                continue
-            new_v = cum_v + a.value
-            child = make_label(
-                dag,
-                delta,
-                tails,
-                label.prefix_arc_ids + tuple(adopted) + (aid,),
-                v,
-                new_v,
-                new_r,
-            )
-            if use_dominance:
-                best_v = frontier.get(v, {}).get(new_r)
-                if best_v is not None and best_v >= new_v:
-                    stats.labels_pruned_dominance += 1
-                    emit(
-                        TraceEvent(
-                            kind="prune",
-                            mu=child.mu,
-                            anchor=v,
-                            rule="dominance",
-                            prefix=child.prefix_vertices(dag),
-                        )
-                    )
-                    continue
-            if mu_floor is not None:
-                if use_bound_prune and child.mu <= mu_floor:
-                    stats.labels_pruned_bound += 1
-                    emit(
-                        TraceEvent(
-                            kind="prune",
-                            mu=child.mu,
-                            anchor=v,
-                            rule="bound",
-                            prefix=child.prefix_vertices(dag),
-                        )
-                    )
-                    continue
-                if use_ub_prune and ub is not None:
-                    cap = ub.bound(v, new_r, new_v)
-                    if cap is None or cap <= value_floor:
-                        stats.labels_pruned_ub += 1
-                        emit(
-                            TraceEvent(
-                                kind="prune",
-                                mu=child.mu,
-                                anchor=v,
-                                rule="ub",
-                                prefix=child.prefix_vertices(dag),
-                            )
-                        )
-                        continue
-            store.push(child)
-            stats.labels_created += 1
-            if use_dominance:
-                bucket = frontier.setdefault(v, {})
-                prev = bucket.get(new_r)
-                if prev is None or new_v > prev:
-                    bucket[new_r] = new_v
+    best = path_metrics(dag, incumbent.prefix_arc_ids(dag) + list(tails.arc_ids(incumbent.anchor)), start=source)
+    return SolveResult(best=best, value=best.value, stats=stats)

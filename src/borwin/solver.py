@@ -54,7 +54,7 @@ def solve_awclpp(
     contract, understood to reason in original resource coordinates.
     """
     try:
-        outcome = run_phase1(dag, trace=trace_phase1)
+        outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
     except SinkUnreachable:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
 
@@ -69,17 +69,19 @@ def solve_awclpp(
         delta = ZERO
         oriented = False
         iterations = 0
+        value_tails = outcome.tails
     elif isinstance(outcome, Pair):
         # phase 1 already oriented the instance and swept it at delta
         oriented = outcome.orientation == LIE
         work = outcome.work
         delta = outcome.delta
         iterations = outcome.iterations
+        value_tails = outcome.sp_tails
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
     if ub_provider == "default":
-        ub = ValueTailBound(work)
+        ub = ValueTailBound(work, value_tails)
     elif ub_provider is None:
         ub = None
     else:

@@ -416,3 +416,26 @@ def test_paths_biject_with_legal_schedules():
         dag, _ = build_graph(relaxed)
         pruned, _ = prune_unreachable(dag)
         assert brute_force(pruned).total_count == legal, f"seed {seed}"
+
+
+# -- internal invariants raise typed errors ------------------------------------
+
+
+def test_solve_huc_rejects_an_optimal_answer_without_path(huc5, monkeypatch):
+    from borwin import huc
+    from borwin.phase1 import GraphInvariantError
+    from borwin.phase2 import SolveStats
+    from borwin.solver import OPTIMAL, AwclppSolution
+
+    monkeypatch.setattr(huc, "solve_awclpp", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
+    with pytest.raises(GraphInvariantError, match="no path"):
+        solve_huc(huc5)
+
+
+def test_random_huc_rejects_an_illegal_walked_schedule(monkeypatch):
+    from borwin import generate
+    from borwin.phase1 import GraphInvariantError
+
+    monkeypatch.setattr(generate, "schedule_is_legal", lambda inst, schedule: False)
+    with pytest.raises(GraphInvariantError, match="illegal schedule"):
+        random_huc(random.Random(0), 6, 3, 2)

@@ -202,6 +202,30 @@ def test_cli_validate_rejects_cycle(tmp_path, capsys):
     assert "CycleDetected" in capsys.readouterr().out
 
 
+def test_cli_solve_rejects_a_cyclic_instance(tmp_path, capsys):
+    data = generate(GeneratorConfig(seed=1, family="dag", vertices=6))
+    back = data["arcs"][-1]
+    data["arcs"].append({"from": back["to"], "to": back["from"], "value": "1", "resource": "1"})
+    path = tmp_path / "cyc.json"
+    path.write_text(json.dumps(data))
+    for algo in ("borwin", "rcsp", "oracle"):
+        assert main(["solve", str(path), "--algo", algo]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CycleDetected:") and err.count("\n") == 1
+
+
+def test_cli_maps_solver_errors_to_exit_codes(capsys, monkeypatch):
+    from borwin import cli
+    from borwin.graph import GraphError
+
+    def fail(dag, **kwargs):
+        raise GraphError("instance is not acyclic")
+
+    monkeypatch.setattr(cli, "solve_awclpp", fail)
+    assert main(["solve", str(WCLPP5)]) == 1
+    assert capsys.readouterr().err == "error: GraphError: instance is not acyclic\n"
+
+
 def test_cli_export_lp(tmp_path, capsys):
     out = tmp_path / "model.lp"
     assert main(["export-lp", str(HUC5), "--out", str(out)]) == 0

@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from borwin import phase1
 from borwin.baselines import brute_force
 from borwin.generate import random_dag
-from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices
+from borwin.graph import Arc, TimeoutExceeded, Window, WindowedDag, check_windows, path_by_vertices
 from borwin.phase1 import (
     LID,
     LIE,
@@ -268,3 +271,36 @@ def _on_hull(point, points):
                 if ra + t * (rb - ra) > r:
                     return False
     return True
+
+
+# -- deadline -----------------------------------------------------------------
+
+
+def test_past_deadline_stops_phase1_before_any_pop(wclpp):
+    past = time.monotonic() - 1.0
+    with pytest.raises(TimeoutExceeded, match="bounding phase"):
+        run_phase1(wclpp, deadline=past)
+    events = []
+    with pytest.raises(TimeoutExceeded, match="bounding phase"):
+        solve_awclpp(wclpp, deadline=past, trace_phase2=events.append)
+    assert events == []
+
+
+def test_deadline_is_checked_before_every_dichotomy_sweep(wclpp, monkeypatch):
+    """The clock passes the deadline after the third sweep: the fourth
+    (the second dichotomy round) is never made."""
+    sweeps = []
+    real_all_tails = phase1.all_tails
+
+    def counting(dag, delta):
+        sweeps.append(delta)
+        return real_all_tails(dag, delta)
+
+    monkeypatch.setattr(phase1, "all_tails", counting)
+    clock = SimpleNamespace(monotonic=lambda: 10.0 if len(sweeps) >= 3 else 0.0)
+    monkeypatch.setattr(phase1, "time", clock)
+    assert run_phase1(wclpp).iterations >= 2
+    sweeps.clear()
+    with pytest.raises(TimeoutExceeded):
+        run_phase1(wclpp, deadline=5.0)
+    assert len(sweeps) == 3

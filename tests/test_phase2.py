@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from borwin.baselines import brute_force
-from borwin.generate import random_dag
+from borwin import graph
+from borwin.baselines import brute_force, rcsp_label_setting
+from borwin.generate import GeneratorConfig, generate, random_dag
 from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices, path_metrics
+from borwin.huc import solve_huc
+from borwin.io import dag_from_dict, huc_from_dict
 from borwin.phase1 import Pair, run_phase1
 from borwin.phase2 import (
     Label,
@@ -24,27 +29,20 @@ def explicit_label(dag, prefix_names, tail_names, delta):
     if len(prefix_names) > 1:
         prefix = path_by_vertices(dag, prefix_names)
         anchor = prefix.end
-        p_ids, p_v, p_r = prefix.arc_ids, prefix.value, prefix.resource
+        p_v, p_r = prefix.value, prefix.resource
     else:
         anchor = dag.vertex(prefix_names[0]) if prefix_names else dag.source
-        p_ids, p_v, p_r = (), F(0), F(0)
+        p_v, p_r = F(0), F(0)
+    tail = [None] * dag.n
+    t_v, t_r = F(0), F(0)
     if len(tail_names) > 1:
-        tail = path_by_vertices(dag, tail_names)
-        t_ids, t_v, t_r = tail.arc_ids, tail.value, tail.resource
-    else:
-        t_ids, t_v, t_r = (), F(0), F(0)
-    value = p_v + t_v
-    resource = p_r + t_r
-    return Label(
-        prefix_arc_ids=p_ids,
-        anchor=anchor,
-        prefix_value=p_v,
-        prefix_resource=p_r,
-        tail_arc_ids=t_ids,
-        value=value,
-        resource=resource,
-        mu=value + delta * resource,
-    )
+        path = path_by_vertices(dag, tail_names)
+        for u, aid in zip(path.vertices(), path.arc_ids):
+            tail[u] = aid
+        t_v, t_r = path.value, path.resource
+    arcs = dag.int_arcs()
+    mu = (p_v + t_v + delta * (p_r + t_r)) * arcs.dv * arcs.dr * delta.denominator
+    return Label(int(mu), anchor, int(p_v * arcs.dv), int(p_r * arcs.dr), None, 0, None, tail)
 
 
 # -- feasible_hybrid -------------------------------------------------------------
@@ -303,3 +301,128 @@ def test_mixed_sign_resources_match_oracle():
         assert rcsp.status == oracle.status, seed
         if oracle.status == "optimal":
             assert sol.value == oracle.value == rcsp.value, seed
+
+
+# -- the enumeration's work on seeded instances ------------------------------------
+
+# SolveStats counters as the Fraction implementation of the loop recorded
+# them: (phase-1 iterations, pops, labels created, pruned by the bound
+# rule, by dominance, by the value bound). The integer loop must make the
+# same search, so every counter must match.
+PINNED_STATS = [
+    (dict(family="dag", vertices=40, seed=3), "optimal", (4, 86, 176, 92, 129, 0)),
+    (dict(family="dag", vertices=80, seed=0), "infeasible", (3, 1407, 1407, 0, 1794, 0)),
+    (dict(family="dag", vertices=80, seed=4), "optimal", (5, 162, 907, 1108, 1217, 30)),
+    (dict(family="huc", periods=24, points=3, min_updown=3, seed=2), "optimal", (5, 141, 168, 30, 194, 7)),
+]
+
+
+@pytest.mark.parametrize("config,status,counters", PINNED_STATS)
+def test_enumeration_counters_are_pinned(config, status, counters):
+    data = generate(GeneratorConfig(**config))
+    if config["family"] == "dag":
+        sol = solve_awclpp(dag_from_dict(data))
+    else:
+        sol = solve_huc(huc_from_dict(data))
+    s = sol.stats
+    assert sol.status == status
+    assert (
+        s.phase1_iterations,
+        s.phase2_iterations,
+        s.labels_created,
+        s.labels_pruned_bound,
+        s.labels_pruned_dominance,
+        s.labels_pruned_ub,
+    ) == counters
+
+
+def _count_sweeps(monkeypatch):
+    sweeps = []
+    real_sweep = graph._sweep
+
+    def counting(*args):
+        sweeps.append(args[0])
+        return real_sweep(*args)
+
+    monkeypatch.setattr(graph, "_sweep", counting)
+    return sweeps
+
+
+def test_default_value_bound_reuses_the_phase1_sweep(wclpp, monkeypatch):
+    """A solve through a straddling pair sweeps once at delta = 0, once at
+    +infinity and once per dichotomy round; nothing more for the value
+    bound or the enumeration."""
+    sweeps = _count_sweeps(monkeypatch)
+    sol = solve_awclpp(wclpp)
+    assert isinstance(sol.phase1, Pair) and sol.value == 29
+    assert len(sweeps) == sol.phase1.iterations + 2
+
+
+def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
+    """The relaxed optimum meets the sink window but breaks vertex 3's, so
+    the enumeration runs at delta = 0 on phase 1's only sweep."""
+    windows = list(wclpp.windows)
+    windows[wclpp.vertex("3")] = Window(F(11), F(15))
+    windows[wclpp.sink] = Window(F(10), F(45))
+    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
+    sweeps = _count_sweeps(monkeypatch)
+    sol = solve_awclpp(dag)
+    assert sol.status == "optimal" and sol.value == brute_force(dag).value
+    assert sol.stats.phase2_iterations > 0
+    assert len(sweeps) == 1
+
+
+# -- differential test against the oracles ---------------------------------------
+
+_values = st.builds(F, st.integers(min_value=-6, max_value=12), st.sampled_from([1, 2, 3, 4, 6]))
+_resources = st.builds(F, st.integers(min_value=-4, max_value=9), st.sampled_from([1, 2, 4]))
+# denominators 3, 5 and 7 put dr * bound off the integers for every
+# resource scale dr the arcs above can have
+_bounds = st.builds(F, st.integers(min_value=-10, max_value=30), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def windowed_instances(draw):
+    """Random DAG on a shuffled vertex order with mixed-denominator values
+    and resources (negative ones included), parallel arcs, and windows of
+    every shape: open, one-sided, two-sided and points [a, a]. A single
+    vertex is both source and sink."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    order = draw(st.permutations(range(n)))
+    # a chain through every vertex keeps the sink reachable
+    pairs = [(k, k + 1) for k in range(n - 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n)) if n > 1 else 0):
+        pairs.append(tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))))
+    arcs = []
+    for i, j in pairs:
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            arcs.append(Arc(order[i], order[j], draw(_values), draw(_resources)))
+    windows = []
+    for _ in range(n):
+        a, b = sorted((draw(_bounds), draw(_bounds)))
+        shape = draw(st.sampled_from(["open", "lo", "hi", "both", "point"]))
+        windows.append(
+            {
+                "open": Window(),
+                "lo": Window(a, None),
+                "hi": Window(None, b),
+                "both": Window(a, b),
+                "point": Window(a, a),
+            }[shape]
+        )
+    return WindowedDag(windows, arcs, order[0], order[-1])
+
+
+@given(dag=windowed_instances())
+@settings(max_examples=300, deadline=None)
+def test_solver_agrees_with_the_oracles(dag):
+    oracle = brute_force(dag)
+    sol = solve_awclpp(dag)
+    assert sol.status == oracle.status
+    rcsp = rcsp_label_setting(dag)
+    assert (rcsp.status, rcsp.value) == (oracle.status, oracle.value)
+    if oracle.status == "optimal":
+        assert sol.value == oracle.value
+        assert sol.path.start == dag.source and sol.path.end == dag.sink
+        assert check_windows(dag, sol.path) is None
+        assert sol.path.value == sol.value
