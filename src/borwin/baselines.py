@@ -52,21 +52,28 @@ def brute_force(
     Strict mode walks every path in full (total and feasible counts are
     exact); fast mode cuts a branch at its first window violation, which
     is sound because a prefix's cumulative resource at a visited vertex
-    can never be repaired downstream. Raises :class:`TooLarge` past
-    ``cap`` enumerated paths.
+    can never be repaired downstream. The walk keeps an explicit stack
+    and takes out-arcs in order; the first path of the highest value is
+    the witness. Raises :class:`TooLarge` past ``cap`` enumerated
+    paths and :class:`GraphError` on a cyclic instance.
     """
+    if dag.topo_order is None:
+        raise GraphError("instance is not acyclic")
     total = 0
     feasible = 0
     best_value: Optional[Fraction] = None
     best_ids: Optional[tuple[int, ...]] = None
-    stack_ids: list[int] = []
+    ids: list[int] = []  # arcs of the current path
 
     src_ok = dag.windows[dag.source].contains(ZERO)
-
-    def walk(u: int, resource: Fraction, value: Fraction, ok: bool) -> None:
-        nonlocal total, feasible, best_value, best_ids
+    # one frame per vertex on the current path: vertex, resource, value,
+    # window-feasible so far, position of the next out-arc to try
+    stack = [[dag.source, ZERO, ZERO, src_ok, 0]] if strict or src_ok else []
+    while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceeded("oracle enumeration hit its deadline")
+        frame = stack[-1]
+        u, resource, value, ok, k = frame
         if u == dag.sink:
             total += 1
             if total > cap:
@@ -75,20 +82,20 @@ def brute_force(
                 feasible += 1
                 if best_value is None or value > best_value:
                     best_value = value
-                    best_ids = tuple(stack_ids)
-            return
-        for aid in dag.out_arcs[u]:
-            a = dag.arcs[aid]
-            r = resource + a.resource
-            good = ok and dag.windows[a.dst].contains(r)
-            if not strict and not good:
-                continue
-            stack_ids.append(aid)
-            walk(a.dst, r, value + a.value, good)
-            stack_ids.pop()
-
-    if strict or src_ok:
-        walk(dag.source, ZERO, ZERO, src_ok)
+                    best_ids = tuple(ids)
+        if u == dag.sink or k == len(dag.out_arcs[u]):
+            stack.pop()
+            if stack:
+                ids.pop()
+            continue
+        frame[4] = k + 1
+        aid = dag.out_arcs[u][k]
+        a = dag.arcs[aid]
+        r = resource + a.resource
+        good = ok and dag.windows[a.dst].contains(r)
+        if strict or good:
+            ids.append(aid)
+            stack.append([a.dst, r, value + a.value, good, 0])
 
     if best_value is None:
         return OracleResult(
@@ -166,9 +173,9 @@ def rcsp_label_setting(dag: WindowedDag, deadline: Optional[float] = None) -> Or
         labels[v].append(cand)
 
     for u in dag.topo_order:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("label setting hit its deadline")
         for lab in labels[u]:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutExceeded("label setting hit its deadline")
             for aid in dag.out_arcs[u]:
                 a = dag.arcs[aid]
                 r = lab.resource + a.resource

@@ -1,6 +1,6 @@
 """Complementary value bounds for the enumeration phase.
 
-Two providers implement the pluggable bound contract:
+Two providers implement the :class:`~borwin.phase2.ValueBound` protocol:
 
 * :class:`ValueTailBound` is the structure-free default: prefix value
   plus the window-relaxed best completion value from the anchor.

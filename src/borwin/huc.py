@@ -17,6 +17,7 @@ a nested multiple-choice knapsack bound plugged in.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
@@ -238,85 +239,93 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     return dag, vmap
 
 
+def _hold_clock(inst: HucInstance) -> tuple[int, int]:
+    """Periods of the last move up and down inherited from the previous
+    day (``NEVER`` for none), placed so that a reversal is allowed from
+    period ``abs(initial_hold) + 1`` on."""
+    if inst.initial_hold > 0:
+        return inst.initial_hold - inst.min_updown + 1, NEVER
+    if inst.initial_hold < 0:
+        return NEVER, 1 - inst.min_updown - inst.initial_hold
+    return NEVER, NEVER
+
+
+def _step(
+    inst: HucInstance, flows: Sequence[Fraction], t: int, level: int, lvl: int, last_up: int, last_down: int
+) -> tuple[Optional[str], int, int]:
+    """Ramp and hold rules of moving from ``level`` to ``lvl`` in period
+    ``t``, given the periods of the last moves up and down. Returns the
+    violated rule name (or None) and the updated move periods. Reads
+    instance data only, never the compiled graph."""
+    if not 0 <= lvl < inst.levels:
+        return "order", last_up, last_down
+    if lvl > level:
+        if flows[lvl] - flows[level] > inst.ramp_up:
+            return "ramp_up", last_up, last_down
+        if t - last_down < inst.min_updown:
+            return "min_up", last_up, last_down
+        return None, t, last_down
+    if lvl < level:
+        if flows[level] - flows[lvl] > inst.ramp_down:
+            return "ramp_down", last_up, last_down
+        if t - last_up < inst.min_updown:
+            return "min_down", last_up, last_down
+        return None, last_up, t
+    return None, last_up, last_down
+
+
+def _broken_rule(inst: HucInstance, steps: Iterable[tuple[int, int]]) -> Optional[str]:
+    """First ramp or hold rule a sequence of (period, level) steps breaks,
+    walked from the inherited state; None when it keeps them all."""
+    flows = cumulative_flows(inst)
+    last_up, last_down = _hold_clock(inst)
+    level = inst.initial_point
+    for t, lvl in steps:
+        rule, last_up, last_down = _step(inst, flows, t, level, lvl, last_up, last_down)
+        if rule is not None:
+            return rule
+        level = lvl
+    return None
+
+
 def check_path_legality(inst: HucInstance, path: Path, vmap: VertexMap) -> Optional[str]:
     """Re-derive the (period, level) sequence and verify ramp and hold
     rules from periods alone, never reading the hold coordinate. Returns
     the violated rule name, or None."""
     states = [vmap.state_of(v) for v in path.vertices()]
-    flows = cumulative_flows(inst)
     for (t1, _, _), (t2, _, _) in zip(states, states[1:]):
         if t2 != t1 + 1:
             return "order"
-    last_up = NEVER
-    last_down = NEVER
-    if inst.initial_hold > 0:
-        last_up = inst.initial_hold - inst.min_updown + 1
-    elif inst.initial_hold < 0:
-        last_down = -(inst.min_updown - 1) - inst.initial_hold
-    level = inst.initial_point
-    for t, lvl, _ in states[1:]:
-        if t == inst.periods + 1:
-            break
-        if not 0 <= lvl < inst.levels:
-            return "order"
-        if lvl > level:
-            if flows[lvl] - flows[level] > inst.ramp_up:
-                return "ramp_up"
-            if t - last_down < inst.min_updown:
-                return "min_up"
-            last_up = t
-        elif lvl < level:
-            if flows[level] - flows[lvl] > inst.ramp_down:
-                return "ramp_down"
-            if t - last_up < inst.min_updown:
-                return "min_down"
-            last_down = t
-        level = lvl
-    return None
+    return _broken_rule(inst, ((t, lvl) for t, lvl, _ in states[1:] if t <= inst.periods))
 
 
 def schedule_is_legal(inst: HucInstance, schedule: Sequence[int]) -> bool:
     """Ramp, hold and window legality of a level-per-period schedule,
     checked directly on the instance data."""
-    if len(schedule) != inst.periods:
+    if len(schedule) != inst.periods or _broken_rule(inst, enumerate(schedule, start=1)) is not None:
         return False
     flows = cumulative_flows(inst)
-    L = inst.min_updown
-    last_up = NEVER if inst.initial_hold <= 0 else inst.initial_hold - L + 1
-    last_down = NEVER if inst.initial_hold >= 0 else -(L - 1) - inst.initial_hold
-    level = inst.initial_point
     cum = ZERO
-    for t, lvl in enumerate(schedule, start=1):
-        if not 0 <= lvl < inst.levels:
-            return False
-        if lvl > level:
-            if flows[lvl] - flows[level] > inst.ramp_up or t - last_down < L:
-                return False
-            last_up = t
-        elif lvl < level:
-            if flows[level] - flows[lvl] > inst.ramp_down or t - last_up < L:
-                return False
-            last_down = t
+    for t, lvl in enumerate(schedule):
         cum += flows[lvl]
-        if not (inst.win_lo[t - 1] <= cum <= inst.win_hi[t - 1]):
+        if not inst.win_lo[t] <= cum <= inst.win_hi[t]:
             return False
-        level = lvl
     return True
 
 
-def schedule_of_path(path: Path, vmap: VertexMap) -> list[int]:
-    return [
-        vmap.state_of(v)[1] for v in path.vertices() if 1 <= vmap.state_of(v)[0] <= vmap.periods
-    ]
-
-
-def volumes_of_path(path: Path, vmap: VertexMap) -> list[Fraction]:
-    out = []
+def _read_schedule(
+    path: Path, vmap: VertexMap, old_of_new: Sequence[int]
+) -> tuple[list[int], list[Fraction]]:
+    """Level and cumulative flow per period along ``path``, a path of the
+    pruned graph whose vertex ``v`` is ``old_of_new[v]`` in ``vmap``."""
+    schedule: list[int] = []
+    volumes: list[Fraction] = []
     for v, r in zip(path.vertices(), path.prefix_resources):
-        t = vmap.state_of(v)[0]
+        t, level, _ = vmap.state_of(old_of_new[v])
         if 1 <= t <= vmap.periods:
-            out.append(r)
-    return out
+            schedule.append(level)
+            volumes.append(r)
+    return schedule, volumes
 
 
 @dataclass
@@ -344,32 +353,20 @@ def nmckp_of_instance(inst: HucInstance) -> NestedMckp:
 def solve_huc(
     inst: HucInstance,
     *,
-    use_nmckp_ub: bool = True,
-    use_dominance: bool = True,
-    use_bound_prune: bool = True,
-    use_ub_prune: bool = True,
     deadline: Optional[float] = None,
     trace_phase1=None,
     trace_phase2=None,
 ) -> HucSolution:
-    """Compile, prune, and solve; returns the best commitment."""
+    """Compile, prune, and solve with the NMCKP value bound; returns the
+    best commitment."""
     full, vmap = build_graph(inst)
     dag, old_of_new = prune_unreachable(full)
-
-    provider = "default"
-    if use_nmckp_ub:
-        stage_of_vertex = {}
-        for new_id in range(dag.n):
-            t = vmap.state_of(old_of_new[new_id])[0]
-            stage_of_vertex[new_id] = min(t, inst.periods)
-        provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
+    stage_of_vertex = {v: min(vmap.state_of(old)[0], inst.periods) for v, old in enumerate(old_of_new)}
+    provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
 
     sol = solve_awclpp(
         dag,
         ub_provider=provider,
-        use_dominance=use_dominance,
-        use_bound_prune=use_bound_prune,
-        use_ub_prune=use_ub_prune,
         deadline=deadline,
         trace_phase1=trace_phase1,
         trace_phase2=trace_phase2,
@@ -380,15 +377,7 @@ def solve_huc(
     path = sol.path
     if path is None:
         raise GraphInvariantError("an optimal solve returned no path")
-    old_vertices = [old_of_new[v] for v in path.vertices()]
-    schedule = [
-        vmap.state_of(v)[1] for v in old_vertices if 1 <= vmap.state_of(v)[0] <= inst.periods
-    ]
-    volumes = [
-        r
-        for v, r in zip(old_vertices, path.prefix_resources)
-        if 1 <= vmap.state_of(v)[0] <= inst.periods
-    ]
+    schedule, volumes = _read_schedule(path, vmap, old_of_new)
     return HucSolution(OPTIMAL, schedule, path.value, volumes, sol.stats, sol)
 
 
@@ -396,53 +385,35 @@ def best_schedule_bruteforce(
     inst: HucInstance, deadline: Optional[float] = None
 ) -> Optional[tuple[Fraction, list[int]]]:
     """Exhaustive enumeration of legal schedules; independent of the graph
-    compilation (levels, ramp sums and hold gaps are checked directly)."""
-    import time
-
+    compilation (levels, ramp sums and hold gaps are checked directly).
+    Depth-first on an explicit stack, levels in increasing order; the
+    first schedule of the highest revenue wins."""
     inst.check()
     cum_v = cumulative_values(inst)
     flows = cumulative_flows(inst)
-    L = inst.min_updown
     best: Optional[tuple[Fraction, list[int]]] = None
-    sched: list[int] = []
-
-    init_up = NEVER
-    init_down = NEVER
-    if inst.initial_hold > 0:
-        init_up = inst.initial_hold - L + 1
-    elif inst.initial_hold < 0:
-        init_down = -(L - 1) - inst.initial_hold
-
-    def rec(t: int, level: int, last_up: int, last_down: int, cum: Fraction, value: Fraction) -> None:
-        nonlocal best
+    last_up, last_down = _hold_clock(inst)
+    # one frame per decided period: level, last moves up and down,
+    # cumulative flow, revenue, next level to try after it
+    stack = [[inst.initial_point, last_up, last_down, ZERO, ZERO, 0]]
+    while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("schedule oracle hit its deadline")
-        if t == inst.periods:
-            if best is None or value > best[0]:
-                best = (value, list(sched))
-            return
-        for lvl in range(inst.levels):
-            up, down = last_up, last_down
-            if lvl > level:
-                if flows[lvl] - flows[level] > inst.ramp_up:
-                    continue
-                if (t + 1) - last_down < L:
-                    continue
-                up = t + 1
-            elif lvl < level:
-                if flows[level] - flows[lvl] > inst.ramp_down:
-                    continue
-                if (t + 1) - last_up < L:
-                    continue
-                down = t + 1
-            ncum = cum + flows[lvl]
-            if not (inst.win_lo[t] <= ncum <= inst.win_hi[t]):
-                continue
-            sched.append(lvl)
-            rec(t + 1, lvl, up, down, ncum, value + cum_v[t][lvl])
-            sched.pop()
-
-    rec(0, inst.initial_point, init_up, init_down, ZERO, ZERO)
+        frame = stack[-1]
+        level, last_up, last_down, cum, value, lvl = frame
+        t = len(stack) - 1  # periods decided
+        if t == inst.periods or lvl == inst.levels:
+            if t == inst.periods and (best is None or value > best[0]):
+                best = (value, [f[0] for f in stack[1:]])
+            stack.pop()
+            continue
+        frame[5] = lvl + 1
+        rule, up, down = _step(inst, flows, t + 1, level, lvl, last_up, last_down)
+        if rule is not None:
+            continue
+        ncum = cum + flows[lvl]
+        if inst.win_lo[t] <= ncum <= inst.win_hi[t]:
+            stack.append([lvl, up, down, ncum, value + cum_v[t][lvl], 0])
     return best
 
 

@@ -59,7 +59,7 @@ from .graph import (
 ZERO = Fraction(0)
 
 
-class UbProvider(Protocol):
+class ValueBound(Protocol):
     """Admissible value bound on completions of a prefix.
 
     ``bound(vertex, prefix_resource, prefix_value)`` returns an upper
@@ -160,9 +160,6 @@ class LabelStore:
         # compact dead entries while answering; purges scan this list
         self._entries = [lab for lab in self._entries if lab.alive]
         return list(self._entries)
-
-    def __len__(self) -> int:
-        return sum(1 for lab in self._entries if lab.alive)
 
 
 @dataclass
@@ -271,7 +268,7 @@ def lower_bound_mu(incumbent_value: Fraction, delta: Fraction, beta: Optional[Fr
 def run_phase2(
     dag: WindowedDag,
     delta: Fraction,
-    ub: Optional[UbProvider] = None,
+    ub: Optional[ValueBound] = None,
     *,
     use_dominance: bool = True,
     use_bound_prune: bool = True,

@@ -50,8 +50,8 @@ def solve_awclpp(
     """Solve a windowed instance exactly.
 
     ``ub_provider`` may be "default" (window-relaxed value tails), None
-    (disable the complementary rule) or any object with the provider
-    contract, understood to reason in original resource coordinates.
+    (disable the complementary rule) or any :class:`~borwin.phase2.ValueBound`,
+    understood to reason in original resource coordinates.
     """
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)

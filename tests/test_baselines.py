@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from borwin.baselines import TooLarge, brute_force, rcsp_label_setting, relaxed_longest
 from borwin.generate import random_dag
-from borwin.graph import Arc, Window, WindowedDag, check_windows
+from borwin.graph import Arc, GraphError, TimeoutExceeded, Window, WindowedDag, check_windows
 from borwin.phase1 import Infeasible, Pair, SolvedAtSp, run_phase1
 
 F = Fraction
@@ -105,3 +106,34 @@ def test_bound_sandwich_random():
         else:
             assert isinstance(out, Infeasible)
             assert oracle.status == "infeasible"
+
+
+def test_brute_force_walks_a_long_chain():
+    # deeper than Python's default recursion limit
+    n = 1500
+    windows = [Window(None, None)] * (n - 1) + [Window(F(n - 1), F(n - 1))]
+    arcs = [Arc(u, u + 1, F(1), F(1)) for u in range(n - 1)]
+    dag = WindowedDag(windows, arcs, 0, n - 1)
+    for strict in (True, False):
+        res = brute_force(dag, strict=strict)
+        assert res.value == n - 1 and res.feasible_count == 1
+        assert res.witness.arc_ids == tuple(range(n - 1))
+    assert brute_force(dag).total_count == 1
+
+
+def test_brute_force_rejects_cyclic_input():
+    dag = random_dag(random.Random(2), 6)
+    cyclic = WindowedDag(dag.windows, [*dag.arcs, Arc(4, 1, F(1), F(1))], dag.source, dag.sink)
+    assert cyclic.topo_order is None
+    for strict in (True, False):
+        with pytest.raises(GraphError, match="not acyclic"):
+            brute_force(cyclic, strict=strict)
+
+
+def test_rcsp_deadline_overrun_is_small():
+    for seed, n in ((2, 80), (0, 120)):
+        dag = random_dag(random.Random(seed), n)
+        start = time.monotonic()
+        with pytest.raises(TimeoutExceeded):
+            rcsp_label_setting(dag, deadline=start + 0.5)
+        assert time.monotonic() - start < 0.6, f"seed {seed}"

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,14 @@ def test_solve_matches_schedule_oracle_random():
         assert sol.status == "optimal", f"seed {seed}"
         assert sol.revenue == oracle[0], f"seed {seed}"
         assert schedule_is_legal(inst, sol.schedule), f"seed {seed}"
+
+
+def test_schedule_oracle_long_horizon():
+    # 1,200 periods: deeper than Python's default recursion limit
+    inst = random_huc(random.Random(0), 1200, 3, 2)
+    value, schedule = best_schedule_bruteforce(inst, deadline=time.monotonic() + 60)
+    assert value == F(512321, 10)  # the solver's revenue on this instance
+    assert schedule_is_legal(inst, schedule)
 
 
 def test_initial_state_override(huc5):
