@@ -280,9 +280,9 @@ class Path:
 
     ``prefix_resources[k]`` is the cumulative resource after the first k
     arcs, so it aligns with ``vertices()`` and starts at 0 at the path's
-    own start vertex. ``arc_ids`` is kept when the path was built from
-    arc indices; it is what lets a path be re-read on a re-oriented copy
-    of the instance.
+    own start vertex. ``arc_ids`` are the arc indices the path was built
+    from (:func:`path_metrics` always sets them); they are what lets a
+    path be re-read on a re-oriented copy of the instance.
     """
 
     start: int
@@ -303,25 +303,12 @@ class Path:
         return [dag.labels[v] for v in self.vertices()]
 
 
-ArcRef = Union[int, Arc]
-
-
-def path_metrics(dag: WindowedDag, arcs: Sequence[ArcRef], start: Optional[int] = None) -> Path:
-    """Build a :class:`Path` with cached value, resource and prefixes.
-
-    ``arcs`` may be arc indices or Arc objects; an empty list needs
-    ``start`` (defaulting to the source).
+def path_metrics(dag: WindowedDag, arc_ids: Sequence[int], start: Optional[int] = None) -> Path:
+    """Build a :class:`Path` from arc indices, with cached value, resource
+    and prefixes; an empty list needs ``start`` (defaulting to the
+    source).
     """
-    ids: Optional[list[int]] = []
-    resolved: list[Arc] = []
-    for ref in arcs:
-        if isinstance(ref, Arc):
-            ids = None
-            resolved.append(ref)
-        else:
-            if ids is not None:
-                ids.append(ref)
-            resolved.append(dag.arcs[ref])
+    resolved = [dag.arcs[aid] for aid in arc_ids]
     if resolved:
         at = resolved[0].src if start is None else start
         if at != resolved[0].src:
@@ -345,7 +332,7 @@ def path_metrics(dag: WindowedDag, arcs: Sequence[ArcRef], start: Optional[int] 
         value=value,
         resource=resource,
         prefix_resources=tuple(prefixes),
-        arc_ids=tuple(ids) if ids is not None else None,
+        arc_ids=tuple(arc_ids),
     )
 
 

@@ -41,10 +41,22 @@ def _opt_rat_at(value: Any, field: str) -> Optional[Fraction]:
     return _rat_at(value, field)
 
 
-def _need(obj: dict, key: str, field: str) -> Any:
+_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it has the JSON type ``kind``; true and false are not
+    integers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InstanceFormatError(field, f"must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _need(obj: dict, key: str, field: str, kind: Optional[type] = None) -> Any:
+    path = f"{field}.{key}" if field else key
     if key not in obj:
-        raise InstanceFormatError(f"{field}.{key}" if field else key, "missing required field")
-    return obj[key]
+        raise InstanceFormatError(path, "missing required field")
+    return obj[key] if kind is None else _typed(obj[key], kind, path)
 
 
 def detect_format(data: dict) -> str:
@@ -64,6 +76,7 @@ def dag_from_dict(data: dict) -> WindowedDag:
     index: dict[str, int] = {}
     for k, v in enumerate(verts):
         field = f"vertices[{k}]"
+        v = _typed(v, dict, field)
         vid = str(_need(v, "id", field))
         if vid in index:
             raise InstanceFormatError(f"{field}.id", f"duplicate vertex id {vid!r}")
@@ -76,8 +89,9 @@ def dag_from_dict(data: dict) -> WindowedDag:
             )
         )
     arcs: list[Arc] = []
-    for k, a in enumerate(_need(data, "arcs", "")):
+    for k, a in enumerate(_need(data, "arcs", "", list)):
         field = f"arcs[{k}]"
+        a = _typed(a, dict, field)
         src = str(_need(a, "from", field))
         dst = str(_need(a, "to", field))
         for end, name in ((src, "from"), (dst, "to")):
@@ -125,31 +139,30 @@ def dag_to_dict(dag: WindowedDag) -> dict:
 
 def huc_from_dict(data: dict) -> HucInstance:
     points = []
-    for k, p in enumerate(_need(data, "points", "")):
+    for k, p in enumerate(_need(data, "points", "", list)):
         field = f"points[{k}]"
+        p = _typed(p, dict, field)
         points.append(
             OperatingPoint(
                 flow=_rat_at(_need(p, "D", field), f"{field}.D"),
                 power=_rat_at(_need(p, "P", field), f"{field}.P"),
             )
         )
-    periods = _need(data, "T", "")
-    if not isinstance(periods, int):
-        raise InstanceFormatError("T", "must be an integer")
-    initial = data.get("initial") or {"i": 0, "l": 0}
+    initial = data.get("initial")
+    initial = {} if initial is None else _typed(initial, dict, "initial")
     inst = HucInstance(
-        periods=periods,
+        periods=_need(data, "T", "", int),
         points=tuple(points),
         ramp_up=_rat_at(_need(data, "ramp_up", ""), "ramp_up"),
         ramp_down=_rat_at(_need(data, "ramp_down", ""), "ramp_down"),
-        min_updown=int(_need(data, "min_updown", "")),
-        prices=tuple(_rat_at(x, f"prices[{k}]") for k, x in enumerate(_need(data, "prices", ""))),
+        min_updown=_need(data, "min_updown", "", int),
+        prices=tuple(_rat_at(x, f"prices[{k}]") for k, x in enumerate(_need(data, "prices", "", list))),
         water_value_upstream=_rat_at(_need(data, "phi1", ""), "phi1"),
         water_value_downstream=_rat_at(_need(data, "phi2", ""), "phi2"),
-        win_lo=tuple(_rat_at(x, f"win_lo[{k}]") for k, x in enumerate(_need(data, "win_lo", ""))),
-        win_hi=tuple(_rat_at(x, f"win_hi[{k}]") for k, x in enumerate(_need(data, "win_hi", ""))),
-        initial_point=int(initial.get("i", 0)),
-        initial_hold=int(initial.get("l", 0)),
+        win_lo=tuple(_rat_at(x, f"win_lo[{k}]") for k, x in enumerate(_need(data, "win_lo", "", list))),
+        win_hi=tuple(_rat_at(x, f"win_hi[{k}]") for k, x in enumerate(_need(data, "win_hi", "", list))),
+        initial_point=_typed(initial.get("i", 0), int, "initial.i"),
+        initial_hold=_typed(initial.get("l", 0), int, "initial.l"),
     )
     try:
         inst.check()

@@ -229,8 +229,6 @@ def run_phase1(
 
 def _reread(dag: WindowedDag, path: Path) -> Path:
     """Re-read an (possibly re-oriented) path on the original instance."""
-    if path.arc_ids is None:
-        raise GraphInvariantError("phase-1 path lost its arc indices")
     return path_metrics(dag, path.arc_ids, start=path.start)
 
 

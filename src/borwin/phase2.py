@@ -14,6 +14,12 @@ usable immediately:
 * dominance: among enumerated prefixes reaching the same vertex with the
   exact same resource, only the best value needs to stay extendable.
 
+The first two rules judge each new label at birth, against the incumbent
+of that moment, and purge the waiting labels whenever the incumbent
+improves. A pop that leaves the incumbent unchanged purges nothing: every
+waiting label already passed the incumbent's floors, which are at least
+as strong as the popped path's own.
+
 Extensions are generalized: from a popped label, any prefix obtained by
 adopting a window-feasible slice of its tail and then deviating by one
 arc becomes a new label. Extensions run on every pop, feasible or not:
@@ -38,11 +44,12 @@ the value-bound provider, trace events and the result.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import floor
+from operator import itemgetter
 from typing import Callable, Optional, Protocol, Sequence
 
 from .graph import (
@@ -84,7 +91,7 @@ class Label:
     ``parent``'s tail, then arc ``arc``; the root has no parent.
     """
 
-    __slots__ = ("mu", "anchor", "val", "res", "parent", "cut", "arc", "tail", "alive")
+    __slots__ = ("mu", "anchor", "val", "res", "parent", "cut", "arc", "tail")
 
     def __init__(
         self,
@@ -105,7 +112,6 @@ class Label:
         self.cut = cut
         self.arc = arc
         self.tail = tail
-        self.alive = True
 
     def prefix_arc_ids(self, dag: WindowedDag) -> list[int]:
         dst = dag.int_arcs().dst
@@ -131,37 +137,6 @@ class Label:
         return (dag.source, *[dst[aid] for aid in self.prefix_arc_ids(dag)])
 
 
-class LabelStore:
-    """Max-aggregate priority queue with lazy deletion.
-
-    Pops are deterministic: largest aggregate first, insertion order on
-    ties. Bulk removal marks entries dead; pop skips them.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Label]] = []
-        self._entries: list[Label] = []
-        self._next_seq = 0
-
-    def push(self, label: Label) -> None:
-        heapq.heappush(self._heap, (-label.mu, self._next_seq, label))
-        self._next_seq += 1
-        self._entries.append(label)
-
-    def pop(self) -> Optional[Label]:
-        while self._heap:
-            _, _, label = heapq.heappop(self._heap)
-            if label.alive:
-                label.alive = False
-                return label
-        return None
-
-    def live(self) -> list[Label]:
-        # compact dead entries while answering; purges scan this list
-        self._entries = [lab for lab in self._entries if lab.alive]
-        return list(self._entries)
-
-
 @dataclass
 class SolveStats:
     phase1_iterations: int = 0
@@ -173,7 +148,7 @@ class SolveStats:
 
 
 class NoFeasiblePath(GraphError):
-    """The label store emptied without any window-feasible path.
+    """The waiting labels ran out without any window-feasible path.
 
     ``stats`` holds the work the enumeration did before it gave up.
     """
@@ -314,48 +289,49 @@ def run_phase2(
     def prune_event(label: Label, rule: str, prefix: tuple[int, ...]) -> TraceEvent:
         return TraceEvent(kind="prune", mu=Fraction(label.mu, scale), anchor=label.anchor, rule=rule, prefix=prefix)
 
-    store = LabelStore()
-    push = store.push
+    # waiting labels as (-mu, creation number, label): largest aggregate
+    # first, creation order on ties
+    heap = [(-tmu[source], 0, make_label(tmu[source], source, 0, 0, None, 0, None, nxt))]
     frontier: dict[tuple[int, int], int] = {}
     incumbent: Optional[Label] = None
     incumbent_val = 0
     mu_floor: Optional[int] = None  # set with the incumbent
     value_floor = ZERO
-    pops = created = pruned_bound = pruned_dom = pruned_ub = 0
+    pops = pruned_bound = pruned_dom = pruned_ub = 0
+    created = 1
 
-    push(make_label(tmu[source], source, 0, 0, None, 0, None, nxt))
-    created += 1
-
-    while True:
+    while heap:
         if deadline is not None:
             if time.monotonic() > deadline:
                 raise TimeoutExceeded("enumeration phase hit its deadline")
-        label = store.pop()
-        if label is None:
-            break
+        label = heappop(heap)[2]
         pops += 1
         violation, adopted = _walk(label, lo, hi, dst, res, sink)
         if violation is None:
             value = label.val + tval[label.anchor]
-            pop_floor = wv * value + beta_floor
-            pop_value = Fraction(value, dv)
             if incumbent is None or value > incumbent_val:
-                incumbent, incumbent_val, mu_floor, value_floor = label, value, pop_floor, pop_value
-            # Purge against the popped hybrid's own bounds (the incumbent
-            # is at least as good, so this is the weaker, faithful purge).
-            for entry in store.live():
-                if use_bound_prune and entry.mu <= pop_floor:
-                    entry.alive = False
-                    pruned_bound += 1
-                    if trace is not None:
-                        trace(prune_event(entry, "bound", entry.prefix_vertices(dag)))
-                elif ub_on:
-                    cap = ub.bound(entry.anchor, Fraction(entry.res, dr), Fraction(entry.val, dv))
-                    if cap is None or cap <= pop_value:
-                        entry.alive = False
-                        pruned_ub += 1
+                incumbent, incumbent_val = label, value
+                mu_floor, value_floor = wv * value + beta_floor, Fraction(value, dv)
+                # purge the waiting labels against the new incumbent, in
+                # creation order so that prune events keep their order
+                kept = []
+                for entry in sorted(heap, key=itemgetter(1)):
+                    waiting = entry[2]
+                    if use_bound_prune and waiting.mu <= mu_floor:
+                        pruned_bound += 1
                         if trace is not None:
-                            trace(prune_event(entry, "ub", entry.prefix_vertices(dag)))
+                            trace(prune_event(waiting, "bound", waiting.prefix_vertices(dag)))
+                        continue
+                    if ub_on:
+                        cap = ub.bound(waiting.anchor, Fraction(waiting.res, dr), Fraction(waiting.val, dv))
+                        if cap is None or cap <= value_floor:
+                            pruned_ub += 1
+                            if trace is not None:
+                                trace(prune_event(waiting, "ub", waiting.prefix_vertices(dag)))
+                            continue
+                    kept.append(entry)
+                heapify(kept)
+                heap = kept
             if trace is not None:
                 trace(
                     TraceEvent(
@@ -422,7 +398,7 @@ def run_phase2(
                             if trace is not None:
                                 trace(prune_event(child, "ub", (*stop_prefix, v)))
                             continue
-                push(child)
+                heappush(heap, (-child.mu, created, child))
                 created += 1
                 if use_dominance:
                     frontier[key] = new_v

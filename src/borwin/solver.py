@@ -19,7 +19,7 @@ from .phase1 import (
     orient_dag,  # noqa: F401  the pipeline's orientation step stays patchable here
     run_phase1,
 )
-from .phase2 import NoFeasiblePath, SolveStats, Trace, run_phase2
+from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, run_phase2
 
 ZERO = Fraction(0)
 
@@ -39,7 +39,7 @@ class AwclppSolution:
 def solve_awclpp(
     dag: WindowedDag,
     *,
-    ub_provider="default",
+    ub_provider: Optional[ValueBound] = None,
     use_dominance: bool = True,
     use_bound_prune: bool = True,
     use_ub_prune: bool = True,
@@ -49,9 +49,10 @@ def solve_awclpp(
 ) -> AwclppSolution:
     """Solve a windowed instance exactly.
 
-    ``ub_provider`` may be "default" (window-relaxed value tails), None
-    (disable the complementary rule) or any :class:`~borwin.phase2.ValueBound`,
-    understood to reason in original resource coordinates.
+    ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
+    complementary rule, understood to reason in original resource
+    coordinates; None means the window-relaxed value tails.
+    ``use_ub_prune=False`` switches the rule off.
     """
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
@@ -80,10 +81,8 @@ def solve_awclpp(
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
-    if ub_provider == "default":
+    if ub_provider is None:
         ub = ValueTailBound(work, value_tails)
-    elif ub_provider is None:
-        ub = None
     else:
         ub = OrientedBound(ub_provider) if oriented else ub_provider
 
@@ -94,7 +93,7 @@ def solve_awclpp(
             ub,
             use_dominance=use_dominance,
             use_bound_prune=use_bound_prune,
-            use_ub_prune=use_ub_prune and ub is not None,
+            use_ub_prune=use_ub_prune,
             trace=trace_phase2,
             deadline=deadline,
             tails=outcome.tails,
@@ -105,8 +104,8 @@ def solve_awclpp(
 
     result.stats.phase1_iterations = iterations
     best = result.best
-    if best is None or best.arc_ids is None:
-        raise GraphInvariantError("enumeration returned no arc-indexed incumbent")
+    if best is None:
+        raise GraphInvariantError("enumeration returned no incumbent")
     if oriented:
         best = path_metrics(dag, best.arc_ids, start=best.start)
     return AwclppSolution(OPTIMAL, best, best.value, outcome, result.stats)

@@ -174,6 +174,34 @@ def test_cli_malformed_input(tmp_path, capsys):
     assert "vertices" in capsys.readouterr().err
 
 
+MALFORMED = [
+    (HUC5, "min_updown", "x", "min_updown"),
+    (HUC5, "min_updown", 2.7, "min_updown"),
+    (HUC5, "T", True, "T"),
+    (HUC5, "initial", {"i": "a"}, "initial.i"),
+    (HUC5, "initial", {"i": 1.9}, "initial.i"),
+    (HUC5, "initial", [1, 2], "initial"),
+    (HUC5, "points", 5, "points"),
+    (HUC5, "prices", None, "prices"),
+    (HUC5, "prices", "75", "prices"),
+    (WCLPP5, "vertices", [1, 2], "vertices[0]"),
+    (WCLPP5, "arcs", 5, "arcs"),
+]
+
+
+@pytest.mark.parametrize("base,key,value,field", MALFORMED, ids=[f"{k}={json.dumps(v)}" for _, k, v, _ in MALFORMED])
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, base, key, value, field):
+    """A field of the wrong JSON type is a format error naming the field,
+    never a traceback or a silently coerced value."""
+    data = json.loads(base.read_text())
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
 def test_cli_trace_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BORWIN_TRACE", "1")
     assert main(["solve", str(WCLPP5)]) == 0

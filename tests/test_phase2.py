@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from borwin import graph
 from borwin.baselines import brute_force, rcsp_label_setting
+from borwin.bounds import UbProvider
 from borwin.generate import GeneratorConfig, generate, random_dag
 from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices, path_metrics
 from borwin.huc import solve_huc
@@ -334,6 +336,62 @@ def test_enumeration_counters_are_pinned(config, status, counters):
         s.labels_pruned_dominance,
         s.labels_pruned_ub,
     ) == counters
+
+
+def _solve_generated(config, **kwargs):
+    data = generate(GeneratorConfig(**config))
+    if config["family"] == "dag":
+        return solve_awclpp(dag_from_dict(data), **kwargs)
+    return solve_huc(huc_from_dict(data), **kwargs)
+
+
+# sha256 over the repr of every phase-2 trace event, one per line, as the
+# loop with a purge on every feasible pop emitted them: purging only when
+# the incumbent improves must leave every pop and prune event in place.
+PINNED_TRACES = [
+    (PINNED_STATS[0][0], "d2827bad720726656494f06d94e3e44f9b96b07f59a56b6a791a238f53f02491"),
+    (PINNED_STATS[3][0], "440b5fb7f7d4193634a12bee3316be16e1a6d13a35359dcb2f0726136a0403dd"),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_TRACES, ids=["dag-n40-s3", "huc-T24-P3-L3-s2"])
+def test_enumeration_trace_is_pinned(config, digest):
+    h = hashlib.sha256()
+    _solve_generated(config, trace_phase2=lambda event: h.update(repr(event).encode() + b"\n"))
+    assert h.hexdigest() == digest
+
+
+# Value-bound calls of two commitment solves. New labels are scored at
+# birth and waiting ones only when the incumbent improves, so a pop that
+# keeps the incumbent makes no call.
+PINNED_BOUND_CALLS = [
+    (PINNED_STATS[3][0], 131),
+    (dict(family="huc", periods=24, points=3, min_updown=2, seed=2), 284),
+]
+
+
+@pytest.mark.parametrize("config,calls", PINNED_BOUND_CALLS, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"])
+def test_value_bound_calls_are_pinned(config, calls, monkeypatch):
+    made = []
+    real_bound = UbProvider.bound
+
+    def counting(self, *args):
+        made.append(args)
+        return real_bound(self, *args)
+
+    monkeypatch.setattr(UbProvider, "bound", counting)
+    assert _solve_generated(config).status == "optimal"
+    assert len(made) == calls
+
+
+def test_no_ub_provider_means_the_default_value_bound():
+    """``ub_provider=None`` is the window-relaxed value tails, not an off
+    switch; ``use_ub_prune=False`` is."""
+    config = dict(family="dag", vertices=80, seed=4)
+    default = _solve_generated(config)
+    assert default.stats.labels_pruned_ub > 0
+    assert _solve_generated(config, ub_provider=None).stats == default.stats
+    assert _solve_generated(config, use_ub_prune=False).stats.labels_pruned_ub == 0
 
 
 def _count_sweeps(monkeypatch):
