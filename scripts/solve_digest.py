@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print one JSON line per solve with every observable result, so that
+two checkouts can be compared field by field with ``diff``.
+
+The solves are the 58 instances of the default benchmark corpus
+(``perfbench/corpus.py``) and the 500 random DAGs of acceptance gate
+c03. Each line holds the status, value, witness arc ids (for commitment
+instances also the schedule and volumes), every ``SolveStats`` counter,
+the bounding-phase outcome (for a pair: ``x_a``/``x_b`` arc ids,
+``delta``, ``ub_mu``, ``ub_v1``, ``beta``, ``alpha``, ``iterations`` and
+the orientation) and a sha256 over the repr of each phase's trace
+events.
+
+Usage, from the root of each checkout:
+    python3 scripts/solve_digest.py > digest.jsonl
+"""
+
+import dataclasses
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO)]
+
+from borwin.generate import random_dag  # noqa: E402
+from borwin.huc import solve_huc  # noqa: E402
+from borwin.phase1 import Infeasible, Pair, SolvedAtSp  # noqa: E402
+from borwin.solver import solve_awclpp  # noqa: E402
+from perfbench import corpus  # noqa: E402
+
+
+def _ids(path):
+    return None if path is None else list(path.arc_ids)
+
+
+def _digest(events) -> str:
+    return hashlib.sha256("".join(repr(e) + "\n" for e in events).encode()).hexdigest()
+
+
+def _row(name, solve, obj) -> dict:
+    p1, p2 = [], []
+    sol = solve(obj, trace_phase1=p1.append, trace_phase2=p2.append)
+    graph_sol = getattr(sol, "graph_solution", sol)
+    row = {"name": name, "status": sol.status, "stats": dataclasses.asdict(sol.stats)}
+    if graph_sol is not None:
+        row["value"] = str(graph_sol.value)
+        row["witness"] = _ids(graph_sol.path)
+        outcome = graph_sol.phase1
+        if isinstance(outcome, Pair):
+            row["pair"] = [_ids(outcome.x_a), _ids(outcome.x_b)] + [
+                str(getattr(outcome, f)) for f in ("delta", "ub_mu", "ub_v1", "beta", "alpha", "iterations", "orientation")
+            ]
+        elif isinstance(outcome, SolvedAtSp):
+            row["solved_at_sp"] = [_ids(outcome.path), str(outcome.delta)]
+        elif isinstance(outcome, Infeasible):
+            row["infeasible"] = str(outcome.max_resource)
+    if sol is not graph_sol:
+        row["schedule"] = sol.schedule
+        row["volumes"] = None if sol.volumes is None else [str(v) for v in sol.volumes]
+    row["phase1_sha256"] = _digest(p1)
+    row["phase2_sha256"] = _digest(p2)
+    return row
+
+
+def main() -> int:
+    for specs in corpus.WORKLOADS.values():
+        for inst in corpus.load_texts(corpus.generate_texts(specs, 0)):
+            solve = solve_huc if inst.family == "huc" else solve_awclpp
+            print(json.dumps(_row(inst.name, solve, inst.obj), sort_keys=True))
+    for seed in range(500):
+        dag = random_dag(random.Random(seed), 2 + seed % 11)
+        print(json.dumps(_row(f"c03-seed{seed}", solve_awclpp, dag), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,15 +194,15 @@ class ValueTailBound:
     completion at all.
 
     ``tails`` may pass in a ``delta = 0`` sweep already made of ``dag``
-    or of a copy of it that differs only in resource signs (tail values
-    and reachability are the same on both); otherwise ``dag`` is swept.
+    (in either orientation: tail values and reachability are the same);
+    otherwise ``dag`` is swept.
     """
 
     def __init__(self, dag: WindowedDag, tails: Optional[TailMap] = None):
         if tails is None:
             tails = all_tails(dag, ZERO)
-        elif tails.delta != 0 or tails.dag.n != dag.n or len(tails.dag.arcs) != len(dag.arcs):
-            raise ValueError("value tails must be a delta = 0 sweep of the same graph")
+        elif tails.delta != 0 or tails.dag is not dag:
+            raise ValueError("value tails must be a delta = 0 sweep of the same instance")
         self._tails = tails
 
     def bound(
@@ -212,16 +212,3 @@ class ValueTailBound:
         if info is None:
             return None
         return prefix_value + info.value
-
-
-class OrientedBound:
-    """Adapter feeding a provider that thinks in original resource
-    coordinates from an enumeration running on the re-oriented copy."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def bound(
-        self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction
-    ) -> Optional[Fraction]:
-        return self._inner.bound(vertex, -prefix_resource, prefix_value)

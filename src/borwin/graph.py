@@ -39,8 +39,8 @@ class SinkUnreachable(GraphError):
     """Requested a path to the sink from a vertex that cannot reach it."""
 
 
-class TimeoutExceeded(GraphError):
-    """Cooperative deadline hit inside a solver loop."""
+class TimeoutExceeded(GraphError, TimeoutError):
+    """Cooperative deadline hit inside a solver loop or an oracle."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,13 @@ class Window:
         if self.hi is not None and r > self.hi:
             return False
         return True
+
+    def oriented(self, sign: int) -> "Window":
+        """The window on ``sign`` times the cumulative resource: itself
+        for ``sign = 1``, ``[-hi, -lo]`` for ``sign = -1``."""
+        if sign == 1:
+            return self
+        return Window(lo=None if self.hi is None else -self.hi, hi=None if self.lo is None else -self.lo)
 
     def violated_side(self, r: Fraction) -> Optional[str]:
         if self.lo is not None and r < self.lo:
@@ -281,8 +288,7 @@ class Path:
     ``prefix_resources[k]`` is the cumulative resource after the first k
     arcs, so it aligns with ``vertices()`` and starts at 0 at the path's
     own start vertex. ``arc_ids`` are the arc indices the path was built
-    from (:func:`path_metrics` always sets them); they are what lets a
-    path be re-read on a re-oriented copy of the instance.
+    from (:func:`path_metrics` always sets them).
     """
 
     start: int
@@ -425,15 +431,24 @@ class TailMap:
     steps prefer the larger arc value, then the larger arc resource,
     then the smaller successor index, then the smaller arc index.
 
+    ``sign`` orients the resource: the sweep sees every arc resource
+    times ``sign`` (1 or -1), so with ``sign = -1`` it maximizes value
+    minus delta times resource and its tie-break prefers the smaller
+    resource. Aggregates, :attr:`ints` and :class:`TailInfo` resources
+    are in these oriented terms; :meth:`path` is a path of ``dag``
+    itself.
+
     The sweep runs on the instance's :class:`IntArcs`; a vertex's
     :class:`TailInfo`, in exact Fractions, is built the first time the
     vertex is looked up and memoized.
     """
 
-    __slots__ = ("dag", "delta", "_arcs", "_wv", "_wr", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
+    __slots__ = ("dag", "delta", "sign", "_arcs", "_wv", "_wr", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
 
-    def __init__(self, dag: WindowedDag, delta: Weight):
-        arcs = dag.int_arcs()
+    def __init__(self, dag: WindowedDag, delta: Weight, sign: int = 1):
+        if sign not in (1, -1):
+            raise ValueError("sign must be 1 or -1")
+        arcs = dag.int_arcs() if sign == 1 else dag.int_arcs().negated()
         if isinstance(delta, _PlusInfinity):
             wv, wr, scale = 0, 1, arcs.dr
         else:
@@ -442,6 +457,7 @@ class TailMap:
             wv, wr, scale = q * arcs.dr, p * arcs.dv, q * arcs.dv * arcs.dr
         self.dag = dag
         self.delta = delta
+        self.sign = sign
         self._arcs = arcs
         self._wv, self._wr, self._scale = wv, wr, scale
         self._mu, self._nxt, self._val, self._res = _sweep(dag, arcs, wv, wr)
@@ -547,11 +563,11 @@ def _sweep(dag: WindowedDag, arcs: IntArcs, wv: int, wr: int):
     return mu, nxt, tval, tres
 
 
-def all_tails(dag: WindowedDag, delta: Weight) -> TailMap:
+def all_tails(dag: WindowedDag, delta: Weight, sign: int = 1) -> TailMap:
     """For every vertex that reaches the sink, a tail maximizing the
-    aggregated weight value + delta * resource (resource alone for the
-    +infinity sentinel), windows ignored."""
-    return TailMap(dag, delta)
+    aggregated weight value + delta * sign * resource (sign * resource
+    alone for the +infinity sentinel), windows ignored."""
+    return TailMap(dag, delta, sign)
 
 
 def longest_path(dag: WindowedDag, delta: Weight, start: Optional[int] = None) -> tuple[Path, Fraction]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .bounds import NMCKP, MckpItem, NestedMckp, UbProvider
-from .graph import Arc, Path, Window, WindowedDag, prune_unreachable
+from .graph import Arc, Path, TimeoutExceeded, Window, WindowedDag, prune_unreachable
 from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
 from .rational import decimal_str
@@ -398,7 +398,7 @@ def best_schedule_bruteforce(
     stack = [[inst.initial_point, last_up, last_down, ZERO, ZERO, 0]]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("schedule oracle hit its deadline")
+            raise TimeoutExceeded("schedule oracle hit its deadline")
         frame = stack[-1]
         level, last_up, last_down, cum, value, lvl = frame
         t = len(stack) - 1  # periods decided

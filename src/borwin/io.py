@@ -41,7 +41,7 @@ def _opt_rat_at(value: Any, field: str) -> Optional[Fraction]:
     return _rat_at(value, field)
 
 
-_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(value: Any, kind: type, field: str) -> Any:
@@ -77,7 +77,7 @@ def dag_from_dict(data: dict) -> WindowedDag:
     for k, v in enumerate(verts):
         field = f"vertices[{k}]"
         v = _typed(v, dict, field)
-        vid = str(_need(v, "id", field))
+        vid = _need(v, "id", field, str)
         if vid in index:
             raise InstanceFormatError(f"{field}.id", f"duplicate vertex id {vid!r}")
         index[vid] = k
@@ -92,8 +92,8 @@ def dag_from_dict(data: dict) -> WindowedDag:
     for k, a in enumerate(_need(data, "arcs", "", list)):
         field = f"arcs[{k}]"
         a = _typed(a, dict, field)
-        src = str(_need(a, "from", field))
-        dst = str(_need(a, "to", field))
+        src = _need(a, "from", field, str)
+        dst = _need(a, "to", field, str)
         for end, name in ((src, "from"), (dst, "to")):
             if end not in index:
                 raise InstanceFormatError(f"{field}.{name}", f"unknown vertex id {end!r}")
@@ -105,8 +105,8 @@ def dag_from_dict(data: dict) -> WindowedDag:
                 _rat_at(_need(a, "resource", field), f"{field}.resource"),
             )
         )
-    source = str(_need(data, "source", ""))
-    sink = str(_need(data, "sink", ""))
+    source = _need(data, "source", "", str)
+    sink = _need(data, "sink", "", str)
     for end, name in ((source, "source"), (sink, "sink")):
         if end not in index:
             raise InstanceFormatError(name, f"unknown vertex id {end!r}")

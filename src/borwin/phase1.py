@@ -8,12 +8,13 @@ points straddling ``beta``; the line through them yields the tightest
 hull-based value bound and the aggregation weight ``delta`` that drives
 the enumeration phase.
 
-Instances whose relaxed optimum overshoots the sink's upper bound are
-re-oriented first: every arc resource is negated and every window
-``[lo, hi]`` becomes ``[-hi, -lo]``, which swaps excess for deficit
-without touching values. All quantities stored on a :class:`Pair` are
-in these oriented coordinates except the witness paths, which are
-re-read on the original instance.
+When the relaxed optimum overshoots the sink's upper bound, the phase
+works on the negated resource: its sweeps run with ``sign = -1`` and the
+sink window ``[lo, hi]`` reads as ``[-hi, -lo]``, which swaps excess for
+deficit without touching values. The orientation is this sign alone
+(:func:`orientation_sign`); the instance is never copied. ``beta``,
+``alpha``, the bounds and the trace images are in oriented coordinates;
+every path is a path of the instance itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .graph import (
     Arc,
@@ -29,10 +30,8 @@ from .graph import (
     SinkUnreachable,
     TailMap,
     TimeoutExceeded,
-    Window,
     WindowedDag,
     all_tails,
-    path_metrics,
 )
 from .rational import PLUS_INF, floor_rat, is_integral
 
@@ -77,13 +76,13 @@ class Pair:
 
     ``x_a`` is the value-side point (oriented resource below beta) and
     ``x_b`` the resource-side point (oriented resource at least beta);
-    both are paths of the original instance. ``ub_mu`` is the common
-    aggregated value of the pair and ``ub_v1 = ub_mu - delta * beta``
-    bounds the value of every feasible path.
+    both are paths of the instance. ``ub_mu`` is the common aggregated
+    value of the pair and ``ub_v1 = ub_mu - delta * beta`` bounds the
+    value of every feasible path.
 
-    ``work`` is the instance in the pair's coordinates (the oriented copy
-    under LIE, the instance itself under LID) and ``tails`` its sweep at
-    the final ``delta``; the enumeration phase reuses both.
+    ``tails`` is the instance's sweep at the final ``delta`` in the
+    pair's orientation (``tails.sign``) and ``sp_tails`` its unoriented
+    ``delta = 0`` sweep; the enumeration phase reuses both.
     """
 
     x_a: Path
@@ -95,7 +94,6 @@ class Pair:
     beta: Fraction
     alpha: Optional[Fraction]
     iterations: int
-    work: Optional[WindowedDag] = field(default=None, compare=False, repr=False)
     tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
     sp_tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
 
@@ -112,25 +110,33 @@ class Phase1TraceEvent:
     delta: Fraction
 
 
+def orientation_sign(orientation: str) -> int:
+    """The factor taking an instance resource to the oriented one."""
+    return -1 if orientation == LIE else 1
+
+
 def orient_dag(dag: WindowedDag) -> WindowedDag:
-    """Negate every arc resource and flip every window; arc order, vertex
-    ids and labels are preserved so paths can be mapped back by arc index.
-    The copy's integer arc data is the original's with resources negated;
-    its integer windows are built on first use, like any instance's."""
+    """The instance in LIE coordinates as an explicit copy: every arc
+    resource negated and every window flipped to ``[-hi, -lo]``; arc
+    order, vertex ids and labels are kept, so paths map across by arc
+    index. The solver never builds it, since it sweeps with ``sign = -1``
+    instead; the copy is a reference for checking oriented sweeps and
+    for reading a LIE pair's dual bound with :func:`lagrangian_theta`."""
     arcs = [Arc(a.src, a.dst, a.value, -a.resource) for a in dag.arcs]
-    windows = [
-        Window(
-            lo=None if w.hi is None else -w.hi,
-            hi=None if w.lo is None else -w.lo,
-        )
-        for w in dag.windows
-    ]
-    oriented = WindowedDag(windows, arcs, dag.source, dag.sink, labels=dag.labels, topo_order=dag.topo_order)
-    oriented._int_arcs = dag.int_arcs().negated()
-    return oriented
+    windows = [w.oriented(-1) for w in dag.windows]
+    return WindowedDag(windows, arcs, dag.source, dag.sink, labels=dag.labels, topo_order=dag.topo_order)
 
 
-def _pareto_eq(x: Path, y: Path) -> bool:
+class _Point(NamedTuple):
+    """A supported point: the image (value, oriented resource) of the
+    source tail of ``tails``."""
+
+    value: Fraction
+    resource: Fraction
+    tails: TailMap
+
+
+def _pareto_eq(x: _Point, y: _Point) -> bool:
     return x.value == y.value and x.resource == y.resource
 
 
@@ -145,43 +151,43 @@ def run_phase1(
     window-relaxed instance; each round aggregates with the slope of the
     current pair, re-optimizes, and replaces one endpoint until the new
     optimum is Pareto-equal (componentwise equal image) to an endpoint.
-    ``deadline`` (a ``time.monotonic`` value) is checked before every
-    sweep; past it, :class:`TimeoutExceeded` is raised.
+    Rounds compare the sweeps' source images; paths are built only for
+    the returned points. ``deadline`` (a ``time.monotonic`` value) is
+    checked before every sweep; past it, :class:`TimeoutExceeded` is
+    raised.
     """
 
-    def sweep(work: WindowedDag, delta) -> TailMap:
+    def sweep(delta, sign: int) -> TailMap:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceeded("bounding phase hit its deadline")
-        return all_tails(work, delta)
+        return all_tails(dag, delta, sign)
 
-    sp_tails = sweep(dag, ZERO)
+    def point(tails: TailMap) -> _Point:
+        info = tails[dag.source]
+        return _Point(info.value, info.resource, tails)
+
+    sp_tails = sweep(ZERO, 1)
     if dag.source not in sp_tails:
         raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
     # later sweeps run on the same arcs, so the source reaches the sink there too
-    sp_path = sp_tails.path(dag.source)
+    sp = sp_tails[dag.source]
     sink_window = dag.windows[dag.sink]
-    if sink_window.contains(sp_path.resource):
-        return SolvedAtSp(path=sp_path, tails=sp_tails)
+    if sink_window.contains(sp.resource):
+        return SolvedAtSp(path=sp_tails.path(dag.source), tails=sp_tails)
 
-    if sink_window.hi is not None and sp_path.resource > sink_window.hi:
-        orientation = LIE
-        work = orient_dag(dag)
-    else:
-        orientation = LID
-        work = dag
-
-    beta = work.windows[work.sink].lo
-    alpha = work.windows[work.sink].hi
+    orientation = LIE if sink_window.hi is not None and sp.resource > sink_window.hi else LID
+    sign = orientation_sign(orientation)
+    oriented_sink = sink_window.oriented(sign)
+    beta, alpha = oriented_sink.lo, oriented_sink.hi
     if beta is None:
         raise GraphInvariantError("orientation left the sink without a finite lower bound")
 
-    x_a = path_metrics(work, sp_path.arc_ids)
-    x_b = sweep(work, PLUS_INF).path(work.source)
+    x_a = _Point(sp.value, sign * sp.resource, sp_tails)
+    x_b = point(sweep(PLUS_INF, sign))
     if x_b.resource < beta:
         return Infeasible(max_resource=x_b.resource)
 
-    x_c: Optional[Path] = None
-    tails: Optional[TailMap] = None
+    x_c: Optional[_Point] = None
     delta = ZERO
     iterations = 0
     while x_c is None or (not _pareto_eq(x_c, x_a) and not _pareto_eq(x_c, x_b)):
@@ -195,8 +201,7 @@ def run_phase1(
                 "straddling pair lost its resource gap; endpoints are Pareto-comparable"
             )
         delta = (x_a.value - x_b.value) / (x_b.resource - x_a.resource)
-        tails = sweep(work, delta)
-        x_c = tails.path(work.source)
+        x_c = point(sweep(delta, sign))
         iterations += 1
         if trace is not None:
             trace(
@@ -212,8 +217,8 @@ def run_phase1(
     ub_mu = x_a.value + delta * x_a.resource
     ub_v1 = ub_mu - delta * beta
     return Pair(
-        x_a=_reread(dag, x_a),
-        x_b=_reread(dag, x_b),
+        x_a=x_a.tails.path(dag.source),
+        x_b=x_b.tails.path(dag.source),
         delta=delta,
         ub_mu=ub_mu,
         ub_v1=ub_v1,
@@ -221,20 +226,14 @@ def run_phase1(
         beta=beta,
         alpha=alpha,
         iterations=iterations,
-        work=work,
-        tails=tails,
+        tails=x_c.tails,
         sp_tails=sp_tails,
     )
 
 
-def _reread(dag: WindowedDag, path: Path) -> Path:
-    """Re-read an (possibly re-oriented) path on the original instance."""
-    return path_metrics(dag, path.arc_ids, start=path.start)
-
-
 def oriented_resource(outcome: Pair, path: Path) -> Fraction:
-    """Resource of an original-coordinates path, in the pair's coordinates."""
-    return -path.resource if outcome.orientation == LIE else path.resource
+    """Resource of an instance path, in the pair's coordinates."""
+    return orientation_sign(outcome.orientation) * path.resource
 
 
 def integer_round_ub(outcome: PhaseOneOutcome, values_integral: bool) -> Fraction:
@@ -273,8 +272,7 @@ class SearchSpace:
         return value + self.delta * oriented_resource <= self.ub_mu
 
     def contains(self, path: Path) -> bool:
-        r = -path.resource if self.orientation == LIE else path.resource
-        return self.contains_values(path.value, r)
+        return self.contains_values(path.value, orientation_sign(self.orientation) * path.resource)
 
 
 def search_space(outcome: PhaseOneOutcome) -> SearchSpace:

@@ -252,12 +252,15 @@ def run_phase2(
     deadline: Optional[float] = None,
     tails: Optional[TailMap] = None,
 ) -> SolveResult:
-    """Exact enumeration under the coordinates of ``dag`` (already oriented
-    if need be) for the aggregation weight ``delta`` from the bounding
-    phase. ``tails`` may pass in the sweep of ``dag`` at ``delta`` when
-    the bounding phase already made it. Raises :class:`NoFeasiblePath`
-    when no window-feasible path exists, and ValueError for a positive
-    ``delta`` on a sink without a lower bound.
+    """Exact enumeration of ``dag`` for the aggregation weight ``delta``
+    from the bounding phase. ``tails`` may pass in the sweep of ``dag``
+    at ``delta`` when the bounding phase already made it; its ``sign``
+    orients the resource in the aggregate and in the bound rule (with
+    ``sign = -1`` the sink lower bound is minus the window's upper
+    bound). Labels, windows, dominance and provider calls stay in the
+    instance's own resource. Raises :class:`NoFeasiblePath` when no
+    window-feasible path exists, and ValueError for a positive ``delta``
+    on a sink without a lower bound in that orientation.
     """
     if not isinstance(delta, Fraction) or delta < 0:
         raise ValueError("delta must be a nonnegative rational")
@@ -271,14 +274,15 @@ def run_phase2(
         raise ValueError("tails were swept on another instance or weight")
     sweep = tails.ints
     tmu, nxt, tval = sweep.mu, sweep.next_arc, sweep.val
-    wv, wr, scale = sweep.wv, sweep.wr, sweep.scale
+    # the sweep aggregates the oriented resource, sign * res
+    wv, wr, scale = sweep.wv, tails.sign * sweep.wr, sweep.scale
     arcs = dag.int_arcs()
     dst, val, res, dv, dr = arcs.dst, arcs.val, arcs.res, arcs.dv, arcs.dr
     lo, hi = dag.int_windows()
     out_arcs = dag.out_arcs
     source, sink = dag.source, dag.sink
     # the bound rule's floor for incumbent value V (scaled) is wv * V + beta_floor
-    beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.windows[sink].lo))
+    beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.windows[sink].oriented(tails.sign).lo))
     ub_on = use_ub_prune and ub is not None
     stats = SolveStats()
     if tmu[source] is None:

@@ -1,4 +1,4 @@
-"""End-to-end exact solve: orientation, bounding phase, enumeration phase."""
+"""End-to-end exact solve: bounding phase, then enumeration phase."""
 
 from __future__ import annotations
 
@@ -6,17 +6,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bounds import OrientedBound, ValueTailBound
-from .graph import Path, SinkUnreachable, WindowedDag, check_windows, path_metrics
+from .bounds import ValueTailBound
+from .graph import Path, SinkUnreachable, WindowedDag, check_windows
 from .phase1 import (
-    LIE,
     GraphInvariantError,
     Infeasible,
     Pair,
     Phase1TraceEvent,
     PhaseOneOutcome,
     SolvedAtSp,
-    orient_dag,  # noqa: F401  the pipeline's orientation step stays patchable here
+    orient_dag,  # noqa: F401  unused here; kept so lookups of solver.orient_dag still resolve
     run_phase1,
 )
 from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, run_phase2
@@ -50,9 +49,9 @@ def solve_awclpp(
     """Solve a windowed instance exactly.
 
     ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
-    complementary rule, understood to reason in original resource
-    coordinates; None means the window-relaxed value tails.
-    ``use_ub_prune=False`` switches the rule off.
+    complementary rule, called with the instance's own resources; None
+    means the window-relaxed value tails. ``use_ub_prune=False``
+    switches the rule off.
     """
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
@@ -66,29 +65,21 @@ def solve_awclpp(
         if check_windows(dag, outcome.path) is None:
             # the window-relaxed optimum is feasible, hence optimal
             return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
-        work = dag
         delta = ZERO
-        oriented = False
         iterations = 0
         value_tails = outcome.tails
     elif isinstance(outcome, Pair):
-        # phase 1 already oriented the instance and swept it at delta
-        oriented = outcome.orientation == LIE
-        work = outcome.work
+        # phase 1 already swept the instance at delta, in the pair's orientation
         delta = outcome.delta
         iterations = outcome.iterations
         value_tails = outcome.sp_tails
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
-    if ub_provider is None:
-        ub = ValueTailBound(work, value_tails)
-    else:
-        ub = OrientedBound(ub_provider) if oriented else ub_provider
-
+    ub = ValueTailBound(dag, value_tails) if ub_provider is None else ub_provider
     try:
         result = run_phase2(
-            work,
+            dag,
             delta,
             ub,
             use_dominance=use_dominance,
@@ -106,6 +97,4 @@ def solve_awclpp(
     best = result.best
     if best is None:
         raise GraphInvariantError("enumeration returned no incumbent")
-    if oriented:
-        best = path_metrics(dag, best.arc_ids, start=best.start)
     return AwclppSolution(OPTIMAL, best, best.value, outcome, result.stats)

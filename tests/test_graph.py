@@ -254,8 +254,8 @@ def sweep_cases(draw):
     denominators, negative resources, exact parallel duplicates,
     parallel arcs whose aggregate ties under the drawn weight and equal
     arcs into distinct successors of equal tails (through a relay vertex
-    with a zero arc on), possibly re-oriented. Ties are built in the
-    coordinates that get swept."""
+    with a zero arc on), swept with sign 1 or -1. Ties are built in the
+    oriented coordinates that get swept."""
     n = draw(st.integers(min_value=1, max_value=8))
     order = draw(st.permutations(range(n)))
     delta = draw(_deltas)
@@ -281,15 +281,17 @@ def sweep_cases(draw):
                 arcs.append(Arc(a.src, a.dst, a.value - delta * k, a.resource + sign * k))
     size = n + len(arcs)
     dag = WindowedDag([Window()] * size, arcs, order[0], order[-1])
-    return (orient_dag(dag) if oriented else dag), delta
+    return dag, delta, sign
 
 
 @given(case=sweep_cases())
 @settings(max_examples=300, deadline=None)
 def test_all_tails_matches_fraction_reference(case):
-    dag, delta = case
-    tails = all_tails(dag, delta)
-    ref = reference_tails(dag, delta)
+    """A ``sign = -1`` sweep equals the reference sweep of the explicitly
+    oriented copy, while its paths stay paths of the instance."""
+    dag, delta, sign = case
+    tails = all_tails(dag, delta, sign)
+    ref = reference_tails(orient_dag(dag) if sign == -1 else dag, delta)
     for u in range(dag.n):
         assert (u in tails) == (u in ref)
         assert tails.get(u) == ref.get(u)
@@ -297,6 +299,7 @@ def test_all_tails_matches_fraction_reference(case):
             assert tails[u] == ref[u]
             assert tails.arc_ids(u)[:1] == (() if ref[u].next_arc is None else (ref[u].next_arc,))
             assert tails.path(u).value == ref[u].value
+            assert tails.path(u).resource == sign * ref[u].resource
     assert list(tails.vertices()) == list(ref)
     assert -1 not in tails and dag.n not in tails and tails.get(dag.n) is None
 

@@ -8,7 +8,7 @@ import pytest
 
 from borwin.baselines import brute_force
 from borwin.generate import random_huc
-from borwin.graph import check_windows, path_metrics, prune_unreachable, reaching, validate
+from borwin.graph import TimeoutExceeded, check_windows, path_metrics, prune_unreachable, reaching, validate
 from borwin.huc import (
     HucInstance,
     OperatingPoint,
@@ -295,6 +295,16 @@ def test_schedule_oracle_long_horizon():
     value, schedule = best_schedule_bruteforce(inst, deadline=time.monotonic() + 60)
     assert value == F(512321, 10)  # the solver's revenue on this instance
     assert schedule_is_legal(inst, schedule)
+
+
+def test_schedule_oracle_deadline_raises_the_library_timeout(huc5):
+    """The oracle's deadline error is the one every solver loop raises,
+    and it is still a builtin TimeoutError for callers that catch that."""
+    past = time.monotonic() - 1.0
+    with pytest.raises(TimeoutExceeded, match="schedule oracle"):
+        best_schedule_bruteforce(huc5, deadline=past)
+    with pytest.raises(TimeoutError):
+        best_schedule_bruteforce(huc5, deadline=past)
 
 
 def test_initial_state_override(huc5):

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,15 +188,24 @@ MALFORMED = [
     (HUC5, "prices", "75", "prices"),
     (WCLPP5, "vertices", [1, 2], "vertices[0]"),
     (WCLPP5, "arcs", 5, "arcs"),
+    (WCLPP5, "vertices.0.id", None, "vertices[0].id"),
+    (WCLPP5, "vertices.0.id", 1, "vertices[0].id"),
+    (WCLPP5, "arcs.0.from", 1, "arcs[0].from"),
+    (WCLPP5, "source", 0, "source"),
 ]
 
 
 @pytest.mark.parametrize("base,key,value,field", MALFORMED, ids=[f"{k}={json.dumps(v)}" for _, k, v, _ in MALFORMED])
 def test_cli_rejects_mistyped_fields(tmp_path, capsys, base, key, value, field):
     """A field of the wrong JSON type is a format error naming the field,
-    never a traceback or a silently coerced value."""
+    never a traceback or a silently coerced value. A dotted ``key`` is a
+    path into the instance, with list indices as numbers."""
     data = json.loads(base.read_text())
-    data[key] = value
+    *parents, last = key.split(".")
+    target = data
+    for part in parents:
+        target = target[int(part) if part.isdigit() else part]
+    target[last] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["solve", str(path)]) == 1
@@ -312,3 +323,13 @@ def test_bench_error_rows_record_the_exception():
     write_csv([rec], buf)
     (row,) = csv.DictReader(iomod.StringIO(buf.getvalue()))
     assert row["status"] == "error" and row["error"] == rec.error
+
+
+def test_worked_example_script_runs():
+    """The walkthrough script runs end to end on the bundled instances and
+    prints gate c01's bounding-phase weight."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "worked_example.py")], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "bounding phase: delta=1/19 " in done.stdout

@@ -292,9 +292,9 @@ def test_deadline_is_checked_before_every_dichotomy_sweep(wclpp, monkeypatch):
     sweeps = []
     real_all_tails = phase1.all_tails
 
-    def counting(dag, delta):
+    def counting(dag, delta, *rest):
         sweeps.append(delta)
-        return real_all_tails(dag, delta)
+        return real_all_tails(dag, delta, *rest)
 
     monkeypatch.setattr(phase1, "all_tails", counting)
     clock = SimpleNamespace(monotonic=lambda: 10.0 if len(sweeps) >= 3 else 0.0)

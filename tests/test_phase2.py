@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borwin import graph
+from borwin import graph, phase2
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.bounds import UbProvider
 from borwin.generate import GeneratorConfig, generate, random_dag
@@ -145,12 +145,22 @@ def test_infeasible_solve_keeps_enumeration_stats(wclpp):
 
 def test_phase1_tails_serve_phase2(wclpp):
     out = run_phase1(wclpp)
-    assert out.work is wclpp and out.tails.delta == out.delta
-    reused = run_phase2(out.work, out.delta, tails=out.tails)
+    assert out.tails.dag is wclpp and out.tails.delta == out.delta
+    reused = run_phase2(wclpp, out.delta, tails=out.tails)
     fresh = run_phase2(wclpp, out.delta)
     assert (reused.value, reused.best.arc_ids, reused.stats) == (fresh.value, fresh.best.arc_ids, fresh.stats)
     with pytest.raises(ValueError):
         run_phase2(wclpp, F(0), tails=out.tails)
+    # LIE: the pair's tails are a sign = -1 sweep of the instance itself,
+    # and phase 2 on the instance with them is the whole solve's search
+    dag = random_dag(random.Random(9), 2 + 9 % 11)
+    out = run_phase1(dag)
+    assert out.orientation == "lie" and out.delta > 0
+    assert out.tails.dag is dag and out.tails.sign == -1
+    reused = run_phase2(dag, out.delta, tails=out.tails)
+    reused.stats.phase1_iterations = out.iterations
+    sol = solve_awclpp(dag)
+    assert (reused.value, reused.best.arc_ids, reused.stats) == (sol.value, sol.path.arc_ids, sol.stats)
 
 
 def test_feasible_pops_still_extend():
@@ -319,6 +329,33 @@ PINNED_STATS = [
 ]
 
 
+# LIE instances of gate c03's sweep (seeds 7, 87 and 167 end phase 1 at
+# delta = 0), counted when the solver still swept an oriented copy of the
+# instance. Seed 167 needs the sweep's tie-break to prefer the larger
+# oriented resource.
+PINNED_LIE_STATS = [
+    (6, (2, 3, 3, 0, 0, 0)),
+    (7, (1, 2, 5, 5, 1, 0)),
+    (87, (2, 2, 7, 5, 0, 0)),
+    (167, (2, 1, 1, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("seed,counters", PINNED_LIE_STATS)
+def test_lie_enumeration_counters_are_pinned(seed, counters):
+    sol = solve_awclpp(random_dag(random.Random(seed), 2 + seed % 11))
+    assert sol.phase1.orientation == "lie"
+    s = sol.stats
+    assert (
+        s.phase1_iterations,
+        s.phase2_iterations,
+        s.labels_created,
+        s.labels_pruned_bound,
+        s.labels_pruned_dominance,
+        s.labels_pruned_ub,
+    ) == counters
+
+
 @pytest.mark.parametrize("config,status,counters", PINNED_STATS)
 def test_enumeration_counters_are_pinned(config, status, counters):
     data = generate(GeneratorConfig(**config))
@@ -345,19 +382,24 @@ def _solve_generated(config, **kwargs):
     return solve_huc(huc_from_dict(data), **kwargs)
 
 
-# sha256 over the repr of every phase-2 trace event, one per line, as the
-# loop with a purge on every feasible pop emitted them: purging only when
-# the incumbent improves must leave every pop and prune event in place.
+# sha256 over the repr of every trace event, one per line. The phase-2
+# digests are as the loop with a purge on every feasible pop emitted
+# them: purging only when the incumbent improves must leave every pop and
+# prune event in place. The phase-1 digest (a LIE instance) is as the
+# solver gave it when it swept an oriented copy of the instance.
 PINNED_TRACES = [
-    (PINNED_STATS[0][0], "d2827bad720726656494f06d94e3e44f9b96b07f59a56b6a791a238f53f02491"),
-    (PINNED_STATS[3][0], "440b5fb7f7d4193634a12bee3316be16e1a6d13a35359dcb2f0726136a0403dd"),
+    (PINNED_STATS[0][0], "trace_phase2", "d2827bad720726656494f06d94e3e44f9b96b07f59a56b6a791a238f53f02491"),
+    (PINNED_STATS[3][0], "trace_phase2", "440b5fb7f7d4193634a12bee3316be16e1a6d13a35359dcb2f0726136a0403dd"),
+    (PINNED_STATS[3][0], "trace_phase1", "ba7a3adfb7943002e333787da141109a795ce37426e915783edb37512ca443a0"),
 ]
 
 
-@pytest.mark.parametrize("config,digest", PINNED_TRACES, ids=["dag-n40-s3", "huc-T24-P3-L3-s2"])
-def test_enumeration_trace_is_pinned(config, digest):
+@pytest.mark.parametrize(
+    "config,phase,digest", PINNED_TRACES, ids=["dag-n40-s3", "huc-T24-P3-L3-s2", "huc-T24-P3-L3-s2-phase1"]
+)
+def test_enumeration_trace_is_pinned(config, phase, digest):
     h = hashlib.sha256()
-    _solve_generated(config, trace_phase2=lambda event: h.update(repr(event).encode() + b"\n"))
+    _solve_generated(config, **{phase: lambda event: h.update(repr(event).encode() + b"\n")})
     assert h.hexdigest() == digest
 
 
@@ -428,6 +470,27 @@ def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
     assert sol.status == "optimal" and sol.value == brute_force(dag).value
     assert sol.stats.phase2_iterations > 0
     assert len(sweeps) == 1
+
+
+def test_a_pair_solve_builds_only_the_paths_it_returns(wclpp, monkeypatch):
+    """Phase 1 compares sweep images and phase 2 rebuilds only its
+    incumbent, so a solve through a pair builds three paths (x_a, x_b
+    and the answer) under either orientation."""
+    built = []
+    real_path_metrics = graph.path_metrics
+
+    def counting(*args, **kwargs):
+        built.append(tuple(args[1]))
+        return real_path_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "path_metrics", counting)
+    monkeypatch.setattr(phase2, "path_metrics", counting)
+    for dag, orientation in ((wclpp, "lid"), (random_dag(random.Random(9), 11), "lie")):
+        built.clear()
+        sol = solve_awclpp(dag)
+        assert sol.status == "optimal" and sol.phase1.orientation == orientation
+        assert sol.phase1.iterations >= 2
+        assert built == [sol.phase1.x_a.arc_ids, sol.phase1.x_b.arc_ids, sol.path.arc_ids]
 
 
 # -- differential test against the oracles ---------------------------------------
