@@ -107,6 +107,7 @@ class WindowedDag:
         "in_arcs",
         "_topo_pos",
         "_int_arcs",
+        "_neg_int_arcs",
         "_int_windows",
     )
 
@@ -147,13 +148,19 @@ class WindowedDag:
                 pos[u] = i
             self._topo_pos = pos
         self._int_arcs: Optional[IntArcs] = None
+        self._neg_int_arcs: Optional[IntArcs] = None
         self._int_windows: Optional[tuple[list[int], list[int]]] = None
 
-    def int_arcs(self) -> "IntArcs":
-        """Integer-scaled arc data, built on first use and kept."""
+    def int_arcs(self, sign: int = 1) -> "IntArcs":
+        """Integer-scaled arc data, built on first use and kept. With
+        ``sign = -1`` every resource is negated; that copy is kept too."""
         if self._int_arcs is None:
             self._int_arcs = IntArcs.of(self.arcs)
-        return self._int_arcs
+        if sign == 1:
+            return self._int_arcs
+        if self._neg_int_arcs is None:
+            self._neg_int_arcs = self._int_arcs.negated()
+        return self._neg_int_arcs
 
     def int_windows(self) -> tuple[list[int], list[int]]:
         """Per-vertex windows on the scaled cumulative resource of
@@ -448,7 +455,7 @@ class TailMap:
     def __init__(self, dag: WindowedDag, delta: Weight, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be 1 or -1")
-        arcs = dag.int_arcs() if sign == 1 else dag.int_arcs().negated()
+        arcs = dag.int_arcs(sign)
         if isinstance(delta, _PlusInfinity):
             wv, wr, scale = 0, 1, arcs.dr
         else:

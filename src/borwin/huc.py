@@ -18,7 +18,7 @@ a nested multiple-choice knapsack bound plugged in.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -63,6 +63,9 @@ class HucInstance:
     win_hi: tuple[Fraction, ...]
     initial_point: int = 0
     initial_hold: int = 0
+    _cum_values: Optional[tuple[tuple[Fraction, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def check(self) -> None:
         if self.periods < 1:
@@ -100,18 +103,20 @@ def value_table(inst: HucInstance) -> list[list[Fraction]]:
     ]
 
 
-def cumulative_values(inst: HucInstance) -> list[list[Fraction]]:
-    """Revenue of running at level i in period t (points 1..i active)."""
-    table = value_table(inst)
-    out = []
-    for row in table:
-        acc = ZERO
-        cum = []
-        for w in row:
-            acc += w
-            cum.append(acc)
-        out.append(cum)
-    return out
+def cumulative_values(inst: HucInstance) -> tuple[tuple[Fraction, ...], ...]:
+    """Revenue of running at level i in period t (points 1..i active).
+    Computed on the first call and kept on the instance."""
+    if inst._cum_values is None:
+        out = []
+        for row in value_table(inst):
+            acc = ZERO
+            cum = []
+            for w in row:
+                acc += w
+                cum.append(acc)
+            out.append(tuple(cum))
+        object.__setattr__(inst, "_cum_values", tuple(out))
+    return inst._cum_values
 
 
 def cumulative_flows(inst: HucInstance) -> list[Fraction]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borwin import bounds
 from borwin.bounds import (
     NMCKP,
     TRIVIAL,
@@ -17,7 +18,9 @@ from borwin.bounds import (
     ValueTailBound,
     ub_for_prefix,
 )
+from borwin.generate import GeneratorConfig, generate
 from borwin.huc import nmckp_of_instance
+from borwin.io import huc_from_dict
 
 F = Fraction
 
@@ -160,3 +163,146 @@ def test_value_tail_bound(wclpp):
     # from vertex 2 the only completion is the final arc (value 5)
     assert bound.bound(wclpp.vertex("2"), F(15), F(24)) == 29
     assert bound.bound(wclpp.vertex("s"), F(0), F(0)) == 33
+
+
+# -- reference: the greedy in Fractions, rebuilt on every call ----------
+
+
+def ref_frontier(items):
+    best = {}
+    for it in items:
+        cur = best.get(it.weight)
+        if cur is None or it.value > cur:
+            best[it.weight] = it.value
+    pts = sorted(best.items())
+    mono = []
+    for w, v in pts:
+        if mono and v <= mono[-1][1]:
+            continue
+        mono.append((w, v))
+    hull = []
+    for w, v in mono:
+        while len(hull) >= 2:
+            (w1, v1), (w2, v2) = hull[-2], hull[-1]
+            if (v2 - v1) * (w - w2) <= (v - v2) * (w2 - w1):
+                hull.pop()
+            else:
+                break
+        hull.append((w, v))
+    return [MckpItem(value=v, weight=w) for w, v in hull]
+
+
+def ref_lp_remainder(mckp, start, cum_weight):
+    fronts = [ref_frontier(items) for items in mckp.stages[start:]]
+    m = len(fronts)
+    base_value = F(0)
+    residual = []
+    cum = cum_weight
+    for k in range(m):
+        cum += fronts[k][0].weight
+        base_value += fronts[k][0].value
+        cap = mckp.hi[start + k]
+        if cap is None:
+            residual.append(None)
+        else:
+            room = cap - cum
+            if room < 0:
+                return None
+            residual.append(room)
+    increments = []
+    for k, front in enumerate(fronts):
+        for j in range(len(front) - 1):
+            dw = front[j + 1].weight - front[j].weight
+            dv = front[j + 1].value - front[j].value
+            increments.append((dv / dw, k, j, dw))
+    increments.sort(key=lambda e: (-e[0], e[1], e[2]))
+    value = base_value
+    for ratio, k, _, dw in increments:
+        room = None
+        for t in range(k, m):
+            if residual[t] is not None and (room is None or residual[t] < room):
+                room = residual[t]
+        take = dw if room is None else min(dw, room)
+        if take <= 0:
+            continue
+        value += ratio * take
+        for t in range(k, m):
+            if residual[t] is not None:
+                residual[t] -= take
+    return value
+
+
+def ref_ub(mode, mckp, state):
+    stage, cum, acc = state
+    if stage == len(mckp.stages):
+        return acc
+    if mode == TRIVIAL:
+        return acc + sum((max(it.value for it in items) for items in mckp.stages[stage:]), F(0))
+    rest = ref_lp_remainder(mckp, stage, cum)
+    return None if rest is None else acc + rest
+
+
+def fractions(lo, hi):
+    return st.builds(F, st.integers(lo, hi), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def nested_mckps(draw):
+    n = draw(st.integers(1, 6))
+    stages = tuple(
+        tuple(MckpItem(draw(fractions(-20, 40)), draw(fractions(0, 12))) for _ in range(draw(st.integers(1, 5))))
+        for _ in range(n)
+    )
+    hi = tuple(draw(st.none() | fractions(0, 50)) for _ in range(n))
+    lo = tuple(None if h is None else draw(st.none() | st.just(h / 2)) for h in hi)
+    return NestedMckp(stages=stages, lo=lo, hi=hi)
+
+
+@st.composite
+def mckp_queries(draw):
+    mckp = draw(nested_mckps())
+    n = len(mckp.stages)
+    # cum weights on and off the weight grid (thirds, sevenths)
+    cums = st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 7]))
+    states = st.tuples(st.integers(0, n), cums, fractions(-10, 10))
+    queries = draw(st.lists(states, min_size=1, max_size=8))
+    # every query again, in reverse order, served by the memo
+    return mckp, queries + queries[::-1]
+
+
+@given(mckp_queries())
+@settings(max_examples=200, deadline=None)
+def test_bound_table_equals_the_fraction_greedy(case):
+    mckp, queries = case
+    for mode in (NMCKP, TRIVIAL):
+        provider = UbProvider(mode=mode, mckp=mckp)
+        for state in queries:
+            got = ub_for_prefix(provider, state)
+            want = ref_ub(mode, mckp, state)
+            assert got == want and type(got) is type(want), (mode, state)
+
+
+def test_bound_table_off_grid_and_over_cap():
+    provider = UbProvider(mode=NMCKP, mckp=toy_mckp())
+    assert ub_for_prefix(provider, (0, F(6), F(0))) is None  # over the first cap (5)
+    # two partial takes, each in thirds: 2/3 at ratio 2 fills cap 1, 3 at ratio 3/2 fills cap 2
+    assert ub_for_prefix(provider, (1, F(16, 3), F(2))) == 2 + F(2, 3) * 2 + 3 * F(3, 2)
+
+
+def test_bound_table_builds_only_the_queried_stages(monkeypatch):
+    inst = huc_from_dict(generate(GeneratorConfig(seed=1, family="huc", periods=1200, points=3, min_updown=2)))
+    mckp = nmckp_of_instance(inst)
+    built = []
+    real = bounds._frontier
+
+    def counting(points):
+        built.append(points)
+        return real(points)
+
+    monkeypatch.setattr(bounds, "_frontier", counting)
+    nmckp = UbProvider(mode=NMCKP, mckp=mckp)
+    trivial = UbProvider(mode=TRIVIAL, mckp=mckp)
+    for stage in (1199, 1190, 1195, 1190):
+        ub_for_prefix(nmckp, (stage, F(0), F(0)))
+        ub_for_prefix(trivial, (stage, F(0), F(0)))
+    assert len(built) == 10

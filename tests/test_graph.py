@@ -192,6 +192,14 @@ def test_all_tails_match_longest_path(wclpp):
                 assert tails[u].mu == mu
 
 
+def test_negated_sweeps_share_one_arc_array(wclpp):
+    first = all_tails(wclpp, F(1, 19), -1)
+    second = all_tails(wclpp, F(3), -1)
+    assert first._arcs.res is second._arcs.res
+    assert first._arcs.res == [-r for r in wclpp.int_arcs().res]
+    assert all_tails(wclpp, F(3))._arcs is wclpp.int_arcs()
+
+
 def test_longest_path_beats_enumerated_mu(wclpp):
     oracle = brute_force(wclpp)
     assert oracle.total_count == 5

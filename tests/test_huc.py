@@ -50,6 +50,24 @@ def test_cumulative_arc_values(huc5):
         assert cum[t - 1][i] == rat(text), (t, i)
 
 
+def test_cumulative_values_are_computed_once_per_instance(monkeypatch):
+    """The compile and the knapsack bound share one table, kept on the
+    instance and left out of its equality."""
+    from dataclasses import replace
+
+    from borwin import huc
+
+    inst = random_huc(random.Random(2), 24, 3, 2)
+    calls = []
+    monkeypatch.setattr(huc, "value_table", lambda i: calls.append(i) or value_table(i))
+    first = solve_huc(inst)
+    assert len(calls) == 1
+    assert solve_huc(inst).revenue == first.revenue
+    assert len(calls) == 1
+    fresh = replace(inst)
+    assert fresh == inst and fresh._cum_values is None
+
+
 def test_cumulative_flows(huc5):
     assert cumulative_flows(huc5) == [F(0), F(6), F(11)]
 

@@ -405,25 +405,33 @@ def test_enumeration_trace_is_pinned(config, phase, digest):
 
 # Value-bound calls of two commitment solves. New labels are scored at
 # birth and waiting ones only when the incumbent improves, so a pop that
-# keeps the incumbent makes no call.
+# keeps the incumbent makes no call. The digest is a sha256 over every
+# call's "(vertex, prefix_resource, prefix_value) -> bound" line, as the
+# Fraction greedy that rebuilt every frontier on each call answered them.
 PINNED_BOUND_CALLS = [
-    (PINNED_STATS[3][0], 131),
-    (dict(family="huc", periods=24, points=3, min_updown=2, seed=2), 284),
+    (PINNED_STATS[3][0], 131, "7c19359852d8033f74bb3c3e5deb7f4647030b1690cfb1413807b5030c36d0d0"),
+    (
+        dict(family="huc", periods=24, points=3, min_updown=2, seed=2),
+        284,
+        "8b25ac0d93f4d6eb8c9b3aaa4b92b917509d8b49e4ee2dde874130da98af2b23",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config,calls", PINNED_BOUND_CALLS, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"])
-def test_value_bound_calls_are_pinned(config, calls, monkeypatch):
+@pytest.mark.parametrize("config,calls,digest", PINNED_BOUND_CALLS, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"])
+def test_value_bound_calls_are_pinned(config, calls, digest, monkeypatch):
     made = []
     real_bound = UbProvider.bound
 
     def counting(self, *args):
-        made.append(args)
-        return real_bound(self, *args)
+        out = real_bound(self, *args)
+        made.append(f"{args!r} -> {out!r}\n")
+        return out
 
     monkeypatch.setattr(UbProvider, "bound", counting)
     assert _solve_generated(config).status == "optimal"
     assert len(made) == calls
+    assert hashlib.sha256("".join(made).encode()).hexdigest() == digest
 
 
 def test_no_ub_provider_means_the_default_value_bound():
