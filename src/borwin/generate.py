@@ -169,7 +169,7 @@ def random_huc(
     cums: list[Fraction] = []
     walked: list[int] = []
     for _ in range(periods):
-        level, hold = rng.choice(legal_moves(probe, level, hold))
+        level, hold = rng.choice(legal_moves(probe, cum_f, level, hold))
         walked.append(level)
         cum += cum_f[level]
         cums.append(cum)

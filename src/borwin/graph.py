@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ceil, floor, lcm
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
 
@@ -107,7 +107,6 @@ class WindowedDag:
         "in_arcs",
         "_topo_pos",
         "_int_arcs",
-        "_neg_int_arcs",
         "_int_windows",
     )
 
@@ -137,7 +136,7 @@ class WindowedDag:
         if topo_order is not None:
             self.topo_order = tuple(topo_order)
         else:
-            self.topo_order = _kahn(self.n, self.arcs)
+            self.topo_order = _kahn(self)
         self._topo_pos = None
         if self.topo_order is not None and len(self.topo_order) == self.n:
             pos = [0] * self.n
@@ -148,19 +147,13 @@ class WindowedDag:
                 pos[u] = i
             self._topo_pos = pos
         self._int_arcs: Optional[IntArcs] = None
-        self._neg_int_arcs: Optional[IntArcs] = None
         self._int_windows: Optional[tuple[list[int], list[int]]] = None
 
-    def int_arcs(self, sign: int = 1) -> "IntArcs":
-        """Integer-scaled arc data, built on first use and kept. With
-        ``sign = -1`` every resource is negated; that copy is kept too."""
+    def int_arcs(self) -> "IntArcs":
+        """Integer-scaled arc data, built on first use and kept."""
         if self._int_arcs is None:
             self._int_arcs = IntArcs.of(self.arcs)
-        if sign == 1:
-            return self._int_arcs
-        if self._neg_int_arcs is None:
-            self._neg_int_arcs = self._int_arcs.negated()
-        return self._neg_int_arcs
+        return self._int_arcs
 
     def int_windows(self) -> tuple[list[int], list[int]]:
         """Per-vertex windows on the scaled cumulative resource of
@@ -193,25 +186,22 @@ class WindowedDag:
         raise KeyError(f"no arc {src}->{dst}")
 
 
-def _kahn(n: int, arcs: Sequence[Arc]) -> Optional[tuple[int, ...]]:
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for a in arcs:
-        if not (0 <= a.src < n and 0 <= a.dst < n):
-            continue
-        indeg[a.dst] += 1
-        out[a.src].append(a.dst)
-    queue = sorted(v for v in range(n) if indeg[v] == 0)
+def _kahn(dag: WindowedDag) -> Optional[tuple[int, ...]]:
+    """Smallest-id-first topological order from the instance's adjacency,
+    or None when the graph has a cycle."""
+    arcs = dag.arcs
+    indeg = [len(inn) for inn in dag.in_arcs]
+    queue = [v for v in range(dag.n) if indeg[v] == 0]  # sorted, so a heap
     order: list[int] = []
-    heapq.heapify(queue)
     while queue:
         u = heapq.heappop(queue)
         order.append(u)
-        for w in out[u]:
+        for aidx in dag.out_arcs[u]:
+            w = arcs[aidx].dst
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(queue, w)
-    if len(order) != n:
+    if len(order) != dag.n:
         return None
     return tuple(order)
 
@@ -237,7 +227,7 @@ def validate(dag: WindowedDag) -> ValidationReport:
             return ValidationReport(False, "CycleDetected", f"arc {idx} is a self-loop")
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         return ValidationReport(False, "DanglingArc", "source or sink out of range")
-    if _kahn(dag.n, dag.arcs) is None:
+    if _kahn(dag) is None:
         return ValidationReport(False, "CycleDetected", "graph contains a directed cycle")
     if dag.topo_order is None or sorted(dag.topo_order) != list(range(dag.n)):
         return ValidationReport(False, "BadTopoOrder", "stored order is not a permutation of the vertices")
@@ -409,76 +399,49 @@ class IntArcs:
             dr,
         )
 
-    def negated(self) -> "IntArcs":
-        """The same arcs with every resource negated."""
-        return IntArcs(self.dst, self.val, [-r for r in self.res], self.dv, self.dr)
-
-
-class SweepInts(NamedTuple):
-    """The integer arrays of one sweep, indexed by vertex: the scaled
-    aggregate ``mu = wv * val + wr * res`` (``None`` off the sink's
-    reach), the chosen next arc, and the tail's scaled value and
-    resource. ``scale`` is the factor from the aggregate in exact
-    Fractions to ``mu``."""
-
-    mu: list[Optional[int]]
-    next_arc: list[Optional[int]]
-    val: list[int]
-    res: list[int]
-    wv: int
-    wr: int
-    scale: int
-
 
 class TailMap:
     """Best window-relaxed tails to the sink for one aggregation weight.
 
-    One reverse-topological sweep; vertices that cannot reach the sink
-    are absent. Tie-breaks are deterministic: among equal aggregate
-    steps prefer the larger arc value, then the larger arc resource,
-    then the smaller successor index, then the smaller arc index.
+    One reverse-topological sweep over the instance's :class:`IntArcs`;
+    vertices that cannot reach the sink are absent. ``sign`` (1 or -1)
+    orients the resource: the sweep maximizes ``wv * val + wr * res``
+    with ``wr`` carrying the sign, and its tie-breaks are deterministic:
+    among equal aggregate steps prefer the larger arc value, then the
+    larger oriented arc resource ``sign * res``, then the smaller
+    successor index, then the smaller arc index.
 
-    ``sign`` orients the resource: the sweep sees every arc resource
-    times ``sign`` (1 or -1), so with ``sign = -1`` it maximizes value
-    minus delta times resource and its tie-break prefers the smaller
-    resource. Aggregates, :attr:`ints` and :class:`TailInfo` resources
-    are in these oriented terms; :meth:`path` is a path of ``dag``
-    itself.
-
-    The sweep runs on the instance's :class:`IntArcs`; a vertex's
-    :class:`TailInfo`, in exact Fractions, is built the first time the
-    vertex is looked up and memoized.
+    The integer arrays are indexed by vertex and read only: ``mu`` is the
+    scaled aggregate (``None`` off the sink's reach), ``next_arc`` the
+    arc the tail takes, and ``val`` the tail's scaled value; ``scale`` is
+    the factor from the aggregate in exact Fractions to ``mu``. A
+    vertex's :class:`TailInfo`, in exact Fractions with the oriented
+    resource ``sign * res``, is built the first time the vertex is looked
+    up and memoized; :meth:`path` is a path of ``dag`` itself.
     """
 
-    __slots__ = ("dag", "delta", "sign", "_arcs", "_wv", "_wr", "_scale", "_mu", "_nxt", "_val", "_res", "_info")
+    __slots__ = ("dag", "delta", "sign", "wv", "wr", "scale", "mu", "next_arc", "val", "_res", "_info")
 
     def __init__(self, dag: WindowedDag, delta: Weight, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be 1 or -1")
-        arcs = dag.int_arcs(sign)
+        arcs = dag.int_arcs()
         if isinstance(delta, _PlusInfinity):
-            wv, wr, scale = 0, 1, arcs.dr
+            wv, wr, scale = 0, sign, arcs.dr
         else:
-            # q*dv*dr * (value + p/q * resource) = q*dr * val + p*dv * res
+            # q*dv*dr * (value + p/q * sign * resource) = q*dr * val + sign*p*dv * res
             p, q = delta.numerator, delta.denominator
-            wv, wr, scale = q * arcs.dr, p * arcs.dv, q * arcs.dv * arcs.dr
+            wv, wr, scale = q * arcs.dr, sign * p * arcs.dv, q * arcs.dv * arcs.dr
         self.dag = dag
         self.delta = delta
         self.sign = sign
-        self._arcs = arcs
-        self._wv, self._wr, self._scale = wv, wr, scale
-        self._mu, self._nxt, self._val, self._res = _sweep(dag, arcs, wv, wr)
+        self.wv, self.wr, self.scale = wv, wr, scale
+        self.mu, self.next_arc, self.val, self._res = _sweep(dag, wv, wr, sign)
         self._info: dict[int, TailInfo] = {}
-
-    @property
-    def ints(self) -> SweepInts:
-        """The sweep's integer arrays and weight factors, for callers that
-        work on the instance's scaled data; read only."""
-        return SweepInts(self._mu, self._nxt, self._val, self._res, self._wv, self._wr, self._scale)
 
     def __contains__(self, u: int) -> bool:
         try:
-            return u >= 0 and self._mu[u] is not None
+            return u >= 0 and self.mu[u] is not None
         except (IndexError, TypeError):
             return False
 
@@ -497,12 +460,12 @@ class TailMap:
     def _build(self, u: int) -> TailInfo:
         if u not in self:
             raise KeyError(u)
-        arcs = self._arcs
+        arcs = self.dag.int_arcs()
         info = TailInfo(
-            mu=Fraction(self._mu[u], self._scale),
-            value=Fraction(self._val[u], arcs.dv),
-            resource=Fraction(self._res[u], arcs.dr),
-            next_arc=self._nxt[u],
+            mu=Fraction(self.mu[u], self.scale),
+            value=Fraction(self.val[u], arcs.dv),
+            resource=Fraction(self.sign * self._res[u], arcs.dr),
+            next_arc=self.next_arc[u],
         )
         self._info[u] = info
         return info
@@ -511,15 +474,15 @@ class TailMap:
         """Sink first, then every other vertex reaching it in reverse
         topological order."""
         sink = self.dag.sink
-        mu = self._mu
+        mu = self.mu
         rest = (u for u in reversed(self.dag.topo_order) if u != sink and mu[u] is not None)
         return chain((sink,), rest)
 
     def arc_ids(self, u: int) -> tuple[int, ...]:
         if u not in self:
             raise KeyError(u)
-        nxt = self._nxt
-        dst = self._arcs.dst
+        nxt = self.next_arc
+        dst = self.dag.int_arcs().dst
         ids = []
         aidx = nxt[u]
         while aidx is not None:
@@ -531,13 +494,15 @@ class TailMap:
         return path_metrics(self.dag, self.arc_ids(u), start=u)
 
 
-def _sweep(dag: WindowedDag, arcs: IntArcs, wv: int, wr: int):
+def _sweep(dag: WindowedDag, wv: int, wr: int, sign: int):
     """Reverse-topological DP maximizing ``wv * val + wr * res`` to the
-    sink. Returns per-vertex lists of the aggregate, the chosen arc and
-    the scaled tail value and resource; ``None`` aggregate means the
-    vertex cannot reach the sink."""
+    sink over the instance's :class:`IntArcs`; ties prefer the larger
+    ``sign * res``. Returns per-vertex lists of the aggregate, the chosen
+    arc and the scaled tail value and resource; ``None`` aggregate means
+    the vertex cannot reach the sink."""
     if dag.topo_order is None:
         raise GraphError("instance is not acyclic")
+    arcs = dag.int_arcs()
     dst, val, res = arcs.dst, arcs.val, arcs.res
     weight = [wv * v + wr * r for v, r in zip(val, res)]
     n = dag.n
@@ -557,7 +522,7 @@ def _sweep(dag: WindowedDag, arcs: IntArcs, wv: int, wr: int):
             cand = weight[aidx] + m
             if best < 0 or cand > best_mu:
                 best, best_mu = aidx, cand
-            elif cand == best_mu and (val[aidx], res[aidx], dst[best]) > (val[best], res[best], dst[aidx]):
+            elif cand == best_mu and (val[aidx], sign * res[aidx], dst[best]) > (val[best], sign * res[best], dst[aidx]):
                 # out-arcs come in increasing index order, so a full tie
                 # keeps the earlier, smaller arc index
                 best = aidx

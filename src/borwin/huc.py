@@ -128,13 +128,9 @@ def cumulative_flows(inst: HucInstance) -> list[Fraction]:
     return out
 
 
-def legal_moves(inst: HucInstance, level: int, hold: int) -> list[tuple[int, int]]:
-    """Successor (level, hold) states for one period step."""
-    return _moves(inst, cumulative_flows(inst), level, hold)
-
-
-def _moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: int) -> list[tuple[int, int]]:
-    """:func:`legal_moves` given the instance's ``cumulative_flows``."""
+def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: int) -> list[tuple[int, int]]:
+    """Successor (level, hold) states for one period step, given the
+    instance's ``cumulative_flows``."""
     span = inst.min_updown - 1
     out = [(level, hold - 1 if hold > 0 else hold + 1 if hold < 0 else 0)]
     if hold >= 0:
@@ -206,7 +202,7 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     # each as its level and its id offset within the next period's block
     first = vmap.id_of(1, 0, -span)
     moves = {
-        (i, l): [(i2, vmap.id_of(1, i2, l2) - first) for i2, l2 in _moves(inst, cum_f, i, l)]
+        (i, l): [(i2, vmap.id_of(1, i2, l2) - first) for i2, l2 in legal_moves(inst, cum_f, i, l)]
         for i in range(inst.levels)
         for l in holds
     }

@@ -35,11 +35,12 @@ feasibility verdict and the window-feasible slice of the tail that the
 extensions branch from.
 
 The loop runs on exact integers: the instance's scaled arc data and
-windows and the sweep's scaled tails (:class:`~borwin.graph.SweepInts`).
-Every aggregate is the exact Fraction aggregate times the sweep's
-positive scale, so pops, prunes and ties are those of the rational
-arithmetic. Fractions appear only where numbers leave the loop: calls to
-the value-bound provider, trace events and the result.
+windows and the sweep's own arrays and weight factors
+(:class:`~borwin.graph.TailMap`), whose resource weight already carries
+the orientation. Every aggregate is the exact Fraction aggregate times
+the sweep's positive scale, so pops, prunes and ties are those of the
+rational arithmetic. Fractions appear only where numbers leave the loop:
+calls to the value-bound provider, trace events and the result.
 """
 
 from __future__ import annotations
@@ -85,13 +86,15 @@ class Label:
 
     Numbers are scaled integers: ``val`` and ``res`` are the prefix totals
     in the instance's value and resource scales (``IntArcs.dv``/``dr``),
-    ``mu`` the hybrid's aggregate in the sweep's scale. ``tail[u]`` is the
-    arc the tail takes out of vertex ``u`` (the sweep's next-arc array).
-    The prefix is ``parent``'s prefix, then the first ``cut`` arcs of
+    ``mu`` the hybrid's aggregate in the sweep's scale. Every label of a
+    run takes its tail from the same sweep, so the label does not store
+    it: the prefix readers take the sweep's next-arc array, whose entry
+    ``next_arc[u]`` is the arc a tail takes out of vertex ``u``. The
+    prefix is ``parent``'s prefix, then the first ``cut`` arcs of
     ``parent``'s tail, then arc ``arc``; the root has no parent.
     """
 
-    __slots__ = ("mu", "anchor", "val", "res", "parent", "cut", "arc", "tail")
+    __slots__ = ("mu", "anchor", "val", "res", "parent", "cut", "arc")
 
     def __init__(
         self,
@@ -102,7 +105,6 @@ class Label:
         parent: Optional["Label"],
         cut: int,
         arc: Optional[int],
-        tail: Sequence[Optional[int]],
     ):
         self.mu = mu
         self.anchor = anchor
@@ -111,9 +113,8 @@ class Label:
         self.parent = parent
         self.cut = cut
         self.arc = arc
-        self.tail = tail
 
-    def prefix_arc_ids(self, dag: WindowedDag) -> list[int]:
+    def prefix_arc_ids(self, dag: WindowedDag, next_arc: Sequence[Optional[int]]) -> list[int]:
         dst = dag.int_arcs().dst
         chain = []
         label = self
@@ -122,19 +123,17 @@ class Label:
             label = label.parent
         ids: list[int] = []
         for label in reversed(chain):
-            parent = label.parent
-            tail = parent.tail
-            u = parent.anchor
+            u = label.parent.anchor
             for _ in range(label.cut):
-                aid = tail[u]
+                aid = next_arc[u]
                 ids.append(aid)
                 u = dst[aid]
             ids.append(label.arc)
         return ids
 
-    def prefix_vertices(self, dag: WindowedDag) -> tuple[int, ...]:
+    def prefix_vertices(self, dag: WindowedDag, next_arc: Sequence[Optional[int]]) -> tuple[int, ...]:
         dst = dag.int_arcs().dst
-        return (dag.source, *[dst[aid] for aid in self.prefix_arc_ids(dag)])
+        return (dag.source, *[dst[aid] for aid in self.prefix_arc_ids(dag, next_arc)])
 
 
 @dataclass
@@ -187,29 +186,27 @@ def make_label(
     parent: Optional[Label],
     cut: int,
     arc: Optional[int],
-    tail: Sequence[Optional[int]],
 ) -> Label:
     """A new label: the root, or a candidate child of ``parent``. Every
     label the enumeration considers is made here once, before the pruning
     rules judge it."""
-    return Label(mu, anchor, val, res, parent, cut, arc, tail)
+    return Label(mu, anchor, val, res, parent, cut, arc)
 
 
-def _walk(label: Label, lo, hi, dst, res, sink: int):
-    """One pass along the label's tail, continuing the cumulative resource
-    from the prefix total. Returns the first window violation as
-    ``(vertex, side)`` or None, and the arcs of the tail adopted before
-    it (window-feasible at their heads)."""
+def _walk(label: Label, next_arc, lo, hi, dst, res, sink: int):
+    """One pass along the label's tail (``next_arc`` from its anchor),
+    continuing the cumulative resource from the prefix total. Returns the
+    first window violation as ``(vertex, side)`` or None, and the arcs of
+    the tail adopted before it (window-feasible at their heads)."""
     u = label.anchor
     r = label.res
     if r < lo[u]:
         return (u, "lo"), []
     if r > hi[u]:
         return (u, "hi"), []
-    tail = label.tail
     adopted = []
     while u != sink:
-        aid = tail[u]
+        aid = next_arc[u]
         r += res[aid]
         u = dst[aid]
         if r < lo[u]:
@@ -220,13 +217,15 @@ def _walk(label: Label, lo, hi, dst, res, sink: int):
     return None, adopted
 
 
-def feasible_hybrid(dag: WindowedDag, label: Label) -> Optional[WindowViolation]:
-    """Window check of the anchor and along the tail; the prefix is
-    feasible by construction. Cumulative resource continues from the
-    prefix total."""
+def feasible_hybrid(
+    dag: WindowedDag, label: Label, next_arc: Sequence[Optional[int]]
+) -> Optional[WindowViolation]:
+    """Window check of the anchor and along the tail that ``next_arc``
+    takes from it; the prefix is feasible by construction. Cumulative
+    resource continues from the prefix total."""
     lo, hi = dag.int_windows()
     arcs = dag.int_arcs()
-    violation, _ = _walk(label, lo, hi, arcs.dst, arcs.res, dag.sink)
+    violation, _ = _walk(label, next_arc, lo, hi, arcs.dst, arcs.res, dag.sink)
     return None if violation is None else WindowViolation(*violation)
 
 
@@ -254,10 +253,10 @@ def run_phase2(
 ) -> SolveResult:
     """Exact enumeration of ``dag`` for the aggregation weight ``delta``
     from the bounding phase. ``tails`` may pass in the sweep of ``dag``
-    at ``delta`` when the bounding phase already made it; its ``sign``
-    orients the resource in the aggregate and in the bound rule (with
-    ``sign = -1`` the sink lower bound is minus the window's upper
-    bound). Labels, windows, dominance and provider calls stay in the
+    at ``delta`` when the bounding phase already made it. Its ``sign``
+    orients the resource: the sweep's weight ``wr`` carries it into every
+    aggregate, and with ``sign = -1`` the bound rule's sink lower bound
+    is minus the window's upper bound. Labels, windows, dominance and provider calls stay in the
     instance's own resource. Raises :class:`NoFeasiblePath` when no
     window-feasible path exists, and ValueError for a positive ``delta``
     on a sink without a lower bound in that orientation.
@@ -272,10 +271,8 @@ def run_phase2(
         tails = all_tails(dag, delta)
     elif tails.dag is not dag or tails.delta != delta:
         raise ValueError("tails were swept on another instance or weight")
-    sweep = tails.ints
-    tmu, nxt, tval = sweep.mu, sweep.next_arc, sweep.val
-    # the sweep aggregates the oriented resource, sign * res
-    wv, wr, scale = sweep.wv, tails.sign * sweep.wr, sweep.scale
+    tmu, nxt, tval = tails.mu, tails.next_arc, tails.val
+    wv, wr, scale = tails.wv, tails.wr, tails.scale
     arcs = dag.int_arcs()
     dst, val, res, dv, dr = arcs.dst, arcs.val, arcs.res, arcs.dv, arcs.dr
     lo, hi = dag.int_windows()
@@ -295,7 +292,7 @@ def run_phase2(
 
     # waiting labels as (-mu, creation number, label): largest aggregate
     # first, creation order on ties
-    heap = [(-tmu[source], 0, make_label(tmu[source], source, 0, 0, None, 0, None, nxt))]
+    heap = [(-tmu[source], 0, make_label(tmu[source], source, 0, 0, None, 0, None))]
     frontier: dict[tuple[int, int], int] = {}
     incumbent: Optional[Label] = None
     incumbent_val = 0
@@ -310,7 +307,7 @@ def run_phase2(
                 raise TimeoutExceeded("enumeration phase hit its deadline")
         label = heappop(heap)[2]
         pops += 1
-        violation, adopted = _walk(label, lo, hi, dst, res, sink)
+        violation, adopted = _walk(label, nxt, lo, hi, dst, res, sink)
         if violation is None:
             value = label.val + tval[label.anchor]
             if incumbent is None or value > incumbent_val:
@@ -324,14 +321,14 @@ def run_phase2(
                     if use_bound_prune and waiting.mu <= mu_floor:
                         pruned_bound += 1
                         if trace is not None:
-                            trace(prune_event(waiting, "bound", waiting.prefix_vertices(dag)))
+                            trace(prune_event(waiting, "bound", waiting.prefix_vertices(dag, nxt)))
                         continue
                     if ub_on:
                         cap = ub.bound(waiting.anchor, Fraction(waiting.res, dr), Fraction(waiting.val, dv))
                         if cap is None or cap <= value_floor:
                             pruned_ub += 1
                             if trace is not None:
-                                trace(prune_event(waiting, "ub", waiting.prefix_vertices(dag)))
+                                trace(prune_event(waiting, "ub", waiting.prefix_vertices(dag, nxt)))
                             continue
                     kept.append(entry)
                 heapify(kept)
@@ -357,7 +354,7 @@ def run_phase2(
         # vertex (the sink excluded), branch on every non-tail arc.
         u, cum_v, cum_r = label.anchor, label.val, label.res
         if trace is not None:
-            stop_prefix = list(label.prefix_vertices(dag))  # vertices up to u, for events
+            stop_prefix = list(label.prefix_vertices(dag, nxt))  # vertices up to u, for events
         for cut in range(len(adopted) + 1):
             if cut:
                 aid = adopted[cut - 1]
@@ -380,7 +377,7 @@ def run_phase2(
                 if new_r < lo[v] or new_r > hi[v]:
                     continue
                 new_v = cum_v + val[aid]
-                child = make_label(wv * new_v + wr * new_r + tail_mu, v, new_v, new_r, label, cut, aid, nxt)
+                child = make_label(wv * new_v + wr * new_r + tail_mu, v, new_v, new_r, label, cut, aid)
                 if use_dominance:
                     key = (v, new_r)
                     best_v = frontier.get(key)
@@ -414,5 +411,5 @@ def run_phase2(
     stats.labels_pruned_ub = pruned_ub
     if incumbent is None:
         raise NoFeasiblePath("no window-feasible path", stats)
-    best = path_metrics(dag, incumbent.prefix_arc_ids(dag) + list(tails.arc_ids(incumbent.anchor)), start=source)
+    best = path_metrics(dag, incumbent.prefix_arc_ids(dag, nxt) + list(tails.arc_ids(incumbent.anchor)), start=source)
     return SolveResult(best=best, value=best.value, stats=stats)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
-
 
 class _PlusInfinity:
     """Sentinel aggregation weight: maximize resource, ignore value."""

@@ -27,7 +27,8 @@ F = Fraction
 
 
 def explicit_label(dag, prefix_names, tail_names, delta):
-    """Build a label from explicit vertex sequences (tests only)."""
+    """Build a label from explicit vertex sequences (tests only); returns
+    it with the next-arc array of its tail."""
     if len(prefix_names) > 1:
         prefix = path_by_vertices(dag, prefix_names)
         anchor = prefix.end
@@ -44,27 +45,27 @@ def explicit_label(dag, prefix_names, tail_names, delta):
         t_v, t_r = path.value, path.resource
     arcs = dag.int_arcs()
     mu = (p_v + t_v + delta * (p_r + t_r)) * arcs.dv * arcs.dr * delta.denominator
-    return Label(int(mu), anchor, int(p_v * arcs.dv), int(p_r * arcs.dr), None, 0, None, tail)
+    return Label(int(mu), anchor, int(p_v * arcs.dv), int(p_r * arcs.dr), None, 0, None), tail
 
 
 # -- feasible_hybrid -------------------------------------------------------------
 
 
 def test_hybrid_violation_on_long_tail(wclpp):
-    label = explicit_label(wclpp, ["s"], ["s", "1", "3", "2", "p"], F(1, 19))
-    violation = feasible_hybrid(wclpp, label)
+    label, tail = explicit_label(wclpp, ["s"], ["s", "1", "3", "2", "p"], F(1, 19))
+    violation = feasible_hybrid(wclpp, label, tail)
     assert violation.vertex == wclpp.vertex("p")
     assert violation.side == "hi"  # 35 over 29
 
 
 def test_hybrid_feasible_at_sink(wclpp):
-    label = explicit_label(wclpp, ["s", "1", "2", "p"], ["p"], F(1, 19))
-    assert feasible_hybrid(wclpp, label) is None
+    label, tail = explicit_label(wclpp, ["s", "1", "2", "p"], ["p"], F(1, 19))
+    assert feasible_hybrid(wclpp, label, tail) is None
 
 
 def test_hybrid_prefix_short_at_sink(wclpp):
-    label = explicit_label(wclpp, ["s", "1", "3", "p"], ["p"], F(1, 19))
-    violation = feasible_hybrid(wclpp, label)
+    label, tail = explicit_label(wclpp, ["s", "1", "3", "p"], ["p"], F(1, 19))
+    violation = feasible_hybrid(wclpp, label, tail)
     assert violation.vertex == wclpp.vertex("p")
     assert violation.side == "lo"  # 16 under 20
 
