@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
 
 from .baselines import brute_force, rcsp_label_setting
-from .graph import TimeoutExceeded, WindowedDag, prune_unreachable
+from .graph import TimeoutExceeded, WindowedDag
 from .huc import HucInstance, build_graph, solve_huc
 from .rational import rat_str
 from .solver import OPTIMAL, solve_awclpp
@@ -76,8 +76,7 @@ class BenchRecord:
 def _as_dag(kind: str, obj: Union[WindowedDag, HucInstance]) -> WindowedDag:
     if kind == "dag":
         return obj
-    dag, _ = build_graph(obj)
-    return prune_unreachable(dag)[0]
+    return build_graph(obj)[0]
 
 
 def run_one(

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .graph import TailMap, WindowedDag, all_tails
 
@@ -234,14 +234,14 @@ class _Table:
 class UbProvider:
     """Stage-structured bound provider; see module docstring.
 
-    ``stage_of_vertex`` maps a graph vertex to the index of the first
-    stage still to be decided beyond it, which is how the enumeration
-    phase adapts graph prefixes to stage states.
+    ``stage_of_vertex`` gives, per graph vertex id, the index of the
+    first stage still to be decided beyond it, which is how the
+    enumeration phase adapts graph prefixes to stage states.
     """
 
     mode: str
     mckp: NestedMckp
-    stage_of_vertex: Optional[Mapping[int, int]] = None
+    stage_of_vertex: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         if self.mode not in (TRIVIAL, NMCKP):

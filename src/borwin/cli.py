@@ -11,7 +11,7 @@ from pathlib import Path as FsPath
 from .baselines import brute_force, rcsp_label_setting
 from .bench import ALGOS, run_bench, write_csv, write_summary
 from .generate import GeneratorConfig, generate
-from .graph import GraphError, prune_unreachable, validate
+from .graph import GraphError, validate
 from .huc import build_graph, export_milp, solve_huc
 from .io import InstanceFormatError, dump_json, load_instance
 from .rational import rat_str
@@ -62,7 +62,6 @@ def cmd_solve(args) -> int:
                 },
             )
         dag, _ = build_graph(obj)
-        dag, _ = prune_unreachable(dag)
     else:
         dag = obj
         report = validate(dag)
@@ -174,12 +173,10 @@ def cmd_export_lp(args) -> int:
 
 def cmd_validate(args) -> int:
     kind, obj = load_instance(args.input)
-    if kind == "huc":
-        dag, _ = build_graph(obj)
-    else:
-        dag = obj
-    report = validate(dag)
-    for warning in report.warnings:
+    report = validate(build_graph(obj)[0] if kind == "huc" else obj)
+    # a commitment instance's unreachable grid states carry the compiler's
+    # windows, not the user's, so only DAG inputs get off-path warnings
+    for warning in report.warnings if kind == "dag" else ():
         print(f"warning: {warning}")
     if report.ok:
         print("ok")

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
@@ -105,7 +105,6 @@ class WindowedDag:
         "topo_order",
         "out_arcs",
         "in_arcs",
-        "_topo_pos",
         "_int_arcs",
         "_int_windows",
     )
@@ -137,15 +136,6 @@ class WindowedDag:
             self.topo_order = tuple(topo_order)
         else:
             self.topo_order = _kahn(self)
-        self._topo_pos = None
-        if self.topo_order is not None and len(self.topo_order) == self.n:
-            pos = [0] * self.n
-            for i, u in enumerate(self.topo_order):
-                if not 0 <= u < self.n:
-                    pos = None
-                    break
-                pos[u] = i
-            self._topo_pos = pos
         self._int_arcs: Optional[IntArcs] = None
         self._int_windows: Optional[tuple[list[int], list[int]]] = None
 
@@ -158,9 +148,10 @@ class WindowedDag:
     def int_windows(self) -> tuple[list[int], list[int]]:
         """Per-vertex windows on the scaled cumulative resource of
         :meth:`int_arcs`, built on first use and kept: ``lo[v] =
-        ceil(dr * lo)`` and ``hi[v] = floor(dr * hi)``, so an integer
-        ``r`` lies in ``[lo[v], hi[v]]`` exactly when ``r / dr`` lies in
-        the window. An unbounded side gets a bound beyond the sum of all
+        ceil(dr * lo)`` and ``hi[v] = floor(dr * hi)``, computed on
+        numerators and denominators, so an integer ``r`` lies in
+        ``[lo[v], hi[v]]`` exactly when ``r / dr`` lies in the window.
+        An unbounded side gets a bound beyond the sum of all
         absolute arc resources, which no path's cumulative resource
         reaches."""
         if self._int_windows is None:
@@ -168,8 +159,8 @@ class WindowedDag:
             dr = arcs.dr
             beyond = sum(abs(r) for r in arcs.res) + 1
             self._int_windows = (
-                [-beyond if w.lo is None else ceil(dr * w.lo) for w in self.windows],
-                [beyond if w.hi is None else floor(dr * w.hi) for w in self.windows],
+                [-beyond if w.lo is None else -(-w.lo.numerator * dr // w.lo.denominator) for w in self.windows],
+                [beyond if w.hi is None else w.hi.numerator * dr // w.hi.denominator for w in self.windows],
             )
         return self._int_windows
 

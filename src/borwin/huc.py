@@ -11,8 +11,9 @@ the target-volume constraint that makes instances hard.
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
 reversal (positive after a move up, negative after a move down). The
-solve pipeline then runs both solver phases on the compiled graph with
-a nested multiple-choice knapsack bound plugged in.
+states the initial state reaches are numbered first and alone carry
+arcs, so the solve pipeline runs both solver phases on the compiled
+graph as it is, with a nested multiple-choice knapsack bound plugged in.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .bounds import NMCKP, MckpItem, NestedMckp, UbProvider
-from .graph import Arc, Path, TimeoutExceeded, Window, WindowedDag, prune_unreachable
+from .graph import (
+    Arc,
+    Path,
+    TimeoutExceeded,
+    Window,
+    WindowedDag,
+    prune_unreachable,  # noqa: F401  unused here; kept so lookups of huc.prune_unreachable still resolve
+)
 from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
 from .rational import decimal_str
@@ -144,100 +152,76 @@ def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: 
     return out
 
 
-@dataclass(frozen=True)
 class VertexMap:
-    """Dense ids for the compiled graph: source, then (t, i, l) in
-    lexicographic order for t in 1..T, then sink."""
+    """The compiled graph's vertices by id: ``states[v]`` is the
+    (period, level, hold) state of vertex ``v``. The source is the
+    inherited state at period 0 and the sink is ``(T + 1, 0, 0)``;
+    :meth:`id_of` maps every period-0 state to the source and every
+    period-``T + 1`` state to the sink."""
 
-    periods: int
-    levels: int
-    min_updown: int
-    initial_point: int
-    initial_hold: int
+    __slots__ = ("periods", "states", "_ids")
 
-    @property
-    def holds(self) -> int:
-        return 2 * self.min_updown - 1
+    def __init__(self, periods: int, states: Sequence[tuple[int, int, int]]):
+        self.periods = periods
+        self.states = tuple(states)
+        self._ids = {s: v for v, s in enumerate(self.states)}
 
     @property
     def count(self) -> int:
-        return self.periods * self.levels * self.holds + 2
+        return len(self.states)
 
     def id_of(self, t: int, i: int, l: int) -> int:
         if t == 0:
             return 0
-        if t == self.periods + 1:
-            return self.count - 1
-        span = self.min_updown - 1
-        return 1 + (t - 1) * self.levels * self.holds + i * self.holds + (l + span)
+        return self._ids[(t, 0, 0) if t == self.periods + 1 else (t, i, l)]
 
     def state_of(self, vid: int) -> tuple[int, int, int]:
-        if vid == 0:
-            return (0, self.initial_point, self.initial_hold)
-        if vid == self.count - 1:
-            return (self.periods + 1, 0, 0)
-        span = self.min_updown - 1
-        k = vid - 1
-        t, k = divmod(k, self.levels * self.holds)
-        i, l = divmod(k, self.holds)
-        return (t + 1, i, l - span)
+        return self.states[vid]
 
 
 def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
-    """Compile to a windowed DAG. Every (t, i, l) combination is
-    materialized, reachable or not; callers prune before solving."""
+    """Compile to a windowed DAG on which the solver runs as it is.
+
+    Every (t, i, l) combination is a vertex. The ids are the source, the
+    states the initial state reaches in (t, i, l) order, the sink, then
+    the unreachable states; only reachable states get arcs, so the
+    vertices up to the sink and all arcs form the instance's s-p graph
+    (every state reaches the sink by staying put)."""
     inst.check()
-    vmap = VertexMap(
-        periods=inst.periods,
-        levels=inst.levels,
-        min_updown=inst.min_updown,
-        initial_point=inst.initial_point,
-        initial_hold=inst.initial_hold,
-    )
     cum_v = cumulative_values(inst)
     cum_f = cumulative_flows(inst)
+    T = inst.periods
     span = inst.min_updown - 1
-    holds = range(-span, span + 1)
-    # successors depend on (level, hold) alone, not on the period: keep
-    # each as its level and its id offset within the next period's block
-    first = vmap.id_of(1, 0, -span)
-    moves = {
-        (i, l): [(i2, vmap.id_of(1, i2, l2) - first) for i2, l2 in legal_moves(inst, cum_f, i, l)]
-        for i in range(inst.levels)
-        for l in holds
-    }
-
-    windows: list[Window] = [Window(ZERO, None)]
-    labels: list[str] = ["s"]
-    for t in range(1, inst.periods + 1):
-        for i in range(inst.levels):
-            for l in holds:
-                windows.append(Window(inst.win_lo[t - 1], inst.win_hi[t - 1]))
-                labels.append(f"t{t}i{i}l{l}")
-    windows.append(Window(inst.win_lo[-1], inst.win_hi[-1]))
-    labels.append("p")
+    grid = [(i, l) for i in range(inst.levels) for l in range(-span, span + 1)]
+    # successors depend on (level, hold) alone, not on the period
+    moves = {s: legal_moves(inst, cum_f, *s) for s in grid}
+    # forward pass: per period, the (level, hold) states the initial
+    # state reaches, in (i, l) order, with their vertex ids
+    start = (inst.initial_point, inst.initial_hold)
+    ids = [{start: 0}]
+    sink = 1
+    for _ in range(T):
+        reached = sorted({m for s in ids[-1] for m in moves[s]})
+        ids.append({s: sink + k for k, s in enumerate(reached)})
+        sink += len(reached)
 
     arcs: list[Arc] = []
-
-    def link(t: int, i: int, l: int) -> None:
-        src = vmap.id_of(t, i, l)
-        block = vmap.id_of(t + 1, 0, -span)
+    for t in range(T):
+        nxt = ids[t + 1]
         values = cum_v[t]  # period t + 1
-        for i2, offset in moves[(i, l)]:
-            arcs.append(Arc(src, block + offset, values[i2], cum_f[i2]))
+        for s, u in ids[t].items():
+            for m in moves[s]:
+                arcs.append(Arc(u, nxt[m], values[m[0]], cum_f[m[0]]))
+    arcs.extend(Arc(u, sink, ZERO, ZERO) for u in ids[T].values())
 
-    link(0, inst.initial_point, inst.initial_hold)
-    for t in range(1, inst.periods):
-        for i in range(inst.levels):
-            for l in holds:
-                link(t, i, l)
-    sink = vmap.id_of(inst.periods + 1, 0, 0)
-    for i in range(inst.levels):
-        for l in holds:
-            arcs.append(Arc(vmap.id_of(inst.periods, i, l), sink, ZERO, ZERO))
-
+    states = [(0, *start)] + [(t, i, l) for t in range(1, T + 1) for i, l in ids[t]] + [(T + 1, 0, 0)]
+    states += [(t, i, l) for t in range(1, T + 1) for i, l in grid if (i, l) not in ids[t]]
+    # one shared window per period; the sink's is the last period's
+    period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
+    windows = [period[min(t, T)] for t, _, _ in states]
+    labels = ["s" if t == 0 else "p" if t > T else f"t{t}i{i}l{l}" for t, i, l in states]
     dag = WindowedDag(windows, arcs, 0, sink, labels=labels)
-    return dag, vmap
+    return dag, VertexMap(T, states)
 
 
 def _hold_clock(inst: HucInstance) -> tuple[int, int]:
@@ -314,15 +298,13 @@ def schedule_is_legal(inst: HucInstance, schedule: Sequence[int]) -> bool:
     return True
 
 
-def _read_schedule(
-    path: Path, vmap: VertexMap, old_of_new: Sequence[int]
-) -> tuple[list[int], list[Fraction]]:
+def _read_schedule(path: Path, vmap: VertexMap) -> tuple[list[int], list[Fraction]]:
     """Level and cumulative flow per period along ``path``, a path of the
-    pruned graph whose vertex ``v`` is ``old_of_new[v]`` in ``vmap``."""
+    graph that ``vmap`` numbers."""
     schedule: list[int] = []
     volumes: list[Fraction] = []
     for v, r in zip(path.vertices(), path.prefix_resources):
-        t, level, _ = vmap.state_of(old_of_new[v])
+        t, level, _ = vmap.state_of(v)
         if 1 <= t <= vmap.periods:
             schedule.append(level)
             volumes.append(r)
@@ -358,11 +340,10 @@ def solve_huc(
     trace_phase1=None,
     trace_phase2=None,
 ) -> HucSolution:
-    """Compile, prune, and solve with the NMCKP value bound; returns the
-    best commitment."""
-    full, vmap = build_graph(inst)
-    dag, old_of_new = prune_unreachable(full)
-    stage_of_vertex = {v: min(vmap.state_of(old)[0], inst.periods) for v, old in enumerate(old_of_new)}
+    """Compile and solve with the NMCKP value bound; returns the best
+    commitment."""
+    dag, vmap = build_graph(inst)
+    stage_of_vertex = [min(t, inst.periods) for t, _, _ in vmap.states]
     provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
 
     sol = solve_awclpp(
@@ -378,7 +359,7 @@ def solve_huc(
     path = sol.path
     if path is None:
         raise GraphInvariantError("an optimal solve returned no path")
-    schedule, volumes = _read_schedule(path, vmap, old_of_new)
+    schedule, volumes = _read_schedule(path, vmap)
     return HucSolution(OPTIMAL, schedule, path.value, volumes, sol.stats, sol)
 
 

@@ -79,6 +79,31 @@ def test_vertex_count_formula(huc5):
     assert validate(dag).ok
 
 
+def test_reachable_states_are_numbered_first():
+    """The compile numbers the source, the states the initial state
+    reaches and the sink first, and gives arcs to those alone: pruning
+    it changes nothing, and the unreachable tail has no arcs."""
+    from dataclasses import replace
+
+    rng = random.Random(4242)
+    for k in range(60):
+        periods, points, hold = 1 + rng.randrange(8), 2 + rng.randrange(3), 1 + rng.randrange(3)
+        inst = random_huc(random.Random(k), periods, points, hold)
+        inst = replace(
+            inst,
+            initial_point=rng.randrange(inst.levels),
+            initial_hold=rng.randint(-(inst.min_updown - 1), inst.min_updown - 1),
+        )
+        dag, vmap = build_graph(inst)
+        pruned, old_of_new = prune_unreachable(dag)
+        assert old_of_new == tuple(range(dag.sink + 1)), f"instance {k}"
+        assert pruned.windows == dag.windows[: dag.sink + 1]
+        assert pruned.labels == dag.labels[: dag.sink + 1]
+        assert pruned.arcs == dag.arcs
+        assert all(a.src < dag.sink for a in dag.arcs)
+        assert all(vmap.id_of(*vmap.state_of(v)) == v for v in range(dag.n))
+
+
 def test_graph_arc_data(huc5):
     dag, vmap = build_graph(huc5)
     flows = cumulative_flows(huc5)

@@ -232,6 +232,23 @@ def test_cli_gen_and_validate(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_cli_validate_warns_only_on_dag_inputs(tmp_path, capsys):
+    """The compiled graph of a commitment instance has windows on grid
+    states the initial state never reaches; those are the compiler's,
+    so validating the instance prints only the verdict. A DAG input
+    still gets its off-path warnings."""
+    assert main(["validate", str(HUC5)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    data = json.loads(WCLPP5.read_text())
+    data["vertices"].append({"id": "island", "lo": 0, "hi": 1})
+    path = tmp_path / "island.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "ok"
+    assert any("island" in line for line in out[:-1])
+
+
 def test_cli_validate_rejects_cycle(tmp_path, capsys):
     data = json.loads(WCLPP5.read_text())
     data["arcs"].append({"from": "p", "to": "s", "value": 1, "resource": 1})
