@@ -10,10 +10,16 @@ the target-volume constraint that makes instances hard.
 
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
-reversal (positive after a move up, negative after a move down). The
-states the initial state reaches are numbered first and alone carry
-arcs, so the solve pipeline runs both solver phases on the compiled
-graph as it is, with a nested multiple-choice knapsack bound plugged in.
+reversal (positive after a move up, negative after a move down). Two
+compiles share one moves table, one per-period numbering and one arc
+emitter. :func:`build_graph` is the model view: the full grid, with the
+states the initial state reaches numbered first. :func:`solve_huc`
+compiles only the window-feasible states: exact integer hulls of the
+cumulative flow, propagated forward from the initial state and backward
+from the last period, drop every state and move no window-feasible
+schedule uses and prove some instances infeasible before any ``Arc``
+exists. Both solver phases then run on that graph as it is, with a
+nested multiple-choice knapsack bound plugged in.
 """
 
 from __future__ import annotations
@@ -21,11 +27,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO
+from math import lcm
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bounds import NMCKP, MckpItem, NestedMckp, UbProvider
 from .graph import (
     Arc,
+    IntArcs,
     Path,
     TimeoutExceeded,
     Window,
@@ -153,18 +161,18 @@ def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: 
 
 
 class VertexMap:
-    """The compiled graph's vertices by id: ``states[v]`` is the
+    """A compiled graph's vertices by id: ``states[v]`` is the
     (period, level, hold) state of vertex ``v``. The source is the
     inherited state at period 0 and the sink is ``(T + 1, 0, 0)``;
     :meth:`id_of` maps every period-0 state to the source and every
-    period-``T + 1`` state to the sink."""
+    period-``T + 1`` state to the sink, from a dict built on first use."""
 
     __slots__ = ("periods", "states", "_ids")
 
     def __init__(self, periods: int, states: Sequence[tuple[int, int, int]]):
         self.periods = periods
         self.states = tuple(states)
-        self._ids = {s: v for v, s in enumerate(self.states)}
+        self._ids: Optional[dict[tuple[int, int, int], int]] = None
 
     @property
     def count(self) -> int:
@@ -173,54 +181,184 @@ class VertexMap:
     def id_of(self, t: int, i: int, l: int) -> int:
         if t == 0:
             return 0
+        if self._ids is None:
+            self._ids = {s: v for v, s in enumerate(self.states)}
         return self._ids[(t, 0, 0) if t == self.periods + 1 else (t, i, l)]
 
     def state_of(self, vid: int) -> tuple[int, int, int]:
         return self.states[vid]
 
 
-def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
-    """Compile to a windowed DAG on which the solver runs as it is.
+State = tuple[int, int]  # (level, hold)
 
-    Every (t, i, l) combination is a vertex. The ids are the source, the
-    states the initial state reaches in (t, i, l) order, the sink, then
-    the unreachable states; only reachable states get arcs, so the
-    vertices up to the sink and all arcs form the instance's s-p graph
-    (every state reaches the sink by staying put)."""
-    inst.check()
+
+def _moves(inst: HucInstance, flows: Sequence[Fraction]) -> dict[State, list[State]]:
+    """Every (level, hold) state in (i, l) order, with its successors;
+    they depend on (level, hold) alone, not on the period."""
+    span = inst.min_updown - 1
+    grid = [(i, l) for i in range(inst.levels) for l in range(-span, span + 1)]
+    return {s: legal_moves(inst, flows, *s) for s in grid}
+
+
+def _emit(
+    inst: HucInstance,
+    layers: Sequence[Sequence[State]],
+    moves: dict[State, list[State]],
+    keep: Optional[Callable[[int, State, State], bool]] = None,
+) -> tuple[list[Arc], list[tuple[int, int, int]]]:
+    """Number the states of ``layers`` (period 0 to T, each in (i, l)
+    order) consecutively, then the sink, and emit an arc for each move
+    from a period's state into the next period's layer that
+    ``keep(t, s, m)`` accepts (every such move when ``keep`` is None),
+    plus an arc from every period-T state to the sink. Returns the arcs
+    and the (period, level, hold) state of each id."""
     cum_v = cumulative_values(inst)
     cum_f = cumulative_flows(inst)
     T = inst.periods
-    span = inst.min_updown - 1
-    grid = [(i, l) for i in range(inst.levels) for l in range(-span, span + 1)]
-    # successors depend on (level, hold) alone, not on the period
-    moves = {s: legal_moves(inst, cum_f, *s) for s in grid}
-    # forward pass: per period, the (level, hold) states the initial
-    # state reaches, in (i, l) order, with their vertex ids
-    start = (inst.initial_point, inst.initial_hold)
-    ids = [{start: 0}]
-    sink = 1
-    for _ in range(T):
-        reached = sorted({m for s in ids[-1] for m in moves[s]})
-        ids.append({s: sink + k for k, s in enumerate(reached)})
-        sink += len(reached)
-
+    ids: list[dict[State, int]] = []
+    sink = 0
+    for layer in layers:
+        ids.append({s: sink + k for k, s in enumerate(layer)})
+        sink += len(layer)
     arcs: list[Arc] = []
     for t in range(T):
         nxt = ids[t + 1]
         values = cum_v[t]  # period t + 1
         for s, u in ids[t].items():
             for m in moves[s]:
-                arcs.append(Arc(u, nxt[m], values[m[0]], cum_f[m[0]]))
+                v = nxt.get(m)
+                if v is not None and (keep is None or keep(t, s, m)):
+                    arcs.append(Arc(u, v, values[m[0]], cum_f[m[0]]))
     arcs.extend(Arc(u, sink, ZERO, ZERO) for u in ids[T].values())
+    states = [(t, i, l) for t, layer in enumerate(layers) for i, l in layer]
+    states.append((T + 1, 0, 0))
+    return arcs, states
 
-    states = [(0, *start)] + [(t, i, l) for t in range(1, T + 1) for i, l in ids[t]] + [(T + 1, 0, 0)]
-    states += [(t, i, l) for t in range(1, T + 1) for i, l in grid if (i, l) not in ids[t]]
+
+def _labels(states: Iterable[tuple[int, int, int]], periods: int) -> list[str]:
+    return ["s" if t == 0 else "p" if t > periods else f"t{t}i{i}l{l}" for t, i, l in states]
+
+
+def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
+    """Compile the full (period, level, hold) grid to a windowed DAG: the
+    model view that gate c07, the CLI's reference algorithms and the
+    benchmark baselines read. :func:`solve_huc` solves a smaller graph
+    of its own (see :func:`_solve_graph`).
+
+    Every (t, i, l) combination is a vertex. The ids are the source, the
+    states the initial state reaches in (t, i, l) order, the sink, then
+    the unreachable states; only reachable states get arcs, so the
+    vertices up to the sink and all arcs form the instance's s-p graph
+    (every state reaches the sink by staying put). Every arc goes from a
+    smaller id to a larger one, so the ids are the topological order."""
+    inst.check()
+    T = inst.periods
+    moves = _moves(inst, cumulative_flows(inst))
+    # per period, the (level, hold) states the initial state reaches
+    layers = [[(inst.initial_point, inst.initial_hold)]]
+    for _ in range(T):
+        layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
+    arcs, states = _emit(inst, layers, moves)
+    sink = len(states) - 1
+    reached = [set(layer) for layer in layers]
+    states += [(t, i, l) for t in range(1, T + 1) for i, l in moves if (i, l) not in reached[t]]
     # one shared window per period; the sink's is the last period's
     period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
     windows = [period[min(t, T)] for t, _, _ in states]
-    labels = ["s" if t == 0 else "p" if t > T else f"t{t}i{i}l{l}" for t, i, l in states]
-    dag = WindowedDag(windows, arcs, 0, sink, labels=labels)
+    dag = WindowedDag(windows, arcs, 0, sink, labels=_labels(states, T), topo_order=range(len(states)))
+    return dag, VertexMap(T, states)
+
+
+def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optional[tuple[WindowedDag, VertexMap]]:
+    """Compile only the window-feasible part of the grid, or return None
+    when no schedule can meet the windows.
+
+    Cumulative flows are scaled to integers by the lcm ``scale`` of their
+    denominators, and each period's window to the integers it admits. A
+    forward pass gives each state the hull of the scaled cumulative flow
+    that window-feasible prefixes reach; a backward pass from the last
+    period keeps, within it, the hull from which the last period is still
+    reached inside the windows. The graph keeps the states with a
+    non-empty hull, numbered as in :func:`build_graph`, and the moves
+    ``(s, m)`` along which ``hull(s) + flow`` meets ``hull(m)``; each
+    vertex's window is its hull. Every window-feasible schedule stays
+    inside the hulls, and the hulls lie inside the windows, so the graph
+    has the same feasible schedules, values and optimum as the full grid.
+    The integer arcs and windows the solver reads are filled in from the
+    same integers."""
+    inst.check()
+    T = inst.periods
+    cum_f = cumulative_flows(inst)
+    moves = _moves(inst, cum_f)
+    scale = lcm(*(f.denominator for f in cum_f))
+    flow = [f.numerator * (scale // f.denominator) for f in cum_f]
+
+    def on_time() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutExceeded("HUC compile hit its deadline")
+
+    # forward: hulls[t][s] = (lo, hi), what window-feasible prefixes reach
+    hulls: list[dict[State, tuple[int, int]]] = [{(inst.initial_point, inst.initial_hold): (0, 0)}]
+    for t in range(T):
+        on_time()
+        w_lo = -(-inst.win_lo[t].numerator * scale // inst.win_lo[t].denominator)
+        w_hi = inst.win_hi[t].numerator * scale // inst.win_hi[t].denominator
+        layer: dict[State, tuple[int, int]] = {}
+        for s, (a, b) in hulls[t].items():
+            for m in moves[s]:
+                f = flow[m[0]]
+                x, y = max(a + f, w_lo), min(b + f, w_hi)
+                if x <= y:
+                    h = layer.get(m)
+                    layer[m] = (x, y) if h is None else (min(h[0], x), max(h[1], y))
+        if not layer:
+            return None
+        hulls.append(layer)
+    # backward: within each forward hull, what still reaches period T
+    # inside the windows (period T's hulls already lie in the sink window)
+    for t in range(T - 1, -1, -1):
+        on_time()
+        nxt = hulls[t + 1]
+        layer = {}
+        for s, (a, b) in hulls[t].items():
+            hull = None
+            for m in moves[s]:
+                h = nxt.get(m)
+                if h is not None:
+                    f = flow[m[0]]
+                    x, y = max(a, h[0] - f), min(b, h[1] - f)
+                    if x <= y:
+                        hull = (x, y) if hull is None else (min(hull[0], x), max(hull[1], y))
+            if hull is not None:
+                layer[s] = hull
+        if not layer:
+            return None
+        hulls[t] = layer
+
+    def meets(t: int, s: State, m: State) -> bool:
+        (a, b), (c, d), f = hulls[t][s], hulls[t + 1][m], flow[m[0]]
+        return a + f <= d and c <= b + f
+
+    arcs, states = _emit(inst, [sorted(h) for h in hulls], moves, meets)
+    last = hulls[T].values()
+    bounds = [hulls[t][(i, l)] for t, i, l in states[:-1]]
+    bounds.append((min(a for a, _ in last), max(b for _, b in last)))
+    windows = [Window(Fraction(a, scale), Fraction(b, scale)) for a, b in bounds]
+    dag = WindowedDag(windows, arcs, 0, len(states) - 1, labels=_labels(states, T), topo_order=range(len(states)))
+    # the integers int_arcs() and int_windows() would derive: their
+    # resource scale dr is the lcm over the levels the arcs use, which
+    # divides ``scale``
+    dr = lcm(*{cum_f[states[a.dst][1]].denominator for a in arcs})
+    dv = lcm(*{a.value.denominator for a in arcs})
+    k = scale // dr
+    dag._int_arcs = IntArcs(
+        [a.dst for a in arcs],
+        [a.value.numerator * (dv // a.value.denominator) for a in arcs],
+        [flow[states[a.dst][1]] // k for a in arcs],
+        dv,
+        dr,
+    )
+    dag._int_windows = ([-(-a // k) for a, _ in bounds], [b // k for _, b in bounds])
     return dag, VertexMap(T, states)
 
 
@@ -313,6 +451,12 @@ def _read_schedule(path: Path, vmap: VertexMap) -> tuple[list[int], list[Fractio
 
 @dataclass
 class HucSolution:
+    """Result of :func:`solve_huc`. ``graph_solution`` is the graph solve
+    behind the schedule: its path is a path of the solve graph, which
+    holds the window-feasible states only, not of :func:`build_graph`'s
+    grid. It is None when the window hulls prove the instance infeasible
+    before any solve."""
+
     status: str
     schedule: Optional[list[int]]
     revenue: Optional[Fraction]
@@ -340,9 +484,14 @@ def solve_huc(
     trace_phase1=None,
     trace_phase2=None,
 ) -> HucSolution:
-    """Compile and solve with the NMCKP value bound; returns the best
-    commitment."""
-    dag, vmap = build_graph(inst)
+    """Compile the window-feasible states (see :func:`_solve_graph`) and
+    solve with the NMCKP value bound; returns the best commitment. The
+    compile checks ``deadline`` once per period of each hull pass and
+    raises :class:`TimeoutExceeded` past it."""
+    compiled = _solve_graph(inst, deadline)
+    if compiled is None:
+        return HucSolution(INFEASIBLE, None, None, None, SolveStats())
+    dag, vmap = compiled
     stage_of_vertex = [min(t, inst.periods) for t, _, _ in vmap.states]
     provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
 

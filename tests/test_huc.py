@@ -2,13 +2,26 @@ import io
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from borwin import graph, huc
 from borwin.baselines import brute_force
 from borwin.generate import random_huc
-from borwin.graph import TimeoutExceeded, check_windows, path_metrics, prune_unreachable, reaching, validate
+from borwin.graph import (
+    IntArcs,
+    TimeoutExceeded,
+    WindowedDag,
+    check_windows,
+    path_metrics,
+    prune_unreachable,
+    reaching,
+    validate,
+)
 from borwin.huc import (
     HucInstance,
     OperatingPoint,
@@ -18,6 +31,7 @@ from borwin.huc import (
     cumulative_flows,
     cumulative_values,
     export_milp,
+    legal_moves,
     schedule_is_legal,
     solve_huc,
     value_table,
@@ -338,6 +352,137 @@ def test_schedule_oracle_long_horizon():
     value, schedule = best_schedule_bruteforce(inst, deadline=time.monotonic() + 60)
     assert value == F(512321, 10)  # the solver's revenue on this instance
     assert schedule_is_legal(inst, schedule)
+
+
+# -- the solve graph: window hulls on the compiled states ----------------------
+
+
+@st.composite
+def windowed_hucs(draw):
+    """Small instances with fractional flows, a random inherited state and
+    point, narrow, loose or shifted windows around a walked schedule."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    inst = random_huc(rng, draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    points = (inst.points[0],) + tuple(
+        OperatingPoint(p.flow / draw(st.sampled_from([1, 1, 2, 3])), p.power) for p in inst.points[1:]
+    )
+    level = draw(st.integers(0, inst.levels - 1))
+    hold = draw(st.integers(-(inst.min_updown - 1), inst.min_updown - 1))
+    inst = replace(inst, points=points, initial_point=level, initial_hold=hold)
+    flows = cumulative_flows(inst)
+    cum = F(0)
+    lo, hi = [], []
+    for _ in range(inst.periods):
+        level, hold = rng.choice(legal_moves(inst, flows, level, hold))
+        cum += flows[level]
+        kind = draw(st.sampled_from(["point", "narrow", "loose", "shifted"]))
+        below, above = (F(rng.randrange(3), 2), F(rng.randrange(3), 2)) if kind == "narrow" else (F(0), F(0))
+        if kind == "loose":
+            below, above = F(rng.randrange(20)), F(rng.randrange(20))
+        shift = F(rng.randrange(1, 4), 3) if kind == "shifted" else F(0)
+        lo.append(cum - below + shift)
+        hi.append(cum + above + shift)
+    return replace(inst, win_lo=tuple(lo), win_hi=tuple(hi))
+
+
+# Flows scale by 6, but the arcs use levels 0 and 1 only and scale by 2;
+# period 3's hull of the idle state, [2/6, 3/6], admits the resource 1/2
+# and not 0, so its integer window on the arcs' scale is [1, 1].
+ROUNDED_HULL = HucInstance(
+    periods=3,
+    points=(OperatingPoint(F(0), F(0)), OperatingPoint(F(1, 2), F(1)), OperatingPoint(F(1, 3), F(2))),
+    ramp_up=F(1),
+    ramp_down=F(1),
+    min_updown=1,
+    prices=(F(-1), F(-1), F(-1)),
+    water_value_upstream=F(0),
+    water_value_downstream=F(0),
+    win_lo=(F(0), F(0), F(1, 3)),
+    win_hi=(F(1, 2), F(1, 2), F(1, 2)),
+)
+
+
+@given(windowed_hucs())
+@example(ROUNDED_HULL)
+@settings(max_examples=150, deadline=None)
+def test_solve_graph_matches_the_schedule_oracle(inst):
+    oracle = best_schedule_bruteforce(inst)
+    sol = solve_huc(inst)
+    if oracle is None:
+        assert sol.status == "infeasible"
+        return
+    assert sol.status == "optimal"
+    assert sol.revenue == oracle[0]
+    assert schedule_is_legal(inst, sol.schedule)
+    assert sol.revenue == sum(cumulative_values(inst)[t][lvl] for t, lvl in enumerate(sol.schedule))
+
+
+@given(windowed_hucs())
+@example(ROUNDED_HULL)
+@settings(max_examples=100, deadline=None)
+def test_solve_graph_integers_are_the_ones_the_graph_derives(inst):
+    compiled = huc._solve_graph(inst)
+    if compiled is None:
+        return
+    dag, vmap = compiled
+    fresh = WindowedDag(dag.windows, dag.arcs, dag.source, dag.sink)
+    ints, ref = dag.int_arcs(), IntArcs.of(dag.arcs)
+    assert (ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (ref.dst, ref.val, ref.res, ref.dv, ref.dr)
+    assert dag.int_windows() == fresh.int_windows()
+    assert dag.topo_order == fresh.topo_order
+    assert vmap.count == dag.n and validate(dag).ok
+    for v, (t, _, _) in enumerate(vmap.states):
+        if 1 <= t <= inst.periods:
+            assert inst.win_lo[t - 1] <= dag.windows[v].lo <= dag.windows[v].hi <= inst.win_hi[t - 1]
+
+
+def test_window_hulls_prove_infeasibility_before_any_sweep(monkeypatch):
+    """Cumulative flows are multiples of 5, so period 3 never meets its
+    window [3, 3]. The forward hull of the idle state at period 2 is
+    [0, 5] and admits 3; the backward pass proves the instance
+    infeasible, and no tail sweep runs."""
+    inst = HucInstance(
+        periods=3,
+        points=(OperatingPoint(F(0), F(0)), OperatingPoint(F(5), F(1))),
+        ramp_up=F(5),
+        ramp_down=F(5),
+        min_updown=1,
+        prices=(F(1), F(1), F(1)),
+        water_value_upstream=F(0),
+        water_value_downstream=F(0),
+        win_lo=(F(0), F(0), F(3)),
+        win_hi=(F(15), F(15), F(3)),
+    )
+    assert best_schedule_bruteforce(inst) is None
+    sweeps = []
+    monkeypatch.setattr(graph, "_sweep", lambda *args: sweeps.append(args))
+    sol = solve_huc(inst)
+    assert sol.status == "infeasible" and sol.graph_solution is None
+    assert sweeps == []
+
+
+def test_solve_compile_honours_the_deadline(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver ran after the deadline")
+
+    monkeypatch.setattr(huc, "solve_awclpp", unreachable)
+    inst = random_huc(random.Random(0), 1200, 3, 2)
+    with pytest.raises(TimeoutExceeded, match="HUC compile"):
+        solve_huc(inst, deadline=time.monotonic() - 1.0)
+
+
+def test_graph_ids_are_the_smallest_id_first_topological_order():
+    """Both compiles number their states in a topological order, so they
+    pass it on and skip the Kahn pass; it is the order the Kahn pass
+    would give. The instances are gate c07's grid."""
+    rng_master = random.Random(20240817)
+    for k in range(100):
+        periods = 1 + rng_master.randrange(8)
+        points = 2 + rng_master.randrange(3)
+        hold = 1 + rng_master.randrange(3)
+        inst = random_huc(random.Random(k), periods, points, hold)
+        for dag, _ in (build_graph(inst), huc._solve_graph(inst)):
+            assert graph._kahn(dag) == dag.topo_order == tuple(range(dag.n)), f"instance {k}"
 
 
 def test_schedule_oracle_deadline_raises_the_library_timeout(huc5):

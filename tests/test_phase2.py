@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from borwin import graph, phase2
 from borwin.baselines import brute_force, rcsp_label_setting
-from borwin.bounds import UbProvider
+from borwin.bounds import NMCKP, UbProvider
 from borwin.generate import GeneratorConfig, generate, random_dag
 from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices, path_metrics
-from borwin.huc import solve_huc
+from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
 from borwin.phase1 import Pair, run_phase1
 from borwin.phase2 import (
@@ -357,13 +357,28 @@ def test_lie_enumeration_counters_are_pinned(seed, counters):
     ) == counters
 
 
-@pytest.mark.parametrize("config,status,counters", PINNED_STATS)
-def test_enumeration_counters_are_pinned(config, status, counters):
+def _solve_on_full_grid(inst, **kwargs):
+    """A commitment instance solved on ``build_graph``'s full grid with
+    the nested-knapsack value bound. The commitment pins in
+    ``PINNED_STATS``, ``PINNED_TRACES`` and ``PINNED_BOUND_CALLS`` were
+    recorded on this graph; ``solve_huc`` compiles only the
+    window-feasible states and is pinned in ``PINNED_HUC_SOLVES``."""
+    dag, vmap = build_graph(inst)
+    stage_of_vertex = [min(t, inst.periods) for t, _, _ in vmap.states]
+    provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
+    return solve_awclpp(dag, ub_provider=provider, **kwargs)
+
+
+def _solve_generated(config, **kwargs):
     data = generate(GeneratorConfig(**config))
     if config["family"] == "dag":
-        sol = solve_awclpp(dag_from_dict(data))
-    else:
-        sol = solve_huc(huc_from_dict(data))
+        return solve_awclpp(dag_from_dict(data), **kwargs)
+    return _solve_on_full_grid(huc_from_dict(data), **kwargs)
+
+
+@pytest.mark.parametrize("config,status,counters", PINNED_STATS)
+def test_enumeration_counters_are_pinned(config, status, counters):
+    sol = _solve_generated(config)
     s = sol.stats
     assert sol.status == status
     assert (
@@ -374,13 +389,6 @@ def test_enumeration_counters_are_pinned(config, status, counters):
         s.labels_pruned_dominance,
         s.labels_pruned_ub,
     ) == counters
-
-
-def _solve_generated(config, **kwargs):
-    data = generate(GeneratorConfig(**config))
-    if config["family"] == "dag":
-        return solve_awclpp(dag_from_dict(data), **kwargs)
-    return solve_huc(huc_from_dict(data), **kwargs)
 
 
 # sha256 over the repr of every trace event, one per line. The phase-2
@@ -421,6 +429,13 @@ PINNED_BOUND_CALLS = [
 
 @pytest.mark.parametrize("config,calls,digest", PINNED_BOUND_CALLS, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"])
 def test_value_bound_calls_are_pinned(config, calls, digest, monkeypatch):
+    made = _record_bound_calls(monkeypatch)
+    assert _solve_generated(config).status == "optimal"
+    assert len(made) == calls
+    assert hashlib.sha256("".join(made).encode()).hexdigest() == digest
+
+
+def _record_bound_calls(monkeypatch):
     made = []
     real_bound = UbProvider.bound
 
@@ -430,9 +445,55 @@ def test_value_bound_calls_are_pinned(config, calls, digest, monkeypatch):
         return out
 
     monkeypatch.setattr(UbProvider, "bound", counting)
-    assert _solve_generated(config).status == "optimal"
+    return made
+
+
+# The commitment instances above through solve_huc, whose graph keeps
+# only the window-feasible states: the SolveStats counters, the number of
+# value-bound calls with the digest of their lines, and the phase-2
+# trace digest. Each work counter is at most its full-grid value.
+PINNED_HUC_SOLVES = [
+    (
+        PINNED_BOUND_CALLS[0][0],
+        (4, 13, 29, 17, 3, 1),
+        8,
+        "a15e7cb6c29c01f2b70be1e115f109cbc9f40a64dba9e347ee4298634eef5d38",
+        "884b53142a37993e9586b773df2690ee74b314b8b9b0ae2fe94b4e1d712cbbb9",
+    ),
+    (
+        PINNED_BOUND_CALLS[1][0],
+        (5, 87, 99, 72, 217, 23),
+        130,
+        "47c7924a34e342e06d540a1d61629ed11ac9daaffc47b448678867e82351a24e",
+        "a6dd82d66c0fcddaf6423b5b294ca272f3c56cf7a4dd11b7644ab5e3a917df6c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,counters,calls,calls_digest,trace_digest", PINNED_HUC_SOLVES, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"]
+)
+def test_commitment_solve_work_is_pinned(config, counters, calls, calls_digest, trace_digest, monkeypatch):
+    made = _record_bound_calls(monkeypatch)
+    h = hashlib.sha256()
+    sol = solve_huc(
+        huc_from_dict(generate(GeneratorConfig(**config))),
+        trace_phase2=lambda event: h.update(repr(event).encode() + b"\n"),
+    )
+    assert sol.status == "optimal"
+    s = sol.stats
+    assert (
+        s.phase1_iterations,
+        s.phase2_iterations,
+        s.labels_created,
+        s.labels_pruned_bound,
+        s.labels_pruned_dominance,
+        s.labels_pruned_ub,
+    ) == counters
     assert len(made) == calls
-    assert hashlib.sha256("".join(made).encode()).hexdigest() == digest
+    assert hashlib.sha256("".join(made).encode()).hexdigest() == calls_digest
+    assert h.hexdigest() == trace_digest
+    assert sol.revenue == _solve_generated(config).value
 
 
 def test_no_ub_provider_means_the_default_value_bound():
