@@ -296,11 +296,11 @@ class ValueTailBound:
         elif tails.delta != 0 or tails.dag is not dag:
             raise ValueError("value tails must be a delta = 0 sweep of the same instance")
         self._tails = tails
+        self._dv = dag.int_arcs().dv
 
     def bound(
         self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction
     ) -> Optional[Fraction]:
-        info = self._tails.get(vertex)
-        if info is None:
+        if vertex not in self._tails:
             return None
-        return prefix_value + info.value
+        return prefix_value + Fraction(self._tails.val[vertex], self._dv)

@@ -6,15 +6,16 @@ import argparse
 import json
 import os
 import sys
+from io import StringIO
 from pathlib import Path as FsPath
 
 from .baselines import brute_force, rcsp_label_setting
 from .bench import ALGOS, run_bench, write_csv, write_summary
-from .generate import GeneratorConfig, generate
+from .generate import GeneratorConfig, InvalidConfig, generate
 from .graph import GraphError, validate
 from .huc import build_graph, export_milp, solve_huc
 from .io import InstanceFormatError, dump_json, load_instance
-from .rational import rat_str
+from .rational import NotDecimal, rat_str
 from .solver import OPTIMAL, solve_awclpp
 
 EXIT_OK = 0
@@ -165,8 +166,10 @@ def cmd_export_lp(args) -> int:
     if kind != "huc":
         print("export-lp needs a commitment instance", file=sys.stderr)
         return EXIT_ERROR
-    with open(args.out, "w") as fh:
-        export_milp(obj, fh)
+    # render first, so a model that cannot be written leaves no file
+    text = StringIO()
+    export_milp(obj, text)
+    FsPath(args.out).write_text(text.getvalue())
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -232,10 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (InstanceFormatError, FileNotFoundError, InvalidConfig, NotDecimal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except GraphError as exc:

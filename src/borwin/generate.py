@@ -25,6 +25,10 @@ from .phase1 import GraphInvariantError
 ZERO = Fraction(0)
 
 
+class InvalidConfig(ValueError):
+    """Generator parameters out of range."""
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -38,13 +42,14 @@ class GeneratorConfig:
 
     def check(self) -> None:
         if self.family not in ("dag", "huc"):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InvalidConfig(f"unknown family {self.family!r}")
         if self.price_mode not in ("independent", "near-flat"):
-            raise ValueError(f"unknown price mode {self.price_mode!r}")
+            raise InvalidConfig(f"unknown price mode {self.price_mode!r}")
         if self.family == "dag" and self.vertices < 2:
-            raise ValueError("dag family needs at least 2 vertices")
-        if self.family == "huc" and (self.periods < 1 or self.points < 2 or self.min_updown < 1):
-            raise ValueError("huc family needs periods >= 1, points >= 2, min_updown >= 1")
+            raise InvalidConfig("dag family needs at least 2 vertices")
+        # flows are drawn without replacement from 1-9, so at most 9 non-idle points
+        if self.family == "huc" and (self.periods < 1 or not 2 <= self.points <= 10 or self.min_updown < 1):
+            raise InvalidConfig("huc family needs periods >= 1, 2 <= points <= 10, min_updown >= 1")
 
 
 def generate(config: GeneratorConfig) -> dict:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
 
@@ -353,14 +352,6 @@ def check_windows(dag: WindowedDag, path: Path) -> Optional[WindowViolation]:
 # -- parametric longest paths to the sink ---------------------------------
 
 
-@dataclass(frozen=True)
-class TailInfo:
-    mu: Fraction
-    value: Fraction
-    resource: Fraction
-    next_arc: Optional[int]  # None at the sink
-
-
 class IntArcs:
     """Arc data scaled to integers for the sweep kernel.
 
@@ -404,14 +395,13 @@ class TailMap:
 
     The integer arrays are indexed by vertex and read only: ``mu`` is the
     scaled aggregate (``None`` off the sink's reach), ``next_arc`` the
-    arc the tail takes, and ``val`` the tail's scaled value; ``scale`` is
-    the factor from the aggregate in exact Fractions to ``mu``. A
-    vertex's :class:`TailInfo`, in exact Fractions with the oriented
-    resource ``sign * res``, is built the first time the vertex is looked
-    up and memoized; :meth:`path` is a path of ``dag`` itself.
+    arc the tail takes, and ``val`` and ``res`` the tail's value and
+    unoriented resource on the :class:`IntArcs` scales ``dv`` and ``dr``;
+    ``scale`` is the factor from the aggregate in exact Fractions to
+    ``mu``. :meth:`path` is a path of ``dag`` itself.
     """
 
-    __slots__ = ("dag", "delta", "sign", "wv", "wr", "scale", "mu", "next_arc", "val", "_res", "_info")
+    __slots__ = ("dag", "delta", "sign", "wv", "wr", "scale", "mu", "next_arc", "val", "res")
 
     def __init__(self, dag: WindowedDag, delta: Weight, sign: int = 1):
         if sign not in (1, -1):
@@ -427,47 +417,13 @@ class TailMap:
         self.delta = delta
         self.sign = sign
         self.wv, self.wr, self.scale = wv, wr, scale
-        self.mu, self.next_arc, self.val, self._res = _sweep(dag, wv, wr, sign)
-        self._info: dict[int, TailInfo] = {}
+        self.mu, self.next_arc, self.val, self.res = _sweep(dag, wv, wr, sign)
 
     def __contains__(self, u: int) -> bool:
         try:
             return u >= 0 and self.mu[u] is not None
         except (IndexError, TypeError):
             return False
-
-    def __getitem__(self, u: int) -> TailInfo:
-        try:
-            return self._info[u]
-        except KeyError:
-            return self._build(u)
-
-    def get(self, u: int) -> Optional[TailInfo]:
-        try:
-            return self._info[u]
-        except KeyError:
-            return self._build(u) if u in self else None
-
-    def _build(self, u: int) -> TailInfo:
-        if u not in self:
-            raise KeyError(u)
-        arcs = self.dag.int_arcs()
-        info = TailInfo(
-            mu=Fraction(self.mu[u], self.scale),
-            value=Fraction(self.val[u], arcs.dv),
-            resource=Fraction(self.sign * self._res[u], arcs.dr),
-            next_arc=self.next_arc[u],
-        )
-        self._info[u] = info
-        return info
-
-    def vertices(self) -> Iterator[int]:
-        """Sink first, then every other vertex reaching it in reverse
-        topological order."""
-        sink = self.dag.sink
-        mu = self.mu
-        rest = (u for u in reversed(self.dag.topo_order) if u != sink and mu[u] is not None)
-        return chain((sink,), rest)
 
     def arc_ids(self, u: int) -> tuple[int, ...]:
         if u not in self:
@@ -538,10 +494,9 @@ def longest_path(dag: WindowedDag, delta: Weight, start: Optional[int] = None) -
     under the aggregated weight, with its aggregate value."""
     at = dag.source if start is None else start
     tails = all_tails(dag, delta)
-    info = tails.get(at)
-    if info is None:
+    if at not in tails:
         raise SinkUnreachable(f"vertex {dag.labels[at]} cannot reach the sink")
-    return tails.path(at), info.mu
+    return tails.path(at), Fraction(tails.mu[at], tails.scale)
 
 
 def prune_unreachable(dag: WindowedDag) -> tuple[WindowedDag, tuple[int, ...]]:

@@ -33,7 +33,7 @@ from .graph import (
     WindowedDag,
     all_tails,
 )
-from .rational import PLUS_INF, floor_rat, is_integral
+from .rational import PLUS_INF, floor_rat
 
 LID = "lid"  # relaxed optimum falls short of the sink lower bound
 LIE = "lie"  # relaxed optimum exceeds the sink upper bound
@@ -163,14 +163,16 @@ def run_phase1(
         return all_tails(dag, delta, sign)
 
     def point(tails: TailMap) -> _Point:
-        info = tails[dag.source]
-        return _Point(info.value, info.resource, tails)
+        arcs = dag.int_arcs()
+        value = Fraction(tails.val[dag.source], arcs.dv)
+        resource = Fraction(tails.sign * tails.res[dag.source], arcs.dr)
+        return _Point(value, resource, tails)
 
     sp_tails = sweep(ZERO, 1)
     if dag.source not in sp_tails:
         raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
     # later sweeps run on the same arcs, so the source reaches the sink there too
-    sp = sp_tails[dag.source]
+    sp = point(sp_tails)
     sink_window = dag.windows[dag.sink]
     if sink_window.contains(sp.resource):
         return SolvedAtSp(path=sp_tails.path(dag.source), tails=sp_tails)
@@ -246,10 +248,6 @@ def integer_round_ub(outcome: PhaseOneOutcome, values_integral: bool) -> Fractio
     return outcome.ub_v1
 
 
-def dag_values_integral(dag: WindowedDag) -> bool:
-    return all(is_integral(a.value) for a in dag.arcs)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Region guaranteed to contain every optimal solution: the sink window
@@ -297,7 +295,6 @@ def lagrangian_theta(dag: WindowedDag, lam: Fraction, beta: Fraction) -> Fractio
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     tails = all_tails(dag, lam)
-    info = tails.get(dag.source)
-    if info is None:
+    if dag.source not in tails:
         raise SinkUnreachable("source cannot reach the sink")
-    return info.mu - lam * beta
+    return Fraction(tails.mu[dag.source], tails.scale) - lam * beta

@@ -31,6 +31,10 @@ Weight = Union[Fraction, _PlusInfinity]
 RatLike = Union[int, str, Fraction]
 
 
+class NotDecimal(ValueError):
+    """A rational with no finite decimal expansion, so no decimal text."""
+
+
 def rat(x: RatLike) -> Fraction:
     """Parse a rational from an int, a Fraction, a ``"num/den"`` string or a
     decimal string.
@@ -62,10 +66,6 @@ def floor_rat(q: Fraction) -> Fraction:
     return Fraction(q.numerator // q.denominator)
 
 
-def is_integral(q: Fraction) -> bool:
-    return q.denominator == 1
-
-
 def decimal_str(q: Fraction) -> str:
     """Render q as an exact decimal string.
 
@@ -82,7 +82,7 @@ def decimal_str(q: Fraction) -> str:
         den //= 5
         e5 += 1
     if den != 1:
-        raise ValueError(f"{q} has no finite decimal representation")
+        raise NotDecimal(f"{q} has no finite decimal representation")
     digits = max(e2, e5)
     scaled = q.numerator * (10**digits // q.denominator)
     sign = "-" if scaled < 0 else ""

@@ -9,7 +9,6 @@ from borwin.graph import (
     Arc,
     NonContiguous,
     SinkUnreachable,
-    TailInfo,
     Window,
     WindowedDag,
     all_tails,
@@ -176,10 +175,10 @@ def test_all_tails_tie_break(wclpp):
     v3 = wclpp.vertex("3")
     # exact tie between the direct sink arc (234/19) and the detour via 2
     # (129/19 + 105/19); the larger-value arc wins
-    assert tails[v3].mu == F(234, 19)
+    assert F(tails.mu[v3], tails.scale) == F(234, 19)
     assert tails.path(v3).labelled(wclpp) == ["3", "p"]
-    assert tails[wclpp.vertex("2")].mu == F(105, 19)
-    assert tails[wclpp.vertex("p")].mu == 0
+    assert F(tails.mu[wclpp.vertex("2")], tails.scale) == F(105, 19)
+    assert F(tails.mu[wclpp.vertex("p")], tails.scale) == 0
     assert tails.path(wclpp.vertex("p")).arcs == ()
 
 
@@ -189,7 +188,7 @@ def test_all_tails_match_longest_path(wclpp):
         for u in range(wclpp.n):
             if u in tails:
                 _, mu = longest_path(wclpp, delta, start=u)
-                assert tails[u].mu == mu
+                assert F(tails.mu[u], tails.scale) == mu
 
 
 def test_longest_path_beats_enumerated_mu(wclpp):
@@ -234,7 +233,7 @@ def reference_tails(dag, delta):
                 val[u] = a.value + val[a.dst]
                 res[u] = a.resource + res[a.dst]
                 nxt[u] = aidx
-    return {u: TailInfo(mu=mu[u], value=val[u], resource=res[u], next_arc=nxt[u]) for u in mu}
+    return {u: (mu[u], val[u], res[u], nxt[u]) for u in mu}
 
 
 _fractions = st.builds(
@@ -298,16 +297,20 @@ def test_all_tails_matches_fraction_reference(case):
     copy = all_tails(oriented, delta)
     assert (tails.mu, tails.next_arc, tails.val) == (copy.mu, copy.next_arc, copy.val)
     assert (tails.wv, tails.wr, tails.scale) == (copy.wv, sign * copy.wr, copy.scale)
+    arcs = dag.int_arcs()
     for u in range(dag.n):
         assert (u in tails) == (u in ref)
-        assert tails.get(u) == ref.get(u)
+        assert (tails.mu[u] is None) == (u not in ref)
         if u in ref:
-            assert tails[u] == ref[u]
-            assert tails.arc_ids(u)[:1] == (() if ref[u].next_arc is None else (ref[u].next_arc,))
-            assert tails.path(u).value == ref[u].value
-            assert tails.path(u).resource == sign * ref[u].resource
-    assert list(tails.vertices()) == list(ref)
-    assert -1 not in tails and dag.n not in tails and tails.get(dag.n) is None
+            mu, value, resource, next_arc = ref[u]
+            assert F(tails.mu[u], tails.scale) == mu
+            assert F(tails.val[u], arcs.dv) == value
+            assert F(sign * tails.res[u], arcs.dr) == resource
+            assert tails.next_arc[u] == next_arc
+            assert tails.arc_ids(u)[:1] == (() if next_arc is None else (next_arc,))
+            assert tails.path(u).value == value
+            assert tails.path(u).resource == sign * resource
+    assert -1 not in tails and dag.n not in tails
 
 
 def test_prune_unreachable_keeps_fixture(wclpp):

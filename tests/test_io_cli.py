@@ -195,22 +195,49 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("base,key,value,field", MALFORMED, ids=[f"{k}={json.dumps(v)}" for _, k, v, _ in MALFORMED])
-def test_cli_rejects_mistyped_fields(tmp_path, capsys, base, key, value, field):
-    """A field of the wrong JSON type is a format error naming the field,
-    never a traceback or a silently coerced value. A dotted ``key`` is a
-    path into the instance, with list indices as numbers."""
+def _variant(tmp_path, base, key, value):
+    """Write ``base`` with the field at ``key`` set to ``value`` and return
+    the file. A dotted ``key`` is a path into the instance, with list
+    indices as numbers."""
     data = json.loads(base.read_text())
     *parents, last = key.split(".")
     target = data
     for part in parents:
         target = target[int(part) if part.isdigit() else part]
-    target[last] = value
+    target[int(last) if last.isdigit() else last] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert main(["solve", str(path)]) == 1
+    return path
+
+
+@pytest.mark.parametrize("base,key,value,field", MALFORMED, ids=[f"{k}={json.dumps(v)}" for _, k, v, _ in MALFORMED])
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, base, key, value, field):
+    """A field of the wrong JSON type is a format error naming the field,
+    never a traceback or a silently coerced value."""
+    assert main(["solve", str(_variant(tmp_path, base, key, value))]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+INVALID_HUC = [
+    ("T", 0, "need at least one period"),
+    ("points.0.D", 1, "points must start with the idle point (0, 0)"),
+    ("points.1.D", 0, "non-idle points need positive flow"),
+    ("min_updown", 0, "minimum hold must be at least one period"),
+    ("prices", [2, "0.8", "1.7", "0.2"], "one price per period required"),
+    ("win_lo", [0, 0, 7, 18], "one window per period required"),
+    ("win_lo.0", 12, "window at period 1 is inverted"),
+    ("initial", {"i": 3, "l": 0}, "initial point out of range"),
+    ("initial", {"i": 0, "l": 3}, "initial hold out of range"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", INVALID_HUC, ids=[m for _, _, m in INVALID_HUC])
+def test_cli_rejects_invalid_huc_instances(tmp_path, capsys, key, value, message):
+    """Each rule of ``HucInstance.check`` turns a well-typed but
+    inconsistent commitment instance into one error line."""
+    assert main(["solve", str(_variant(tmp_path, HUC5, key, value))]) == 1
+    assert capsys.readouterr().err == f"error: $: {message}\n"
 
 
 def test_cli_trace_env(tmp_path, capsys, monkeypatch):
@@ -288,6 +315,41 @@ def test_cli_export_lp(tmp_path, capsys):
     text = out.read_text()
     assert text.count("x_") > 0
     assert "flow_5" in text
+
+
+def test_cli_export_lp_rejects_non_decimal_data(tmp_path, capsys):
+    """LP text holds decimals only; a price of 1/3 is one error line and
+    leaves no partial model behind."""
+    out = tmp_path / "model.lp"
+    path = _variant(tmp_path, HUC5, "prices.0", "1/3")
+    assert main(["export-lp", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" has no finite decimal representation\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+GEN_OUT_OF_RANGE = [
+    ["--family", "huc", "--min-updown", "0"],
+    ["--family", "huc", "--periods", "0"],
+    ["--family", "dag", "--vertices", "1"],
+    ["--family", "huc", "--points", "11"],
+]
+
+
+@pytest.mark.parametrize("args", GEN_OUT_OF_RANGE, ids=[" ".join(a) for a in GEN_OUT_OF_RANGE])
+def test_cli_gen_rejects_out_of_range_parameters(tmp_path, capsys, args):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_accepts_ten_points():
+    """Ten points use all nine flows 1-9, the most the generator can draw."""
+    inst = huc_from_dict(generate(GeneratorConfig(seed=1, family="huc", points=10)))
+    assert [p.flow for p in inst.points] == list(range(10))
 
 
 def test_cli_bench(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from borwin.rational import PLUS_INF, decimal_str, floor_rat, is_integral, rat, rat_str
+from borwin.rational import PLUS_INF, decimal_str, floor_rat, rat, rat_str
 
 F = Fraction
 
@@ -39,7 +39,6 @@ def test_floor_and_integral():
     assert floor_rat(F(623, 19)) == 32
     assert floor_rat(F(-7, 2)) == -4
     assert floor_rat(F(17)) == 17
-    assert is_integral(F(17)) and not is_integral(F(1, 2))
 
 
 def test_plus_inf_is_a_sentinel():
