@@ -10,32 +10,34 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
 
 from .baselines import brute_force, rcsp_label_setting
 from .graph import TimeoutExceeded, WindowedDag
 from .huc import HucInstance, build_graph, solve_huc
+from .phase2 import SolveStats
 from .rational import rat_str
 from .solver import OPTIMAL, solve_awclpp
 
-CSV_COLUMNS = [
-    "instance",
-    "algo",
-    "status",
-    "value",
-    "time_ms",
-    "p1_iters",
-    "p2_iters",
-    "labels_created",
-    "labels_pruned_bound",
-    "labels_pruned_dom",
-    "labels_pruned_ub",
-    "error",
-]
+# SolveStats counters by the name the bench CSV and ``solve --json`` give them
+STAT_NAMES = {
+    "p1_iters": "phase1_iterations",
+    "p2_iters": "phase2_iterations",
+    "labels_created": "labels_created",
+    "labels_pruned_bound": "labels_pruned_bound",
+    "labels_pruned_dom": "labels_pruned_dominance",
+    "labels_pruned_ub": "labels_pruned_ub",
+}
+
+CSV_COLUMNS = ["instance", "algo", "status", "value", "time_ms", *STAT_NAMES, "error"]
 
 ALGOS = ("borwin", "rcsp", "oracle")
+
+
+def stats_dict(stats: SolveStats) -> dict[str, int]:
+    return {name: getattr(stats, attr) for name, attr in STAT_NAMES.items()}
 
 
 @dataclass
@@ -45,12 +47,7 @@ class BenchRecord:
     status: str  # "opt" | "infeasible" | "timeout" | "error"
     value: Optional[Fraction] = None
     time_ms: float = 0.0
-    p1_iters: Optional[int] = None
-    p2_iters: Optional[int] = None
-    labels_created: Optional[int] = None
-    labels_pruned_bound: Optional[int] = None
-    labels_pruned_dom: Optional[int] = None
-    labels_pruned_ub: Optional[int] = None
+    stats: dict[str, int] = field(default_factory=dict)  # stats_dict of a borwin solve
     error: Optional[str] = None  # "Class: message" when status is "error"
 
     def row(self) -> list[str]:
@@ -63,12 +60,7 @@ class BenchRecord:
             self.status,
             "" if self.value is None else rat_str(self.value),
             f"{self.time_ms:.3f}",
-            opt(self.p1_iters),
-            opt(self.p2_iters),
-            opt(self.labels_created),
-            opt(self.labels_pruned_bound),
-            opt(self.labels_pruned_dom),
-            opt(self.labels_pruned_ub),
+            *(opt(self.stats.get(name)) for name in STAT_NAMES),
             opt(self.error),
         ]
 
@@ -93,20 +85,12 @@ def run_one(
         if algo == "borwin":
             if kind == "huc":
                 sol = solve_huc(obj, deadline=deadline)
-                rec.status = "opt" if sol.status == OPTIMAL else "infeasible"
                 rec.value = sol.revenue
-                stats = sol.stats
             else:
                 sol = solve_awclpp(obj, deadline=deadline)
-                rec.status = "opt" if sol.status == OPTIMAL else "infeasible"
                 rec.value = sol.value
-                stats = sol.stats
-            rec.p1_iters = stats.phase1_iterations
-            rec.p2_iters = stats.phase2_iterations
-            rec.labels_created = stats.labels_created
-            rec.labels_pruned_bound = stats.labels_pruned_bound
-            rec.labels_pruned_dom = stats.labels_pruned_dominance
-            rec.labels_pruned_ub = stats.labels_pruned_ub
+            rec.status = "opt" if sol.status == OPTIMAL else "infeasible"
+            rec.stats = stats_dict(sol.stats)
         elif algo == "rcsp":
             res = rcsp_label_setting(_as_dag(kind, obj), deadline=deadline)
             rec.status = "opt" if res.status == "optimal" else "infeasible"

@@ -10,11 +10,11 @@ from io import StringIO
 from pathlib import Path as FsPath
 
 from .baselines import brute_force, rcsp_label_setting
-from .bench import ALGOS, run_bench, write_csv, write_summary
+from .bench import ALGOS, run_bench, stats_dict, write_csv, write_summary
 from .generate import GeneratorConfig, InvalidConfig, generate
 from .graph import GraphError, validate
 from .huc import build_graph, export_milp, solve_huc
-from .io import InstanceFormatError, dump_json, load_instance
+from .io import InstanceFormatError, dump_json, load_instance, non_decimal_field
 from .rational import NotDecimal, rat_str
 from .solver import OPTIMAL, solve_awclpp
 
@@ -59,7 +59,7 @@ def cmd_solve(args) -> int:
                     "value": rat_str(sol.revenue),
                     "schedule": sol.schedule,
                     "volumes": [rat_str(v) for v in sol.volumes],
-                    "stats": _stats_dict(sol.stats),
+                    "stats": stats_dict(sol.stats),
                 },
             )
         dag, _ = build_graph(obj)
@@ -80,7 +80,7 @@ def cmd_solve(args) -> int:
                 "status": "opt",
                 "value": rat_str(sol.value),
                 "path": sol.path.labelled(dag),
-                "stats": _stats_dict(sol.stats),
+                "stats": stats_dict(sol.stats),
             },
         )
     if args.algo == "rcsp":
@@ -96,17 +96,6 @@ def cmd_solve(args) -> int:
         args,
         {"status": "opt", "value": rat_str(res.value), "path": res.witness.labelled(dag)},
     )
-
-
-def _stats_dict(stats) -> dict:
-    return {
-        "p1_iters": stats.phase1_iterations,
-        "p2_iters": stats.phase2_iterations,
-        "labels_created": stats.labels_created,
-        "labels_pruned_bound": stats.labels_pruned_bound,
-        "labels_pruned_dom": stats.labels_pruned_dominance,
-        "labels_pruned_ub": stats.labels_pruned_ub,
-    }
 
 
 def _emit(args, payload: dict) -> int:
@@ -168,7 +157,15 @@ def cmd_export_lp(args) -> int:
         return EXIT_ERROR
     # render first, so a model that cannot be written leaves no file
     text = StringIO()
-    export_milp(obj, text)
+    try:
+        export_milp(obj, text)
+    except NotDecimal as exc:
+        # the failing number is a derived coefficient; decimals are closed
+        # under sums and products, so some input field is not a decimal
+        field = non_decimal_field(obj)
+        if field is None:
+            raise
+        raise NotDecimal(f"{field[0]} = {field[1]} has no finite decimal representation") from exc
     FsPath(args.out).write_text(text.getvalue())
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -45,8 +45,9 @@ class GeneratorConfig:
             raise InvalidConfig(f"unknown family {self.family!r}")
         if self.price_mode not in ("independent", "near-flat"):
             raise InvalidConfig(f"unknown price mode {self.price_mode!r}")
-        if self.family == "dag" and self.vertices < 2:
-            raise InvalidConfig("dag family needs at least 2 vertices")
+        # the comparison also rejects a NaN density
+        if self.family == "dag" and not (self.vertices >= 2 and 0 <= self.density <= 1):
+            raise InvalidConfig("dag family needs vertices >= 2 and 0 <= density <= 1")
         # flows are drawn without replacement from 1-9, so at most 9 non-idle points
         if self.family == "huc" and (self.periods < 1 or not 2 <= self.points <= 10 or self.min_updown < 1):
             raise InvalidConfig("huc family needs periods >= 1, 2 <= points <= 10, min_updown >= 1")

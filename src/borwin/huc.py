@@ -18,8 +18,8 @@ compiles only the window-feasible states: exact integer hulls of the
 cumulative flow, propagated forward from the initial state and backward
 from the last period, drop every state and move no window-feasible
 schedule uses and prove some instances infeasible before any ``Arc``
-exists. Both solver phases then run on that graph as it is, with a
-nested multiple-choice knapsack bound plugged in.
+exists. :func:`solve_awclpp` then solves that graph as it is, with the
+same default value bound as any windowed DAG.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
-from .bounds import NMCKP, MckpItem, NestedMckp, UbProvider
+from .bounds import MckpItem, NestedMckp
 from .graph import (
     Arc,
     IntArcs,
@@ -485,23 +485,15 @@ def solve_huc(
     trace_phase2=None,
 ) -> HucSolution:
     """Compile the window-feasible states (see :func:`_solve_graph`) and
-    solve with the NMCKP value bound; returns the best commitment. The
-    compile checks ``deadline`` once per period of each hull pass and
-    raises :class:`TimeoutExceeded` past it."""
+    solve the graph with :func:`solve_awclpp` and its default value
+    bound; returns the best commitment. The compile checks ``deadline``
+    once per period of each hull pass and raises
+    :class:`TimeoutExceeded` past it."""
     compiled = _solve_graph(inst, deadline)
     if compiled is None:
         return HucSolution(INFEASIBLE, None, None, None, SolveStats())
     dag, vmap = compiled
-    stage_of_vertex = [min(t, inst.periods) for t, _, _ in vmap.states]
-    provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
-
-    sol = solve_awclpp(
-        dag,
-        ub_provider=provider,
-        deadline=deadline,
-        trace_phase1=trace_phase1,
-        trace_phase2=trace_phase2,
-    )
+    sol = solve_awclpp(dag, deadline=deadline, trace_phase1=trace_phase1, trace_phase2=trace_phase2)
     if sol.status != OPTIMAL:
         return HucSolution(INFEASIBLE, None, None, None, sol.stats, sol)
 

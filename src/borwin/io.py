@@ -15,7 +15,7 @@ from typing import Any, Optional, Union
 
 from .graph import Arc, Window, WindowedDag
 from .huc import HucInstance, OperatingPoint
-from .rational import rat, rat_str
+from .rational import NotDecimal, decimal_str, rat, rat_str
 
 
 class InstanceFormatError(Exception):
@@ -188,6 +188,29 @@ def huc_to_dict(inst: HucInstance) -> dict:
 
 
 LoadedInstance = tuple[str, Union[WindowedDag, HucInstance]]
+
+
+def non_decimal_field(inst: HucInstance) -> Optional[tuple[str, str]]:
+    """The first field of ``inst``'s JSON form, in document order, whose
+    value has no finite decimal representation, as (path, value); None
+    when every field has one."""
+
+    def leaves(value: Any, path: str):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for k, item in enumerate(value):
+                yield from leaves(item, f"{path}[{k}]")
+        else:
+            yield path, value
+
+    for path, value in leaves(huc_to_dict(inst), ""):
+        try:
+            decimal_str(rat(value))
+        except NotDecimal:
+            return path, value
+    return None
 
 
 def load_instance(path: Union[str, FsPath]) -> LoadedInstance:

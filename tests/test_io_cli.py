@@ -326,6 +326,7 @@ def test_cli_export_lp_rejects_non_decimal_data(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(" has no finite decimal representation\n")
     assert err.count("\n") == 1
+    assert "prices[0]" in err
     assert not out.exists()
 
 
@@ -334,6 +335,9 @@ GEN_OUT_OF_RANGE = [
     ["--family", "huc", "--periods", "0"],
     ["--family", "dag", "--vertices", "1"],
     ["--family", "huc", "--points", "11"],
+    ["--family", "dag", "--vertices", "8", "--density=-1"],
+    ["--family", "dag", "--vertices", "8", "--density=2"],
+    ["--family", "dag", "--vertices", "8", "--density=nan"],
 ]
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borwin import graph, phase2
+from borwin import graph, huc, phase2
 from borwin.baselines import brute_force, rcsp_label_setting
-from borwin.bounds import NMCKP, UbProvider
+from borwin.bounds import NMCKP, UbProvider, ValueTailBound
 from borwin.generate import GeneratorConfig, generate, random_dag
 from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices, path_metrics
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
@@ -429,43 +429,45 @@ PINNED_BOUND_CALLS = [
 
 @pytest.mark.parametrize("config,calls,digest", PINNED_BOUND_CALLS, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"])
 def test_value_bound_calls_are_pinned(config, calls, digest, monkeypatch):
-    made = _record_bound_calls(monkeypatch)
+    made = _record_bound_calls(monkeypatch, UbProvider)
     assert _solve_generated(config).status == "optimal"
     assert len(made) == calls
     assert hashlib.sha256("".join(made).encode()).hexdigest() == digest
 
 
-def _record_bound_calls(monkeypatch):
+def _record_bound_calls(monkeypatch, provider):
+    """Record every ``provider.bound`` call as a line, in call order."""
     made = []
-    real_bound = UbProvider.bound
+    real_bound = provider.bound
 
     def counting(self, *args):
         out = real_bound(self, *args)
         made.append(f"{args!r} -> {out!r}\n")
         return out
 
-    monkeypatch.setattr(UbProvider, "bound", counting)
+    monkeypatch.setattr(provider, "bound", counting)
     return made
 
 
 # The commitment instances above through solve_huc, whose graph keeps
-# only the window-feasible states: the SolveStats counters, the number of
-# value-bound calls with the digest of their lines, and the phase-2
-# trace digest. Each work counter is at most its full-grid value.
+# only the window-feasible states and whose value bound is the default
+# value tails: the SolveStats counters, the number of value-bound calls
+# with the digest of their lines, and the phase-2 trace digest. Each work
+# counter is at most its full-grid value.
 PINNED_HUC_SOLVES = [
     (
         PINNED_BOUND_CALLS[0][0],
         (4, 13, 29, 17, 3, 1),
         8,
-        "a15e7cb6c29c01f2b70be1e115f109cbc9f40a64dba9e347ee4298634eef5d38",
+        "a30bb907311443d5a0d1510bac221b1b1c980bfa5be60ac4f6b388cf9d873181",
         "884b53142a37993e9586b773df2690ee74b314b8b9b0ae2fe94b4e1d712cbbb9",
     ),
     (
         PINNED_BOUND_CALLS[1][0],
-        (5, 87, 99, 72, 217, 23),
-        130,
-        "47c7924a34e342e06d540a1d61629ed11ac9daaffc47b448678867e82351a24e",
-        "a6dd82d66c0fcddaf6423b5b294ca272f3c56cf7a4dd11b7644ab5e3a917df6c",
+        (5, 81, 94, 66, 204, 38),
+        133,
+        "ef11b66d858d83a2b90bf2bcdc9b7e3571cda69301c33ffd053fec279ce25a2b",
+        "1b7a9460245fa735ca9f0ad7b3e96e220c007d9e33ceb0069c2fe9b3583437cb",
     ),
 ]
 
@@ -474,7 +476,7 @@ PINNED_HUC_SOLVES = [
     "config,counters,calls,calls_digest,trace_digest", PINNED_HUC_SOLVES, ids=["huc-T24-P3-L3-s2", "huc-T24-P3-L2-s2"]
 )
 def test_commitment_solve_work_is_pinned(config, counters, calls, calls_digest, trace_digest, monkeypatch):
-    made = _record_bound_calls(monkeypatch)
+    made = _record_bound_calls(monkeypatch, ValueTailBound)
     h = hashlib.sha256()
     sol = solve_huc(
         huc_from_dict(generate(GeneratorConfig(**config))),
@@ -494,6 +496,20 @@ def test_commitment_solve_work_is_pinned(config, counters, calls, calls_digest, 
     assert hashlib.sha256("".join(made).encode()).hexdigest() == calls_digest
     assert h.hexdigest() == trace_digest
     assert sol.revenue == _solve_generated(config).value
+
+
+def test_commitment_solve_builds_no_knapsack_bound(monkeypatch):
+    """solve_huc bounds values with the default value tails of its
+    compiled graph; the nested knapsack is a library bound it never builds."""
+
+    def refuse(inst):
+        raise AssertionError("solve_huc built the nested knapsack")
+
+    monkeypatch.setattr(huc, "nmckp_of_instance", refuse)
+    config = PINNED_BOUND_CALLS[1][0]
+    sol = solve_huc(huc_from_dict(generate(GeneratorConfig(**config))))
+    assert sol.status == "optimal"
+    assert sol.stats.labels_pruned_ub > 0
 
 
 def test_no_ub_provider_means_the_default_value_bound():
