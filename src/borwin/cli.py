@@ -131,11 +131,14 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     directory = FsPath(args.directory)
+    if not directory.is_dir():
+        print(f"error: {directory} is not a directory", file=sys.stderr)
+        return EXIT_ERROR
     files = []
     for path in sorted(directory.glob("*.json")):
         try:
             kind, obj = load_instance(path)
-        except InstanceFormatError as exc:
+        except (InstanceFormatError, OSError) as exc:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
         files.append((path.name, kind, obj))
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, FileNotFoundError, InvalidConfig, NotDecimal) as exc:
+    except (InstanceFormatError, OSError, InvalidConfig, NotDecimal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except GraphError as exc:

@@ -240,25 +240,20 @@ def validate(dag: WindowedDag) -> ValidationReport:
 
 
 def reachable_from(dag: WindowedDag, v: int) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for idx in dag.out_arcs[u]:
-            w = dag.arcs[idx].dst
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return _closure(v, dag.out_arcs, [a.dst for a in dag.arcs])
 
 
 def reaching(dag: WindowedDag, v: int) -> set[int]:
+    return _closure(v, dag.in_arcs, [a.src for a in dag.arcs])
+
+
+def _closure(v: int, adjacency: Sequence[Sequence[int]], end: Sequence[int]) -> set[int]:
+    """Vertices reached from ``v`` along ``adjacency``; arc ``i`` leads to ``end[i]``."""
     seen = {v}
     stack = [v]
     while stack:
-        u = stack.pop()
-        for idx in dag.in_arcs[u]:
-            w = dag.arcs[idx].src
+        for idx in adjacency[stack.pop()]:
+            w = end[idx]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -299,34 +294,30 @@ class Path:
 def path_metrics(dag: WindowedDag, arc_ids: Sequence[int], start: Optional[int] = None) -> Path:
     """Build a :class:`Path` from arc indices, with cached value, resource
     and prefixes; an empty list needs ``start`` (defaulting to the
-    source).
+    source). The totals are summed on the instance's :class:`IntArcs`,
+    so the only Fractions made are one per prefix and the value.
     """
-    resolved = [dag.arcs[aid] for aid in arc_ids]
+    resolved = tuple(dag.arcs[aid] for aid in arc_ids)
     if resolved:
         at = resolved[0].src if start is None else start
         if at != resolved[0].src:
             raise NonContiguous(f"path starts at {at} but first arc leaves {resolved[0].src}")
     else:
         at = dag.source if start is None else start
-    prefixes = [ZERO]
-    value = ZERO
-    resource = ZERO
+    ints = dag.int_arcs()
+    val, res = ints.val, ints.res
+    prefixes = [0]
+    value = resource = 0
     cursor = at
-    for a in resolved:
+    for aid, a in zip(arc_ids, resolved):
         if a.src != cursor:
             raise NonContiguous(f"arc {a.src}->{a.dst} does not continue from {cursor}")
-        value += a.value
-        resource += a.resource
+        value += val[aid]
+        resource += res[aid]
         prefixes.append(resource)
         cursor = a.dst
-    return Path(
-        start=at,
-        arcs=tuple(resolved),
-        value=value,
-        resource=resource,
-        prefix_resources=tuple(prefixes),
-        arc_ids=tuple(arc_ids),
-    )
+    prefixes = tuple(Fraction(r, ints.dr) for r in prefixes)
+    return Path(at, resolved, Fraction(value, ints.dv), prefixes[-1], prefixes, tuple(arc_ids))
 
 
 def path_by_vertices(dag: WindowedDag, vertices: Sequence[Union[int, str]]) -> Path:

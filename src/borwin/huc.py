@@ -27,8 +27,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from itertools import accumulate
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .bounds import MckpItem, NestedMckp
 from .graph import (
@@ -123,25 +124,12 @@ def cumulative_values(inst: HucInstance) -> tuple[tuple[Fraction, ...], ...]:
     """Revenue of running at level i in period t (points 1..i active).
     Computed on the first call and kept on the instance."""
     if inst._cum_values is None:
-        out = []
-        for row in value_table(inst):
-            acc = ZERO
-            cum = []
-            for w in row:
-                acc += w
-                cum.append(acc)
-            out.append(tuple(cum))
-        object.__setattr__(inst, "_cum_values", tuple(out))
+        object.__setattr__(inst, "_cum_values", tuple(tuple(accumulate(row)) for row in value_table(inst)))
     return inst._cum_values
 
 
 def cumulative_flows(inst: HucInstance) -> list[Fraction]:
-    acc = ZERO
-    out = []
-    for p in inst.points:
-        acc += p.flow
-        out.append(acc)
-    return out
+    return list(accumulate(p.flow for p in inst.points))
 
 
 def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: int) -> list[tuple[int, int]]:
@@ -203,15 +191,15 @@ def _moves(inst: HucInstance, flows: Sequence[Fraction]) -> dict[State, list[Sta
 def _emit(
     inst: HucInstance,
     layers: Sequence[Sequence[State]],
-    moves: dict[State, list[State]],
-    keep: Optional[Callable[[int, State, State], bool]] = None,
-) -> tuple[list[Arc], list[tuple[int, int, int]]]:
+    moves: Sequence[dict[State, list[State]]],
+) -> tuple[list[Arc], list[tuple[int, int, int]], IntArcs]:
     """Number the states of ``layers`` (period 0 to T, each in (i, l)
     order) consecutively, then the sink, and emit an arc for each move
-    from a period's state into the next period's layer that
-    ``keep(t, s, m)`` accepts (every such move when ``keep`` is None),
-    plus an arc from every period-T state to the sink. Returns the arcs
-    and the (period, level, hold) state of each id."""
+    ``m`` in ``moves[t][s]`` from a period-``t`` state ``s`` (every such
+    ``m`` lies in the next period's layer), plus an arc from every
+    period-T state to the sink. Returns the arcs, the (period, level,
+    hold) state of each id and the arcs' :class:`IntArcs`, filled in the
+    same pass from integer tables of the cumulative values and flows."""
     cum_v = cumulative_values(inst)
     cum_f = cumulative_flows(inst)
     T = inst.periods
@@ -220,19 +208,47 @@ def _emit(
     for layer in layers:
         ids.append({s: sink + k for k, s in enumerate(layer)})
         sink += len(layer)
+    # integers on common multiples of all cumulative values (sums of
+    # price * power + shift * flow, see value_table) and flows; _lowest
+    # brings them to the lcms over the arcs
+    shift = inst.water_value_downstream - inst.water_value_upstream
+    dv = lcm(*(q.denominator for q in inst.prices)) * lcm(*(p.power.denominator for p in inst.points))
+    dv = lcm(dv, shift.denominator * lcm(*(p.flow.denominator for p in inst.points)))
+    df = lcm(*(f.denominator for f in cum_f))
+    flow = [f.numerator * (df // f.denominator) for f in cum_f]
     arcs: list[Arc] = []
+    dst, val, res = [], [], []  # the IntArcs lists
     for t in range(T):
         nxt = ids[t + 1]
+        succ = moves[t]
         values = cum_v[t]  # period t + 1
         for s, u in ids[t].items():
-            for m in moves[s]:
-                v = nxt.get(m)
-                if v is not None and (keep is None or keep(t, s, m)):
-                    arcs.append(Arc(u, v, values[m[0]], cum_f[m[0]]))
-    arcs.extend(Arc(u, sink, ZERO, ZERO) for u in ids[T].values())
+            for m in succ[s]:
+                v = nxt[m]
+                i = m[0]
+                q = values[i]
+                arcs.append(Arc(u, v, q, cum_f[i]))
+                dst.append(v)
+                val.append(q.numerator * (dv // q.denominator))
+                res.append(flow[i])
+    for u in ids[T].values():
+        arcs.append(Arc(u, sink, ZERO, ZERO))
+        dst.append(sink)
+        val.append(0)
+        res.append(0)
     states = [(t, i, l) for t, layer in enumerate(layers) for i, l in layer]
     states.append((T + 1, 0, 0))
-    return arcs, states
+    val, dv = _lowest(val, dv)
+    res, dr = _lowest(res, df)
+    return arcs, states, IntArcs(dst, val, res, dv, dr)
+
+
+def _lowest(ints: list[int], scale: int) -> tuple[list[int], int]:
+    """Integers ``q * scale`` on the lcm of the denominators of the ``q``:
+    for ``q = n/d`` in lowest terms ``gcd(scale, n * scale/d) = scale/d``,
+    and the gcd of those is ``scale`` over that lcm."""
+    g = gcd(scale, *ints)
+    return (ints if g == 1 else [x // g for x in ints]), scale // g
 
 
 def _labels(states: Iterable[tuple[int, int, int]], periods: int) -> list[str]:
@@ -258,7 +274,7 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     layers = [[(inst.initial_point, inst.initial_hold)]]
     for _ in range(T):
         layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
-    arcs, states = _emit(inst, layers, moves)
+    arcs, states, ints = _emit(inst, layers, [moves] * T)
     sink = len(states) - 1
     reached = [set(layer) for layer in layers]
     states += [(t, i, l) for t in range(1, T + 1) for i, l in moves if (i, l) not in reached[t]]
@@ -266,6 +282,7 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
     windows = [period[min(t, T)] for t, _, _ in states]
     dag = WindowedDag(windows, arcs, 0, sink, labels=_labels(states, T), topo_order=range(len(states)))
+    dag._int_arcs = ints
     return dag, VertexMap(T, states)
 
 
@@ -281,84 +298,97 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     reached inside the windows. The graph keeps the states with a
     non-empty hull, numbered as in :func:`build_graph`, and the moves
     ``(s, m)`` along which ``hull(s) + flow`` meets ``hull(m)``; each
-    vertex's window is its hull. Every window-feasible schedule stays
-    inside the hulls, and the hulls lie inside the windows, so the graph
-    has the same feasible schedules, values and optimum as the full grid.
-    The integer arcs and windows the solver reads are filled in from the
-    same integers."""
+    vertex's window is its hull, one shared :class:`Window` per distinct
+    hull. Every window-feasible schedule stays inside the hulls, and the
+    hulls lie inside the windows, so the graph has the same feasible
+    schedules, values and optimum as the full grid. The integer arcs and
+    windows the solver reads come from the same integers."""
     inst.check()
     T = inst.periods
     cum_f = cumulative_flows(inst)
     moves = _moves(inst, cum_f)
     scale = lcm(*(f.denominator for f in cum_f))
     flow = [f.numerator * (scale // f.denominator) for f in cum_f]
+    # each state's moves, with the scaled flow of the level moved to
+    succ = {s: [(m, flow[m[0]]) for m in ms] for s, ms in moves.items()}
 
     def on_time() -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceeded("HUC compile hit its deadline")
 
-    # forward: hulls[t][s] = (lo, hi), what window-feasible prefixes reach
-    hulls: list[dict[State, tuple[int, int]]] = [{(inst.initial_point, inst.initial_hold): (0, 0)}]
+    # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
+    start = (inst.initial_point, inst.initial_hold)
+    lo: list[dict[State, int]] = [{start: 0}]
+    hi: list[dict[State, int]] = [{start: 0}]
     for t in range(T):
         on_time()
         w_lo = -(-inst.win_lo[t].numerator * scale // inst.win_lo[t].denominator)
         w_hi = inst.win_hi[t].numerator * scale // inst.win_hi[t].denominator
-        layer: dict[State, tuple[int, int]] = {}
-        for s, (a, b) in hulls[t].items():
-            for m in moves[s]:
-                f = flow[m[0]]
-                x, y = max(a + f, w_lo), min(b + f, w_hi)
+        nlo: dict[State, int] = {}
+        nhi: dict[State, int] = {}
+        his = hi[t]
+        for s, a in lo[t].items():
+            b = his[s]
+            for m, f in succ[s]:
+                x, y = a + f, b + f
+                x, y = x if x > w_lo else w_lo, y if y < w_hi else w_hi
                 if x <= y:
-                    h = layer.get(m)
-                    layer[m] = (x, y) if h is None else (min(h[0], x), max(h[1], y))
-        if not layer:
+                    c = nlo.get(m)
+                    if c is None or x < c:
+                        nlo[m] = x
+                    if c is None or y > nhi[m]:
+                        nhi[m] = y
+        if not nlo:
             return None
-        hulls.append(layer)
+        lo.append(nlo)
+        hi.append(nhi)
     # backward: within each forward hull, what still reaches period T
-    # inside the windows (period T's hulls already lie in the sink window)
+    # inside the windows (period T's hulls already lie in the sink window).
+    # A move (s, m) keeps a piece of hull(s) exactly when hull(s) + flow
+    # meets hull(m), so the moves that do are the arcs.
+    kept: list[dict[State, list[State]]] = [{} for _ in range(T)]
     for t in range(T - 1, -1, -1):
         on_time()
-        nxt = hulls[t + 1]
-        layer = {}
-        for s, (a, b) in hulls[t].items():
-            hull = None
-            for m in moves[s]:
-                h = nxt.get(m)
-                if h is not None:
-                    f = flow[m[0]]
-                    x, y = max(a, h[0] - f), min(b, h[1] - f)
+        nlo, nhi = lo[t + 1], hi[t + 1]
+        klo: dict[State, int] = {}
+        khi: dict[State, int] = {}
+        his = hi[t]
+        arcs_out = kept[t]
+        for s, a in lo[t].items():
+            b = his[s]
+            out = []
+            for m, f in succ[s]:
+                c = nlo.get(m)
+                if c is not None:
+                    x, y = c - f, nhi[m] - f
+                    x, y = x if x > a else a, y if y < b else b
                     if x <= y:
-                        hull = (x, y) if hull is None else (min(hull[0], x), max(hull[1], y))
-            if hull is not None:
-                layer[s] = hull
-        if not layer:
+                        if not out or x < x0:
+                            x0 = x
+                        if not out or y > y0:
+                            y0 = y
+                        out.append(m)
+            if out:
+                klo[s], khi[s], arcs_out[s] = x0, y0, out
+        if not klo:
             return None
-        hulls[t] = layer
+        lo[t] = klo
+        hi[t] = khi
 
-    def meets(t: int, s: State, m: State) -> bool:
-        (a, b), (c, d), f = hulls[t][s], hulls[t + 1][m], flow[m[0]]
-        return a + f <= d and c <= b + f
-
-    arcs, states = _emit(inst, [sorted(h) for h in hulls], moves, meets)
-    last = hulls[T].values()
-    bounds = [hulls[t][(i, l)] for t, i, l in states[:-1]]
-    bounds.append((min(a for a, _ in last), max(b for _, b in last)))
-    windows = [Window(Fraction(a, scale), Fraction(b, scale)) for a, b in bounds]
+    layers = [sorted(layer) for layer in lo]
+    arcs, states, ints = _emit(inst, layers, kept)
+    hulls = [(lo[t][s], hi[t][s]) for t, layer in enumerate(layers) for s in layer]
+    hulls.append((min(lo[T].values()), max(hi[T].values())))  # the sink's
+    # one Window per distinct hull, one Fraction per distinct end
+    distinct = set(hulls)
+    ends = {x: Fraction(x, scale) for x in {x for hull in distinct for x in hull}}
+    shared = {hull: Window(ends[hull[0]], ends[hull[1]]) for hull in distinct}
+    windows = [shared[hull] for hull in hulls]
     dag = WindowedDag(windows, arcs, 0, len(states) - 1, labels=_labels(states, T), topo_order=range(len(states)))
-    # the integers int_arcs() and int_windows() would derive: their
-    # resource scale dr is the lcm over the levels the arcs use, which
-    # divides ``scale``
-    dr = lcm(*{cum_f[states[a.dst][1]].denominator for a in arcs})
-    dv = lcm(*{a.value.denominator for a in arcs})
-    k = scale // dr
-    dag._int_arcs = IntArcs(
-        [a.dst for a in arcs],
-        [a.value.numerator * (dv // a.value.denominator) for a in arcs],
-        [flow[states[a.dst][1]] // k for a in arcs],
-        dv,
-        dr,
-    )
-    dag._int_windows = ([-(-a // k) for a, _ in bounds], [b // k for _, b in bounds])
+    dag._int_arcs = ints
+    # the arcs' resource scale dr divides ``scale``
+    k = scale // ints.dr
+    dag._int_windows = ([-(-a // k) for a, _ in hulls], [b // k for _, b in hulls])
     return dag, VertexMap(T, states)
 
 

@@ -214,12 +214,16 @@ def non_decimal_field(inst: HucInstance) -> Optional[tuple[str, str]]:
 
 
 def load_instance(path: Union[str, FsPath]) -> LoadedInstance:
-    """Read a JSON instance file; returns ("dag"|"huc", instance)."""
+    """Read a UTF-8 JSON instance file; returns ("dag"|"huc", instance)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError("$", f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError("$", f"not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("$", "JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "top level must be an object")
     kind = detect_format(data)

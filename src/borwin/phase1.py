@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .graph import (
@@ -54,12 +55,13 @@ class GraphInvariantError(Exception):
 class SolvedAtSp:
     """The window-relaxed optimum already satisfies the sink window.
 
-    ``tails`` is the ``delta = 0`` sweep of the instance that found it.
+    ``tails`` is the ``delta = 0`` sweep of the instance that found it;
+    :attr:`path`, its tail from the source, is built on first read.
     """
 
-    path: Path
+    tails: TailMap = field(compare=False, repr=False)
     delta: Fraction = ZERO
-    tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
+    path = cached_property(lambda self: self.tails.path(self.tails.dag.source))
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,18 @@ class Pair:
 
     ``x_a`` is the value-side point (oriented resource below beta) and
     ``x_b`` the resource-side point (oriented resource at least beta);
-    both are paths of the instance. ``ub_mu`` is the common aggregated
-    value of the pair and ``ub_v1 = ub_mu - delta * beta`` bounds the
-    value of every feasible path.
+    both are paths of the instance, the source tails of the sweeps
+    ``a_tails`` and ``b_tails``, each built on first read. ``ub_mu`` is
+    the common aggregated value of the pair and ``ub_v1 = ub_mu - delta
+    * beta`` bounds the value of every feasible path.
 
     ``tails`` is the instance's sweep at the final ``delta`` in the
     pair's orientation (``tails.sign``) and ``sp_tails`` its unoriented
     ``delta = 0`` sweep; the enumeration phase reuses both.
     """
 
-    x_a: Path
-    x_b: Path
+    a_tails: TailMap = field(compare=False, repr=False)
+    b_tails: TailMap = field(compare=False, repr=False)
     delta: Fraction
     ub_mu: Fraction
     ub_v1: Fraction
@@ -96,6 +99,9 @@ class Pair:
     iterations: int
     tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
     sp_tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
+
+    x_a = cached_property(lambda self: self.a_tails.path(self.a_tails.dag.source))
+    x_b = cached_property(lambda self: self.b_tails.path(self.b_tails.dag.source))
 
 
 PhaseOneOutcome = Union[SolvedAtSp, Infeasible, Pair]
@@ -151,10 +157,10 @@ def run_phase1(
     window-relaxed instance; each round aggregates with the slope of the
     current pair, re-optimizes, and replaces one endpoint until the new
     optimum is Pareto-equal (componentwise equal image) to an endpoint.
-    Rounds compare the sweeps' source images; paths are built only for
-    the returned points. ``deadline`` (a ``time.monotonic`` value) is
-    checked before every sweep; past it, :class:`TimeoutExceeded` is
-    raised.
+    Rounds compare the sweeps' source images; the outcome keeps the
+    sweeps of its points and builds their paths on first read.
+    ``deadline`` (a ``time.monotonic`` value) is checked before every
+    sweep; past it, :class:`TimeoutExceeded` is raised.
     """
 
     def sweep(delta, sign: int) -> TailMap:
@@ -175,7 +181,7 @@ def run_phase1(
     sp = point(sp_tails)
     sink_window = dag.windows[dag.sink]
     if sink_window.contains(sp.resource):
-        return SolvedAtSp(path=sp_tails.path(dag.source), tails=sp_tails)
+        return SolvedAtSp(tails=sp_tails)
 
     orientation = LIE if sink_window.hi is not None and sp.resource > sink_window.hi else LID
     sign = orientation_sign(orientation)
@@ -219,8 +225,8 @@ def run_phase1(
     ub_mu = x_a.value + delta * x_a.resource
     ub_v1 = ub_mu - delta * beta
     return Pair(
-        x_a=x_a.tails.path(dag.source),
-        x_b=x_b.tails.path(dag.source),
+        a_tails=x_a.tails,
+        b_tails=x_b.tails,
         delta=delta,
         ub_mu=ub_mu,
         ub_v1=ub_v1,

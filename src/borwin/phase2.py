@@ -193,13 +193,12 @@ def make_label(
     return Label(mu, anchor, val, res, parent, cut, arc)
 
 
-def _walk(label: Label, next_arc, lo, hi, dst, res, sink: int):
-    """One pass along the label's tail (``next_arc`` from its anchor),
-    continuing the cumulative resource from the prefix total. Returns the
-    first window violation as ``(vertex, side)`` or None, and the arcs of
-    the tail adopted before it (window-feasible at their heads)."""
-    u = label.anchor
-    r = label.res
+def _walk(u: int, r: int, next_arc, lo, hi, dst, res, sink: int):
+    """One pass along the tail from ``u`` (``next_arc`` from it),
+    continuing the cumulative resource from the prefix total ``r``.
+    Returns the first window violation as ``(vertex, side)`` or None, and
+    the arcs of the tail adopted before it (window-feasible at their
+    heads)."""
     if r < lo[u]:
         return (u, "lo"), []
     if r > hi[u]:
@@ -223,9 +222,20 @@ def feasible_hybrid(
     """Window check of the anchor and along the tail that ``next_arc``
     takes from it; the prefix is feasible by construction. Cumulative
     resource continues from the prefix total."""
+    return _tail_violation(dag, label.anchor, label.res, next_arc)
+
+
+def relaxed_violation(dag: WindowedDag, tails: TailMap) -> Optional[WindowViolation]:
+    """Window check of the tail ``tails`` takes from the source: the
+    enumeration's own integer walk from the empty prefix, with no label
+    made. Agrees with :func:`~borwin.graph.check_windows` on that path."""
+    return _tail_violation(dag, dag.source, 0, tails.next_arc)
+
+
+def _tail_violation(dag: WindowedDag, u: int, r: int, next_arc) -> Optional[WindowViolation]:
     lo, hi = dag.int_windows()
     arcs = dag.int_arcs()
-    violation, _ = _walk(label, next_arc, lo, hi, arcs.dst, arcs.res, dag.sink)
+    violation, _ = _walk(u, r, next_arc, lo, hi, arcs.dst, arcs.res, dag.sink)
     return None if violation is None else WindowViolation(*violation)
 
 
@@ -307,7 +317,7 @@ def run_phase2(
                 raise TimeoutExceeded("enumeration phase hit its deadline")
         label = heappop(heap)[2]
         pops += 1
-        violation, adopted = _walk(label, nxt, lo, hi, dst, res, sink)
+        violation, adopted = _walk(label.anchor, label.res, nxt, lo, hi, dst, res, sink)
         if violation is None:
             value = label.val + tval[label.anchor]
             if incumbent is None or value > incumbent_val:

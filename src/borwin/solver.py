@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bounds import ValueTailBound
-from .graph import Path, SinkUnreachable, WindowedDag, check_windows
+from .graph import Path, SinkUnreachable, WindowedDag
 from .phase1 import (
     GraphInvariantError,
     Infeasible,
@@ -18,7 +18,7 @@ from .phase1 import (
     orient_dag,  # noqa: F401  unused here; kept so lookups of solver.orient_dag still resolve
     run_phase1,
 )
-from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, run_phase2
+from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, relaxed_violation, run_phase2
 
 ZERO = Fraction(0)
 
@@ -62,7 +62,7 @@ def solve_awclpp(
         return AwclppSolution(INFEASIBLE, None, None, outcome, SolveStats())
 
     if isinstance(outcome, SolvedAtSp):
-        if check_windows(dag, outcome.path) is None:
+        if relaxed_violation(dag, outcome.tails) is None:
             # the window-relaxed optimum is feasible, hence optimal
             return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
         delta = ZERO

@@ -417,10 +417,23 @@ def test_solve_graph_matches_the_schedule_oracle(inst):
     assert sol.revenue == sum(cumulative_values(inst)[t][lvl] for t, lvl in enumerate(sol.schedule))
 
 
-@given(windowed_hucs())
-@example(ROUNDED_HULL)
+@given(windowed_hucs(), st.lists(st.sampled_from([1, 2, 3, 7]), min_size=3, max_size=3))
+@example(ROUNDED_HULL, [1, 1, 1])
 @settings(max_examples=100, deadline=None)
-def test_solve_graph_integers_are_the_ones_the_graph_derives(inst):
+def test_solve_graph_integers_are_the_ones_the_graph_derives(inst, dens):
+    """Both compiles fill in the integer arcs while emitting; they equal
+    what the graph derives from its Fraction arcs, also with fractional
+    powers, prices and water values."""
+    power_den, price_den, water_den = dens
+    inst = replace(
+        inst,
+        points=tuple(OperatingPoint(p.flow, p.power / power_den) for p in inst.points),
+        prices=tuple(q / price_den for q in inst.prices),
+        water_value_upstream=inst.water_value_upstream / water_den,
+    )
+    full, _ = build_graph(inst)
+    ints, ref = full.int_arcs(), IntArcs.of(full.arcs)
+    assert (ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (ref.dst, ref.val, ref.res, ref.dv, ref.dr)
     compiled = huc._solve_graph(inst)
     if compiled is None:
         return

@@ -380,6 +380,55 @@ def test_cli_bench(tmp_path, capsys):
     assert all(r["algo"] in ("borwin", "oracle") for r in srows)
 
 
+def test_load_instance_reports_undecodable_and_deeply_nested_files(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(InstanceFormatError, match=r"^\$: not UTF-8 text"):
+        load_instance(path)
+    path.write_text("[" * 100_000)
+    with pytest.raises(InstanceFormatError, match=r"^\$: JSON nested too deeply"):
+        load_instance(path)
+    path.write_text(json.dumps({"vertices": [{"id": "s\u00e9"}], "arcs": [], "source": "s\u00e9", "sink": "s\u00e9"},
+                               ensure_ascii=False), encoding="utf-8")
+    assert load_instance(path)[1].labels == ("s\u00e9",)
+
+
+def test_cli_bench_skips_undecodable_and_unreadable_files(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_bytes(b"\xff\xfe\x00")
+    (corpus / "c.json").mkdir()
+    main(["gen", "--family", "dag", "--seed", "1", "--vertices", "8", "--out", str(corpus / "b.json")])
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--csv", str(csv_path), "--algos", "borwin"]) == 0
+    err = capsys.readouterr().err
+    assert "skipping a.json: $: not UTF-8 text" in err
+    assert "skipping c.json: " in err
+    with open(csv_path) as fh:
+        assert [row["instance"] for row in csv.DictReader(fh)] == ["b.json"]
+
+
+def test_cli_bench_rejects_a_path_that_is_not_a_directory(tmp_path, capsys):
+    csv_path = tmp_path / "bench.csv"
+    for target in (tmp_path / "missing", Path(WCLPP5)):
+        assert main(["bench", str(target), "--csv", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {target} is not a directory\n"
+    assert not csv_path.exists()
+
+
+def test_cli_maps_os_errors_to_one_error_line(tmp_path, capsys):
+    """A directory where a file is read or written is one error line."""
+    for argv in (
+        ["solve", str(tmp_path)],
+        ["gen", "--family", "dag", "--seed", "1", "--out", str(tmp_path)],
+        ["export-lp", str(HUC5), "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_bench_timeout_rows():
     from borwin.bench import run_bench, write_csv
     from borwin.generate import GeneratorConfig, generate

@@ -66,8 +66,8 @@ def test_integer_rounding(wclpp):
 
 def test_integer_rounding_integral_bound(wclpp):
     out = Pair(
-        x_a=out_ref(wclpp).x_a,
-        x_b=out_ref(wclpp).x_b,
+        a_tails=out_ref(wclpp).a_tails,
+        b_tails=out_ref(wclpp).b_tails,
         delta=F(1),
         ub_mu=F(20),
         ub_v1=F(17),

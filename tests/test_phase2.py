@@ -10,7 +10,7 @@ from borwin import graph, huc, phase2
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.bounds import NMCKP, UbProvider, ValueTailBound
 from borwin.generate import GeneratorConfig, generate, random_dag
-from borwin.graph import Arc, Window, WindowedDag, check_windows, path_by_vertices, path_metrics
+from borwin.graph import Arc, Window, WindowedDag, all_tails, check_windows, path_by_vertices, path_metrics
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
 from borwin.phase1 import Pair, run_phase1
@@ -19,6 +19,7 @@ from borwin.phase2 import (
     NoFeasiblePath,
     feasible_hybrid,
     lower_bound_mu,
+    relaxed_violation,
     run_phase2,
 )
 from borwin.solver import solve_awclpp
@@ -544,24 +545,7 @@ def test_default_value_bound_reuses_the_phase1_sweep(wclpp, monkeypatch):
     assert len(sweeps) == sol.phase1.iterations + 2
 
 
-def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
-    """The relaxed optimum meets the sink window but breaks vertex 3's, so
-    the enumeration runs at delta = 0 on phase 1's only sweep."""
-    windows = list(wclpp.windows)
-    windows[wclpp.vertex("3")] = Window(F(11), F(15))
-    windows[wclpp.sink] = Window(F(10), F(45))
-    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
-    sweeps = _count_sweeps(monkeypatch)
-    sol = solve_awclpp(dag)
-    assert sol.status == "optimal" and sol.value == brute_force(dag).value
-    assert sol.stats.phase2_iterations > 0
-    assert len(sweeps) == 1
-
-
-def test_a_pair_solve_builds_only_the_paths_it_returns(wclpp, monkeypatch):
-    """Phase 1 compares sweep images and phase 2 rebuilds only its
-    incumbent, so a solve through a pair builds three paths (x_a, x_b
-    and the answer) under either orientation."""
+def _count_paths(monkeypatch):
     built = []
     real_path_metrics = graph.path_metrics
 
@@ -571,12 +555,42 @@ def test_a_pair_solve_builds_only_the_paths_it_returns(wclpp, monkeypatch):
 
     monkeypatch.setattr(graph, "path_metrics", counting)
     monkeypatch.setattr(phase2, "path_metrics", counting)
+    return built
+
+
+def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
+    """The relaxed optimum meets the sink window but breaks vertex 3's, so
+    the enumeration runs at delta = 0 on phase 1's only sweep. The
+    integer root check rejects the relaxed optimum without building its
+    path, so the answer is the only path built."""
+    windows = list(wclpp.windows)
+    windows[wclpp.vertex("3")] = Window(F(11), F(15))
+    windows[wclpp.sink] = Window(F(10), F(45))
+    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
+    sweeps = _count_sweeps(monkeypatch)
+    built = _count_paths(monkeypatch)
+    sol = solve_awclpp(dag)
+    assert sol.status == "optimal" and sol.value == brute_force(dag).value
+    assert sol.stats.phase2_iterations > 0
+    assert len(sweeps) == 1
+    assert built == [sol.path.arc_ids]
+
+
+def test_a_pair_solve_builds_only_the_paths_it_returns(wclpp, monkeypatch):
+    """Phase 1 compares sweep images and keeps its endpoint sweeps, and
+    phase 2 rebuilds only its incumbent, so a solve through a pair builds
+    one path, the answer, under either orientation. Reading ``x_a`` and
+    ``x_b`` builds each once."""
+    built = _count_paths(monkeypatch)
     for dag, orientation in ((wclpp, "lid"), (random_dag(random.Random(9), 11), "lie")):
         built.clear()
         sol = solve_awclpp(dag)
         assert sol.status == "optimal" and sol.phase1.orientation == orientation
         assert sol.phase1.iterations >= 2
-        assert built == [sol.phase1.x_a.arc_ids, sol.phase1.x_b.arc_ids, sol.path.arc_ids]
+        assert built == [sol.path.arc_ids]
+        x_a, x_b = sol.phase1.x_a, sol.phase1.x_b
+        assert sol.phase1.x_a is x_a and sol.phase1.x_b is x_b
+        assert built == [sol.path.arc_ids, x_a.arc_ids, x_b.arc_ids]
 
 
 # -- differential test against the oracles ---------------------------------------
@@ -618,6 +632,33 @@ def windowed_instances(draw):
             }[shape]
         )
     return WindowedDag(windows, arcs, order[0], order[-1])
+
+
+@given(dag=windowed_instances(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_sums_and_root_check_match_fractions(dag, data):
+    """``path_metrics`` sums the scaled integer arcs, and the solver checks
+    the relaxed optimum with the enumeration's integer walk; both agree
+    with plain Fraction arithmetic on the instance's own arcs."""
+    ids = []
+    u = dag.source
+    while dag.out_arcs[u] and data.draw(st.booleans()):
+        aid = data.draw(st.sampled_from(dag.out_arcs[u]))
+        ids.append(aid)
+        u = dag.arcs[aid].dst
+    path = path_metrics(dag, ids)
+    prefixes = [F(0)]
+    for aid in ids:
+        prefixes.append(prefixes[-1] + dag.arcs[aid].resource)
+    assert path.value == sum((dag.arcs[aid].value for aid in ids), F(0))
+    assert path.resource == prefixes[-1]
+    assert path.prefix_resources == tuple(prefixes)
+    assert path.arc_ids == tuple(ids)
+    assert path.arcs == tuple(dag.arcs[aid] for aid in ids)
+
+    tails = all_tails(dag, F(0))
+    if dag.source in tails:
+        assert relaxed_violation(dag, tails) == check_windows(dag, tails.path(dag.source))
 
 
 @given(dag=windowed_instances())
