@@ -11,40 +11,15 @@ Two providers implement the :class:`~borwin.phase2.ValueBound` protocol:
   stages by a greedy over per-stage efficiency-frontier increments.
 
 Stage lower bounds are dropped from the relaxation; dropping constraints
-can only raise the bound, so admissibility is preserved.
-
-Both modes read a table that each :class:`NestedMckp` keeps for itself
-(so it lives exactly as long as the instance):
-
-* **Integers.** Item values are scaled by the lcm of their denominators;
-  item weights and caps by the lcm of theirs. Frontiers, base sums and
-  caps are exact integers.
-* **Laziness.** A stage's frontier is built the first time a query
-  starts at or before it. The table covers a suffix of stages and grows
-  downwards, so a solve that asks only about late stages never builds
-  the early ones.
-* **Greedy.** Frontier increments are kept in ratio order, ties broken
-  by stage, then position in the stage. A query keeps the suffix minima
-  of the residual caps, so an increment reads its room at one index
-  instead of rescanning every later cap; a take lowers the minima from
-  its stage on, and those before it fall to the new minimum at its
-  stage. This takes exactly what the greedy that rescans every later
-  cap takes.
-* **Memo.** The LP remainder depends on ``(stage, cumulative weight)``
-  alone and is memoized on it; the trivial mode reads suffix sums of
-  the per-stage maxima.
-* **Exactness.** Whole increments add integers; each partial take adds
-  one Fraction. A cumulative weight off the weight grid makes the
-  residual caps Fractions, and the arithmetic stays exact. Every bound is
-  the same Fraction as the greedy run in Fractions gives.
+can only raise the bound, so admissibility is preserved. Both modes work
+in exact Fractions and recompute what they read on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .graph import TailMap, WindowedDag, all_tails
 
@@ -72,7 +47,6 @@ class NestedMckp:
     stages: tuple[tuple[MckpItem, ...], ...]
     lo: tuple[Optional[Fraction], ...]
     hi: tuple[Optional[Fraction], ...]
-    _table: Optional["_Table"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.stages) == len(self.lo) == len(self.hi)):
@@ -86,23 +60,17 @@ class NestedMckp:
             if any(it.weight < 0 for it in items):
                 raise ValueError(f"stage {t} has a negative weight")
 
-    def table(self) -> "_Table":
-        """The bound table of this instance, created on first use."""
-        if self._table is None:
-            object.__setattr__(self, "_table", _Table(self))
-        return self._table
 
-
-def _frontier(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def _frontier(points: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
     """Upper-left convex efficiency frontier of ``(weight, value)``
     points: minimum-weight entry first, value strictly increasing,
     value-per-weight increments strictly decreasing."""
-    best: dict[int, int] = {}
+    best: dict[Fraction, Fraction] = {}
     for w, v in points:
         cur = best.get(w)
         if cur is None or v > cur:
             best[w] = v
-    hull: list[tuple[int, int]] = []
+    hull: list[tuple[Fraction, Fraction]] = []
     for w, v in sorted(best.items()):
         # drop dominated points (no value gain for extra weight)
         if hull and v <= hull[-1][1]:
@@ -118,116 +86,37 @@ def _frontier(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-Num = Union[int, Fraction]
-
-
-class _Table:
-    """Scaled suffix data of a :class:`NestedMckp`, for the stages from
-    ``start`` on; see the module docstring. Suffix lists are indexed by
-    stage, with entry ``n`` standing for the empty suffix."""
-
-    __slots__ = ("hi", "stages", "dv", "dw", "start", "base_w", "base_v", "top_v", "room", "incs", "memo")
-
-    def __init__(self, mckp: NestedMckp):
-        stages = mckp.stages
-        n = len(stages)
-        self.stages = stages
-        self.dv = lcm(*{it.value.denominator for items in stages for it in items})
-        self.dw = lcm(
-            *{it.weight.denominator for items in stages for it in items},
-            *{h.denominator for h in mckp.hi if h is not None},
-        )
-        self.hi = [None if h is None else h.numerator * (self.dw // h.denominator) for h in mckp.hi]
-        self.start = n
-        self.base_w = [0] * (n + 1)  # frontier base weights summed over stages >= t
-        self.base_v = [0] * (n + 1)  # frontier base values, likewise
-        self.top_v = [0] * (n + 1)  # stage maxima, likewise
-        # min over capped u >= t of hi[u] + base_w[u + 1]; past a prefix of
-        # weight c, the bases of stages s.. leave cap u a residual of
-        # hi[u] + base_w[u + 1] - base_w[s] - c
-        self.room: list[Optional[int]] = [None] * (n + 1)
-        # (-ratio, stage, position, dv, dw) for every frontier increment of
-        # the built stages, in greedy order
-        self.incs: list[tuple[Fraction, int, int, int, int]] = []
-        self.memo: dict[tuple[int, Fraction], Optional[Fraction]] = {}
-
-    def extend(self, stage: int) -> None:
-        """Build the frontiers of the stages from ``stage`` on."""
-        if stage >= self.start:
-            return
-        dv, dw = self.dv, self.dw
-        new = []
-        for t in range(self.start - 1, stage - 1, -1):
-            front = _frontier(
-                [(it.weight.numerator * (dw // it.weight.denominator), it.value.numerator * (dv // it.value.denominator))
-                 for it in self.stages[t]]
-            )
-            self.base_w[t] = self.base_w[t + 1] + front[0][0]
-            self.base_v[t] = self.base_v[t + 1] + front[0][1]
-            self.top_v[t] = self.top_v[t + 1] + front[-1][1]
-            room = self.room[t + 1]
-            if self.hi[t] is not None:
-                cap = self.hi[t] + self.base_w[t + 1]
-                room = cap if room is None or cap < room else room
-            self.room[t] = room
-            for j in range(len(front) - 1):
-                (w1, v1), (w2, v2) = front[j], front[j + 1]
-                new.append((Fraction(v1 - v2, w2 - w1), t, j, v2 - v1, w2 - w1))
-        self.incs = sorted(self.incs + new)
-        self.start = stage
-
-    def top(self, stage: int) -> Fraction:
-        """Sum of the maxima of the stages from ``stage`` on."""
-        self.extend(stage)
-        return Fraction(self.top_v[stage], self.dv)
-
-    def remainder(self, stage: int, cum_weight: Fraction) -> Optional[Fraction]:
-        """Fractional optimum of the stages from ``stage`` on, past a
-        prefix of weight ``cum_weight``; ``None`` when even their bases
-        break a cap. Memoized."""
-        key = (stage, cum_weight)
-        if key not in self.memo:
-            self.memo[key] = self._greedy(stage, cum_weight)
-        return self.memo[key]
-
-    def _greedy(self, s: int, cum_weight: Fraction) -> Optional[Fraction]:
-        self.extend(s)
-        scaled = cum_weight * self.dw
-        used: Num = self.base_w[s] + (scaled.numerator if scaled.denominator == 1 else scaled)
-        # room[k]: least residual of the caps at stages s + k and later,
-        # None where no cap is left; nondecreasing in k
-        room: list[Optional[Num]] = [None if r is None else r - used for r in self.room[s:-1]]
-        if room and room[0] is not None and room[0] < 0:
+def _remainder(mckp: NestedMckp, stage: int, cum_weight: Fraction) -> Optional[Fraction]:
+    """Fractional optimum of the stages from ``stage`` on, past a prefix
+    of weight ``cum_weight``: the frontier bases, then the frontier
+    increments in (ratio, stage, position) order, each taken as far as
+    the smallest residual cap at its stage or later allows. ``None``
+    when even the bases break a cap."""
+    value = ZERO
+    used = cum_weight
+    residual: list[Optional[Fraction]] = []  # per remaining stage, None if uncapped
+    incs: list[tuple[Fraction, int, Fraction]] = []  # (ratio, stage offset, weight)
+    for k, items in enumerate(mckp.stages[stage:]):
+        front = _frontier([(it.weight, it.value) for it in items])
+        used += front[0][0]
+        value += front[0][1]
+        cap = mckp.hi[stage + k]
+        if cap is not None and cap < used:
             return None
-        total = self.base_v[s]
-        part: Num = 0
-        for _, t, _, dv, dw in self.incs:
-            if t < s:
-                continue
-            k = t - s
-            have = room[k]
-            if have is None:
-                total += dv
-                continue
-            if have >= dw:
-                total += dv
-                take = dw
-            elif have > 0:
-                part += Fraction(dv * have, dw)
-                take = have
-            else:
-                continue
-            # the take uses up room at every cap from stage t on, and
-            # the suffix minima before t fall to the new minimum at t
-            j = k
-            while j < len(room) and room[j] is not None:
-                room[j] -= take
-                j += 1
-            j = k - 1
-            while j >= 0 and room[j] > room[k]:
-                room[j] = room[k]
-                j -= 1
-        return Fraction(total, self.dv) if part == 0 else (total + part) / self.dv
+        residual.append(None if cap is None else cap - used)
+        for (w1, v1), (w2, v2) in zip(front, front[1:]):
+            incs.append(((v2 - v1) / (w2 - w1), k, w2 - w1))
+    incs.sort(key=lambda inc: -inc[0])  # stable: ties stay in (stage, position) order
+    for ratio, k, dw in incs:
+        room = min((r for r in residual[k:] if r is not None), default=None)
+        take = dw if room is None or room > dw else room
+        if take <= 0:
+            continue
+        value += ratio * take
+        for j in range(k, len(residual)):
+            if residual[j] is not None:
+                residual[j] -= take
+    return value
 
 
 @dataclass(frozen=True)
@@ -273,8 +162,8 @@ def ub_for_prefix(
     if stage == n:
         return acc_value
     if provider.mode == TRIVIAL:
-        return acc_value + mckp.table().top(stage)
-    remainder = mckp.table().remainder(stage, cum_weight)
+        return acc_value + sum((max(it.value for it in items) for items in mckp.stages[stage:]), ZERO)
+    remainder = _remainder(mckp, stage, cum_weight)
     if remainder is None:
         return None
     return acc_value + remainder

@@ -47,7 +47,6 @@ from .rational import decimal_str
 from .solver import INFEASIBLE, OPTIMAL, AwclppSolution, solve_awclpp
 
 ZERO = Fraction(0)
-NEVER = -(10**9)  # "no previous move" sentinel period
 
 
 class InvalidInstance(Exception):
@@ -306,11 +305,12 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     inst.check()
     T = inst.periods
     cum_f = cumulative_flows(inst)
-    moves = _moves(inst, cum_f)
     scale = lcm(*(f.denominator for f in cum_f))
     flow = [f.numerator * (scale // f.denominator) for f in cum_f]
-    # each state's moves, with the scaled flow of the level moved to
-    succ = {s: [(m, flow[m[0]]) for m in ms] for s, ms in moves.items()}
+    # the moves of each state the forward pass reaches, with the scaled
+    # flow of the level moved to; the grid of every (level, hold) has
+    # O(min_updown) states, however few a schedule can reach
+    succ: dict[State, list[tuple[State, int]]] = {}
 
     def on_time() -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -329,7 +329,10 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         his = hi[t]
         for s, a in lo[t].items():
             b = his[s]
-            for m, f in succ[s]:
+            ms = succ.get(s)
+            if ms is None:
+                ms = succ[s] = [(m, flow[m[0]]) for m in legal_moves(inst, cum_f, *s)]
+            for m, f in ms:
                 x, y = a + f, b + f
                 x, y = x if x > w_lo else w_lo, y if y < w_hi else w_hi
                 if x <= y:
@@ -394,13 +397,16 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
 
 def _hold_clock(inst: HucInstance) -> tuple[int, int]:
     """Periods of the last move up and down inherited from the previous
-    day (``NEVER`` for none), placed so that a reversal is allowed from
-    period ``abs(initial_hold) + 1`` on."""
+    day, placed so that a reversal is allowed from period
+    ``abs(initial_hold) + 1`` on. A direction with no inherited move is
+    dated at period ``-min_updown``, so from period 1 on a move the other
+    way is free, however long the hold."""
+    never = -inst.min_updown
     if inst.initial_hold > 0:
-        return inst.initial_hold - inst.min_updown + 1, NEVER
+        return inst.initial_hold - inst.min_updown + 1, never
     if inst.initial_hold < 0:
-        return NEVER, 1 - inst.min_updown - inst.initial_hold
-    return NEVER, NEVER
+        return never, 1 - inst.min_updown - inst.initial_hold
+    return never, never
 
 
 def _step(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borwin import bounds
 from borwin.bounds import (
     NMCKP,
     TRIVIAL,
@@ -18,9 +17,7 @@ from borwin.bounds import (
     ValueTailBound,
     ub_for_prefix,
 )
-from borwin.generate import GeneratorConfig, generate
 from borwin.huc import nmckp_of_instance
-from borwin.io import huc_from_dict
 
 F = Fraction
 
@@ -266,7 +263,7 @@ def mckp_queries(draw):
     cums = st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 7]))
     states = st.tuples(st.integers(0, n), cums, fractions(-10, 10))
     queries = draw(st.lists(states, min_size=1, max_size=8))
-    # every query again, in reverse order, served by the memo
+    # every query again, in reverse order: a repeated query gives the same bound
     return mckp, queries + queries[::-1]
 
 
@@ -287,22 +284,3 @@ def test_bound_table_off_grid_and_over_cap():
     assert ub_for_prefix(provider, (0, F(6), F(0))) is None  # over the first cap (5)
     # two partial takes, each in thirds: 2/3 at ratio 2 fills cap 1, 3 at ratio 3/2 fills cap 2
     assert ub_for_prefix(provider, (1, F(16, 3), F(2))) == 2 + F(2, 3) * 2 + 3 * F(3, 2)
-
-
-def test_bound_table_builds_only_the_queried_stages(monkeypatch):
-    inst = huc_from_dict(generate(GeneratorConfig(seed=1, family="huc", periods=1200, points=3, min_updown=2)))
-    mckp = nmckp_of_instance(inst)
-    built = []
-    real = bounds._frontier
-
-    def counting(points):
-        built.append(points)
-        return real(points)
-
-    monkeypatch.setattr(bounds, "_frontier", counting)
-    nmckp = UbProvider(mode=NMCKP, mckp=mckp)
-    trivial = UbProvider(mode=TRIVIAL, mckp=mckp)
-    for stage in (1199, 1190, 1195, 1190):
-        ub_for_prefix(nmckp, (stage, F(0), F(0)))
-        ub_for_prefix(trivial, (stage, F(0), F(0)))
-    assert len(built) == 10

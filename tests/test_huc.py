@@ -354,6 +354,31 @@ def test_schedule_oracle_long_horizon():
     assert schedule_is_legal(inst, schedule)
 
 
+def test_holds_longer_than_the_horizon_forbid_reversals_only():
+    # a hold of T + 1 already forbids every reversal within T periods, so
+    # raising it by 2e9 changes no answer; the solve expands only the
+    # (level, hold) states it reaches, never the O(min_updown) grid
+    for seed in range(200):
+        inst = random_huc(random.Random(seed), 1 + seed % 6, 2 + seed % 3, 1 + seed % 3)
+        raised = replace(inst, min_updown=inst.min_updown + 2 * 10**9)
+        capped = solve_huc(replace(inst, min_updown=inst.periods + 1))
+        sol = solve_huc(raised)
+        oracle = best_schedule_bruteforce(raised)
+        assert sol.status == capped.status == ("infeasible" if oracle is None else "optimal"), seed
+        assert sol.revenue == capped.revenue == (None if oracle is None else oracle[0]), seed
+        assert sol.schedule is None or schedule_is_legal(raised, sol.schedule), seed
+
+
+def test_a_fresh_first_move_is_legal_under_any_hold(huc5):
+    wide = replace(huc5, min_updown=2 * 10**9, win_lo=(F(0),) * 5, win_hi=(F(100),) * 5)
+    assert schedule_is_legal(wide, [1, 1, 1, 1, 1])
+    assert best_schedule_bruteforce(wide) == (F(2), [0, 0, 0, 0, 1])
+    start = time.perf_counter()
+    sol = solve_huc(wide)
+    assert time.perf_counter() - start < 1
+    assert (sol.revenue, sol.schedule) == (F(2), [0, 0, 0, 0, 1])
+
+
 # -- the solve graph: window hulls on the compiled states ----------------------
 
 

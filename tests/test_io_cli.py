@@ -350,6 +350,14 @@ def test_cli_gen_rejects_out_of_range_parameters(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_cli_gen_and_solve_a_hold_longer_than_any_horizon(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    args = ["--family", "huc", "--seed", "0", "--periods", "6", "--min-updown", "2000000000"]
+    assert main(["gen", *args, "--out", str(out)]) == 0
+    assert huc_from_dict(json.loads(out.read_text())).min_updown == 2 * 10**9
+    assert main(["solve", str(out)]) == 0
+
+
 def test_gen_accepts_ten_points():
     """Ten points use all nine flows 1-9, the most the generator can draw."""
     inst = huc_from_dict(generate(GeneratorConfig(seed=1, family="huc", points=10)))
