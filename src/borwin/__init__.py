@@ -30,6 +30,7 @@ from .huc import (
     build_graph,
     check_path_legality,
     export_milp,
+    reached_graph,
     solve_huc,
     value_table,
 )

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 from .baselines import brute_force, rcsp_label_setting
 from .graph import TimeoutExceeded, WindowedDag
-from .huc import HucInstance, build_graph, solve_huc
+from .huc import HucInstance, reached_graph, solve_huc
 from .phase2 import SolveStats
 from .rational import rat_str
 from .solver import OPTIMAL, solve_awclpp
@@ -68,7 +68,7 @@ class BenchRecord:
 def _as_dag(kind: str, obj: Union[WindowedDag, HucInstance]) -> WindowedDag:
     if kind == "dag":
         return obj
-    return build_graph(obj)[0]
+    return reached_graph(obj)[0]
 
 
 def run_one(

@@ -13,7 +13,7 @@ from .baselines import brute_force, rcsp_label_setting
 from .bench import ALGOS, run_bench, stats_dict, write_csv, write_summary
 from .generate import GeneratorConfig, InvalidConfig, generate
 from .graph import GraphError, validate
-from .huc import build_graph, export_milp, solve_huc
+from .huc import export_milp, reached_graph, solve_huc
 from .io import InstanceFormatError, dump_json, load_instance, non_decimal_field
 from .rational import NotDecimal, rat_str
 from .solver import OPTIMAL, solve_awclpp
@@ -62,7 +62,7 @@ def cmd_solve(args) -> int:
                     "stats": stats_dict(sol.stats),
                 },
             )
-        dag, _ = build_graph(obj)
+        dag, _ = reached_graph(obj)
     else:
         dag = obj
         report = validate(dag)
@@ -176,10 +176,8 @@ def cmd_export_lp(args) -> int:
 
 def cmd_validate(args) -> int:
     kind, obj = load_instance(args.input)
-    report = validate(build_graph(obj)[0] if kind == "huc" else obj)
-    # a commitment instance's unreachable grid states carry the compiler's
-    # windows, not the user's, so only DAG inputs get off-path warnings
-    for warning in report.warnings if kind == "dag" else ():
+    report = validate(reached_graph(obj)[0] if kind == "huc" else obj)
+    for warning in report.warnings:
         print(f"warning: {warning}")
     if report.ok:
         print("ok")

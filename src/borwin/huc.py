@@ -11,9 +11,11 @@ the target-volume constraint that makes instances hard.
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
 reversal (positive after a move up, negative after a move down). Two
-compiles share one moves table, one per-period numbering and one arc
-emitter. :func:`build_graph` is the model view: the full grid, with the
-states the initial state reaches numbered first. :func:`solve_huc`
+compiles share one lazily filled moves table, one per-period numbering
+and one arc emitter, so neither grows with ``min_updown`` past the
+horizon. :func:`reached_graph` is the instance's s-p graph, which the
+reference algorithms read; :func:`build_graph`, the model view gate c07
+pins, appends the unreached grid states to it. :func:`solve_huc`
 compiles only the window-feasible states: exact integer hulls of the
 cumulative flow, propagated forward from the initial state and backward
 from the last period, drop every state and move no window-feasible
@@ -179,12 +181,16 @@ class VertexMap:
 State = tuple[int, int]  # (level, hold)
 
 
-def _moves(inst: HucInstance, flows: Sequence[Fraction]) -> dict[State, list[State]]:
-    """Every (level, hold) state in (i, l) order, with its successors;
-    they depend on (level, hold) alone, not on the period."""
-    span = inst.min_updown - 1
-    grid = [(i, l) for i in range(inst.levels) for l in range(-span, span + 1)]
-    return {s: legal_moves(inst, flows, *s) for s in grid}
+class _Moves(dict):
+    """:func:`legal_moves` by (level, hold), filled on first lookup: moves
+    do not depend on the period, and schedules reach few of the holds."""
+
+    def __init__(self, inst: HucInstance, flows: Sequence[Fraction]):
+        self.args = inst, flows
+
+    def __missing__(self, s: State) -> list[State]:
+        out = self[s] = legal_moves(*self.args, *s)
+        return out
 
 
 def _emit(
@@ -254,29 +260,38 @@ def _labels(states: Iterable[tuple[int, int, int]], periods: int) -> list[str]:
     return ["s" if t == 0 else "p" if t > periods else f"t{t}i{i}l{l}" for t, i, l in states]
 
 
-def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
-    """Compile the full (period, level, hold) grid to a windowed DAG: the
-    model view that gate c07, the CLI's reference algorithms and the
-    benchmark baselines read. :func:`solve_huc` solves a smaller graph
-    of its own (see :func:`_solve_graph`).
+def reached_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
+    """The instance's s-p graph: the source, the (t, i, l) states the
+    initial state reaches in that order, then the sink, with an arc for
+    every legal move; each vertex has its period's window, and reaches
+    the sink by staying put. The CLI's reference algorithms, ``validate``
+    and the benchmark baselines read it; it is independent of
+    :func:`_solve_graph`'s hulls, so they cross-check the solve."""
+    return _reach(inst, grid=False)
 
-    Every (t, i, l) combination is a vertex. The ids are the source, the
-    states the initial state reaches in (t, i, l) order, the sink, then
-    the unreachable states; only reachable states get arcs, so the
-    vertices up to the sink and all arcs form the instance's s-p graph
-    (every state reaches the sink by staying put). Every arc goes from a
-    smaller id to a larger one, so the ids are the topological order."""
+
+def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
+    """The full (period, level, hold) grid, the model view that gate c07
+    pins: :func:`reached_graph`, then every grid state it does not
+    reach, in (t, i, l) order and with no arcs."""
+    return _reach(inst, grid=True)
+
+
+def _reach(inst: HucInstance, grid: bool) -> tuple[WindowedDag, VertexMap]:
+    # reached_graph, plus the unreached grid states when ``grid``; every
+    # arc goes from a smaller id to a larger one, so ids are the topo order
     inst.check()
     T = inst.periods
-    moves = _moves(inst, cumulative_flows(inst))
-    # per period, the (level, hold) states the initial state reaches
+    moves = _Moves(inst, cumulative_flows(inst))
     layers = [[(inst.initial_point, inst.initial_hold)]]
     for _ in range(T):
         layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
     arcs, states, ints = _emit(inst, layers, [moves] * T)
     sink = len(states) - 1
-    reached = [set(layer) for layer in layers]
-    states += [(t, i, l) for t in range(1, T + 1) for i, l in moves if (i, l) not in reached[t]]
+    if grid:
+        cells = [(i, l) for i in range(inst.levels) for l in range(1 - inst.min_updown, inst.min_updown)]
+        reached = [set(layer) for layer in layers]
+        states += [(t, i, l) for t in range(1, T + 1) for i, l in cells if (i, l) not in reached[t]]
     # one shared window per period; the sink's is the last period's
     period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
     windows = [period[min(t, T)] for t, _, _ in states]
@@ -295,7 +310,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     that window-feasible prefixes reach; a backward pass from the last
     period keeps, within it, the hull from which the last period is still
     reached inside the windows. The graph keeps the states with a
-    non-empty hull, numbered as in :func:`build_graph`, and the moves
+    non-empty hull, numbered as in :func:`reached_graph`, and the moves
     ``(s, m)`` along which ``hull(s) + flow`` meets ``hull(m)``; each
     vertex's window is its hull, one shared :class:`Window` per distinct
     hull. Every window-feasible schedule stays inside the hulls, and the
@@ -307,10 +322,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     cum_f = cumulative_flows(inst)
     scale = lcm(*(f.denominator for f in cum_f))
     flow = [f.numerator * (scale // f.denominator) for f in cum_f]
-    # the moves of each state the forward pass reaches, with the scaled
-    # flow of the level moved to; the grid of every (level, hold) has
-    # O(min_updown) states, however few a schedule can reach
-    succ: dict[State, list[tuple[State, int]]] = {}
+    moves = _Moves(inst, cum_f)
 
     def on_time() -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -329,10 +341,8 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         his = hi[t]
         for s, a in lo[t].items():
             b = his[s]
-            ms = succ.get(s)
-            if ms is None:
-                ms = succ[s] = [(m, flow[m[0]]) for m in legal_moves(inst, cum_f, *s)]
-            for m, f in ms:
+            for m in moves[s]:
+                f = flow[m[0]]
                 x, y = a + f, b + f
                 x, y = x if x > w_lo else w_lo, y if y < w_hi else w_hi
                 if x <= y:
@@ -360,9 +370,10 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         for s, a in lo[t].items():
             b = his[s]
             out = []
-            for m, f in succ[s]:
+            for m in moves[s]:
                 c = nlo.get(m)
                 if c is not None:
+                    f = flow[m[0]]
                     x, y = c - f, nhi[m] - f
                     x, y = x if x > a else a, y if y < b else b
                     if x <= y:

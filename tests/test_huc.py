@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borwin import graph, huc
-from borwin.baselines import brute_force
+from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.generate import random_huc
 from borwin.graph import (
     IntArcs,
@@ -32,6 +32,7 @@ from borwin.huc import (
     cumulative_values,
     export_milp,
     legal_moves,
+    reached_graph,
     schedule_is_legal,
     solve_huc,
     value_table,
@@ -94,9 +95,10 @@ def test_vertex_count_formula(huc5):
 
 
 def test_reachable_states_are_numbered_first():
-    """The compile numbers the source, the states the initial state
+    """The full grid numbers the source, the states the initial state
     reaches and the sink first, and gives arcs to those alone: pruning
-    it changes nothing, and the unreachable tail has no arcs."""
+    it changes nothing, the unreachable tail has no arcs, and the part
+    up to the sink is the reached graph, integer arcs included."""
     from dataclasses import replace
 
     rng = random.Random(4242)
@@ -116,6 +118,14 @@ def test_reachable_states_are_numbered_first():
         assert pruned.arcs == dag.arcs
         assert all(a.src < dag.sink for a in dag.arcs)
         assert all(vmap.id_of(*vmap.state_of(v)) == v for v in range(dag.n))
+        reached, rmap = reached_graph(inst)
+        assert (reached.n, reached.sink) == (dag.sink + 1, dag.sink)
+        assert reached.windows == dag.windows[: dag.sink + 1]
+        assert reached.labels == dag.labels[: dag.sink + 1]
+        assert reached.arcs == dag.arcs
+        assert rmap.states == vmap.states[: dag.sink + 1]
+        ints, full = reached.int_arcs(), dag.int_arcs()
+        assert (ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (full.dst, full.val, full.res, full.dv, full.dr)
 
 
 def test_graph_arc_data(huc5):
@@ -195,9 +205,9 @@ def test_legality_rejects_fast_reversal():
     )
     assert not schedule_is_legal(inst, [2, 0, 0])  # down one period after up
     assert schedule_is_legal(inst, [2, 2, 2])
-    dag, vmap = build_graph(inst)
+    dag, vmap = reached_graph(inst)
     # no graph path can realize the illegal reversal either
-    res = brute_force(prune_unreachable(dag)[0])
+    res = brute_force(dag)
     assert res.status == "optimal"
 
 
@@ -431,11 +441,15 @@ ROUNDED_HULL = HucInstance(
 @example(ROUNDED_HULL)
 @settings(max_examples=150, deadline=None)
 def test_solve_graph_matches_the_schedule_oracle(inst):
+    """The hull compile's solve and rcsp on the reached graph, two
+    independent compiles, both agree with the schedule oracle."""
     oracle = best_schedule_bruteforce(inst)
     sol = solve_huc(inst)
+    rcsp = rcsp_label_setting(reached_graph(inst)[0])
     if oracle is None:
-        assert sol.status == "infeasible"
+        assert sol.status == rcsp.status == "infeasible"
         return
+    assert rcsp.status == "optimal" and rcsp.value == oracle[0]
     assert sol.status == "optimal"
     assert sol.revenue == oracle[0]
     assert schedule_is_legal(inst, sol.schedule)
@@ -658,9 +672,8 @@ def test_paths_biject_with_legal_schedules():
         legal = sum(
             1 for sched in _all_schedules(relaxed) if schedule_is_legal(relaxed, list(sched))
         )
-        dag, _ = build_graph(relaxed)
-        pruned, _ = prune_unreachable(dag)
-        assert brute_force(pruned).total_count == legal, f"seed {seed}"
+        dag, _ = reached_graph(relaxed)
+        assert brute_force(dag).total_count == legal, f"seed {seed}"
 
 
 # -- internal invariants raise typed errors ------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,10 +261,10 @@ def test_cli_gen_and_validate(tmp_path, capsys):
 
 
 def test_cli_validate_warns_only_on_dag_inputs(tmp_path, capsys):
-    """The compiled graph of a commitment instance has windows on grid
-    states the initial state never reaches; those are the compiler's,
-    so validating the instance prints only the verdict. A DAG input
-    still gets its off-path warnings."""
+    """A commitment instance is validated on the states its initial
+    state reaches, each of which reaches the sink by staying put, so
+    validating it prints only the verdict. A DAG input gets its
+    off-path warnings."""
     assert main(["validate", str(HUC5)]) == 0
     assert capsys.readouterr().out == "ok\n"
     data = json.loads(WCLPP5.read_text())
@@ -351,11 +352,35 @@ def test_cli_gen_rejects_out_of_range_parameters(tmp_path, capsys, args):
 
 
 def test_cli_gen_and_solve_a_hold_longer_than_any_horizon(tmp_path, capsys):
-    out = tmp_path / "x.json"
+    """Every command compiles only the states a schedule reaches, so a
+    hold of 2e9 periods takes each of them well under a second, and the
+    reference algorithms agree with the solve."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    out = corpus / "x.json"
     args = ["--family", "huc", "--seed", "0", "--periods", "6", "--min-updown", "2000000000"]
     assert main(["gen", *args, "--out", str(out)]) == 0
     assert huc_from_dict(json.loads(out.read_text())).min_updown == 2 * 10**9
-    assert main(["solve", str(out)]) == 0
+    capsys.readouterr()
+    values = {}
+    for algo in ("borwin", "rcsp", "oracle"):
+        start = time.perf_counter()
+        assert main(["solve", str(out), "--algo", algo, "--json"]) == 0
+        assert time.perf_counter() - start < 1.0, algo
+        values[algo] = json.loads(capsys.readouterr().out)["value"]
+    expected = values["borwin"]
+    assert values == dict.fromkeys(values, expected)
+    start = time.perf_counter()
+    assert main(["validate", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "ok\n"
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--csv", str(csv_path), "--algos", "borwin,rcsp,oracle"]) == 0
+    with open(csv_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["algo"], r["status"], r["value"]) for r in rows] == [
+        (algo, "opt", expected) for algo in ("borwin", "rcsp", "oracle")
+    ]
 
 
 def test_gen_accepts_ten_points():
