@@ -156,7 +156,7 @@ def cmd_bench(args) -> int:
 def cmd_export_lp(args) -> int:
     kind, obj = load_instance(args.input)
     if kind != "huc":
-        print("export-lp needs a commitment instance", file=sys.stderr)
+        print("error: export-lp needs a commitment instance", file=sys.stderr)
         return EXIT_ERROR
     # render first, so a model that cannot be written leaves no file
     text = StringIO()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .graph import Arc, Window, WindowedDag
@@ -75,47 +76,38 @@ def random_dag(rng: random.Random, n: int, density: float = 0.5) -> WindowedDag:
     layers = max(2, min(n - 1, 2 + n // 3))
     layer_of = [0] + sorted(rng.randint(1, layers - 1) for _ in range(n - 2)) + [layers]
 
-    def draw_arc(u: int, v: int) -> Arc:
-        return Arc(u, v, Fraction(rng.randint(-3, 12)), Fraction(rng.randint(0, 9)))
-
     arcs: list[Arc] = []
     seen: set[tuple[int, int]] = set()
-    for v in range(1, n):
-        ahead = [u for u in range(v) if layer_of[u] < layer_of[v]]
-        u = rng.choice(ahead)
-        arcs.append(draw_arc(u, v))
+    has_out = [False] * n
+
+    def add_arc(u: int, v: int) -> None:
+        arcs.append(Arc(u, v, Fraction(rng.randint(-3, 12)), Fraction(rng.randint(0, 9))))
         seen.add((u, v))
+        has_out[u] = True
+
+    for v in range(1, n):
+        add_arc(rng.choice([u for u in range(v) if layer_of[u] < layer_of[v]]), v)
+    # every vertex but the sink gets an arc out, so every vertex reaches it
     for u in range(n - 1):
         behind = [v for v in range(u + 1, n) if layer_of[v] > layer_of[u] and (u, v) not in seen]
-        if not any(a.src == u for a in arcs):
-            v = rng.choice(behind or [n - 1])
-            arcs.append(draw_arc(u, v))
-            seen.add((u, v))
+        if not has_out[u]:
+            add_arc(u, rng.choice(behind or [n - 1]))
         for v in behind:
             if rng.random() < density * 0.5:
-                arcs.append(draw_arc(u, v))
-                seen.add((u, v))
-    # guarantee every vertex reaches the sink
-    for u in range(1, n - 1):
-        if not any(a.src == u for a in arcs):
-            arcs.append(draw_arc(u, n - 1))
+                add_arc(u, v)
 
-    # attainable prefix-resource envelope
-    lo_env = [None] * n
-    hi_env = [None] * n
-    lo_env[0] = hi_env[0] = ZERO
-    for v in range(1, n):
-        ins = [(a.src, a.resource) for a in arcs if a.dst == v]
-        los = [lo_env[u] + r for u, r in ins if lo_env[u] is not None]
-        his = [hi_env[u] + r for u, r in ins if hi_env[u] is not None]
-        if los:
-            lo_env[v] = min(los)
-            hi_env[v] = max(his)
+    # attainable prefix-resource envelope: every arc runs from a smaller
+    # vertex to a larger one, so in source order each tail is final
+    env = [(ZERO, ZERO)] + [None] * (n - 1)
+    for a in sorted(arcs, key=attrgetter("src")):
+        lo, hi = (r + a.resource for r in env[a.src])
+        if env[a.dst] is not None:
+            lo, hi = min(lo, env[a.dst][0]), max(hi, env[a.dst][1])
+        env[a.dst] = (lo, hi)
 
     windows = [Window(ZERO, None)]
     for v in range(1, n):
-        lo = lo_env[v] if lo_env[v] is not None else ZERO
-        hi = hi_env[v] if hi_env[v] is not None else lo
+        lo, hi = env[v]
         span = hi - lo
         windowed = v == n - 1 or rng.random() < 0.6
         if not windowed:
@@ -198,7 +190,6 @@ def random_huc(
         win_lo=tuple(win_lo),
         win_hi=tuple(win_hi),
     )
-    inst.check()
     if not schedule_is_legal(inst, walked):
         raise GraphInvariantError("generator walked an illegal schedule")
     return inst

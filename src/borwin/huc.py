@@ -67,7 +67,9 @@ class HucInstance:
     are per period; ``water_value_up/downstream`` price the stock left in
     each reservoir at the end of the horizon. ``win_lo/win_hi`` bound the
     cumulative flow through each period. ``initial_point``/``initial_hold``
-    carry the state inherited from the previous day."""
+    carry the state inherited from the previous day. Construction, through
+    ``dataclasses.replace`` too, raises :class:`InvalidInstance` on
+    inconsistent data, so no function that takes an instance checks it."""
 
     periods: int
     points: tuple[OperatingPoint, ...]
@@ -85,7 +87,7 @@ class HucInstance:
         default=None, init=False, repr=False, compare=False
     )
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.periods < 1:
             raise InvalidInstance("need at least one period")
         if not self.points or self.points[0] != OperatingPoint(ZERO, ZERO):
@@ -280,7 +282,6 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
 def _reach(inst: HucInstance, grid: bool) -> tuple[WindowedDag, VertexMap]:
     # reached_graph, plus the unreached grid states when ``grid``; every
     # arc goes from a smaller id to a larger one, so ids are the topo order
-    inst.check()
     T = inst.periods
     moves = _Moves(inst, cumulative_flows(inst))
     layers = [[(inst.initial_point, inst.initial_hold)]]
@@ -317,7 +318,6 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     hulls lie inside the windows, so the graph has the same feasible
     schedules, values and optimum as the full grid. The integer arcs and
     windows the solver reads come from the same integers."""
-    inst.check()
     T = inst.periods
     cum_f = cumulative_flows(inst)
     scale = lcm(*(f.denominator for f in cum_f))
@@ -558,7 +558,6 @@ def best_schedule_bruteforce(
     compilation (levels, ramp sums and hold gaps are checked directly).
     Depth-first on an explicit stack, levels in increasing order; the
     first schedule of the highest revenue wins."""
-    inst.check()
     cum_v = cumulative_values(inst)
     flows = cumulative_flows(inst)
     best: Optional[tuple[Fraction, list[int]]] = None
@@ -600,7 +599,6 @@ def export_milp(inst: HucInstance, out: TextIO) -> None:
     change indicators v_t_i (defined from period 2 on, with period-1
     terms folded away against the initial state).
     """
-    inst.check()
     table = value_table(inst)
     T = inst.periods
     reach = inst.levels - 1  # non-idle points

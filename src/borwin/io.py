@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 from typing import Any, Optional, Union
 
 from .graph import Arc, Window, WindowedDag
-from .huc import HucInstance, OperatingPoint
+from .huc import HucInstance, InvalidInstance, OperatingPoint
 from .rational import NotDecimal, decimal_str, rat, rat_str
 
 
@@ -150,7 +150,7 @@ def huc_from_dict(data: dict) -> HucInstance:
         )
     initial = data.get("initial")
     initial = {} if initial is None else _typed(initial, dict, "initial")
-    inst = HucInstance(
+    fields = dict(
         periods=_need(data, "T", "", int),
         points=tuple(points),
         ramp_up=_rat_at(_need(data, "ramp_up", ""), "ramp_up"),
@@ -165,10 +165,9 @@ def huc_from_dict(data: dict) -> HucInstance:
         initial_hold=_typed(initial.get("l", 0), int, "initial.l"),
     )
     try:
-        inst.check()
-    except Exception as exc:
+        return HucInstance(**fields)
+    except InvalidInstance as exc:
         raise InstanceFormatError("$", str(exc)) from exc
-    return inst
 
 
 def huc_to_dict(inst: HucInstance) -> dict:

@@ -14,11 +14,14 @@ usable immediately:
 * dominance: among enumerated prefixes reaching the same vertex with the
   exact same resource, only the best value needs to stay extendable.
 
-The first two rules judge each new label at birth, against the incumbent
-of that moment, and purge the waiting labels whenever the incumbent
-improves. A pop that leaves the incumbent unchanged purges nothing: every
-waiting label already passed the incumbent's floors, which are at least
-as strong as the popped path's own.
+A candidate child is judged once, on its integers (vertex, resource,
+value and aggregate): dominance first, then the first two rules against
+the incumbent of that moment. Only a candidate that passes becomes a
+label, so every label is a heap entry. The same judgment of the first
+two rules purges the waiting labels whenever the incumbent improves. A
+pop that leaves the incumbent unchanged purges nothing: every waiting
+label already passed the incumbent's floors, which are at least as
+strong as the popped path's own.
 
 Extensions are generalized: from a popped label, any prefix obtained by
 adopting a window-feasible slice of its tail and then deviating by one
@@ -187,9 +190,9 @@ def make_label(
     cut: int,
     arc: Optional[int],
 ) -> Label:
-    """A new label: the root, or a candidate child of ``parent``. Every
-    label the enumeration considers is made here once, before the pruning
-    rules judge it."""
+    """A new label: the root, or a child of ``parent`` that passed the
+    pruning rules and goes on the heap. Every label is made here once, so
+    the calls equal ``SolveStats.labels_created``."""
     return Label(mu, anchor, val, res, parent, cut, arc)
 
 
@@ -297,8 +300,18 @@ def run_phase2(
     if not lo[source] <= 0 <= hi[source]:
         raise NoFeasiblePath("source window excludes the empty prefix", stats)
 
-    def prune_event(label: Label, rule: str, prefix: tuple[int, ...]) -> TraceEvent:
-        return TraceEvent(kind="prune", mu=Fraction(label.mu, scale), anchor=label.anchor, rule=rule, prefix=prefix)
+    def prune_event(mu: int, anchor: int, rule: str, prefix: tuple[int, ...]) -> TraceEvent:
+        return TraceEvent(kind="prune", mu=Fraction(mu, scale), anchor=anchor, rule=rule, prefix=prefix)
+
+    def floor_rule(mu: int, v: int, r: int, value: int) -> Optional[str]:
+        # the rule that prunes a prefix against the incumbent's floors, or None
+        if use_bound_prune and mu <= mu_floor:
+            return "bound"
+        if ub_on:
+            cap = ub.bound(v, Fraction(r, dr), Fraction(value, dv))
+            if cap is None or cap <= value_floor:
+                return "ub"
+        return None
 
     # waiting labels as (-mu, creation number, label): largest aggregate
     # first, creation order on ties
@@ -308,7 +321,8 @@ def run_phase2(
     incumbent_val = 0
     mu_floor: Optional[int] = None  # set with the incumbent
     value_floor = ZERO
-    pops = pruned_bound = pruned_dom = pruned_ub = 0
+    pruned = {"bound": 0, "ub": 0}
+    pops = pruned_dom = 0
     created = 1
 
     while heap:
@@ -318,7 +332,8 @@ def run_phase2(
         label = heappop(heap)[2]
         pops += 1
         violation, adopted = _walk(label.anchor, label.res, nxt, lo, hi, dst, res, sink)
-        if violation is None:
+        feasible = violation is None
+        if feasible:
             value = label.val + tval[label.anchor]
             if incumbent is None or value > incumbent_val:
                 incumbent, incumbent_val = label, value
@@ -328,40 +343,24 @@ def run_phase2(
                 kept = []
                 for entry in sorted(heap, key=itemgetter(1)):
                     waiting = entry[2]
-                    if use_bound_prune and waiting.mu <= mu_floor:
-                        pruned_bound += 1
-                        if trace is not None:
-                            trace(prune_event(waiting, "bound", waiting.prefix_vertices(dag, nxt)))
+                    rule = floor_rule(waiting.mu, waiting.anchor, waiting.res, waiting.val)
+                    if rule is None:
+                        kept.append(entry)
                         continue
-                    if ub_on:
-                        cap = ub.bound(waiting.anchor, Fraction(waiting.res, dr), Fraction(waiting.val, dv))
-                        if cap is None or cap <= value_floor:
-                            pruned_ub += 1
-                            if trace is not None:
-                                trace(prune_event(waiting, "ub", waiting.prefix_vertices(dag, nxt)))
-                            continue
-                    kept.append(entry)
+                    pruned[rule] += 1
+                    if trace is not None:
+                        trace(prune_event(waiting.mu, waiting.anchor, rule, waiting.prefix_vertices(dag, nxt)))
                 heapify(kept)
                 heap = kept
-            if trace is not None:
-                trace(
-                    TraceEvent(
-                        kind="pop",
-                        mu=Fraction(label.mu, scale),
-                        anchor=label.anchor,
-                        feasible=True,
-                        action="incumbent" if incumbent is label else "kept",
-                    )
-                )
-        elif trace is not None:
-            trace(
-                TraceEvent(
-                    kind="pop", mu=Fraction(label.mu, scale), anchor=label.anchor, feasible=False, action="extended"
-                )
-            )
+        if trace is not None:
+            action = "incumbent" if incumbent is label else "kept" if feasible else "extended"
+            mu = Fraction(label.mu, scale)
+            trace(TraceEvent(kind="pop", mu=mu, anchor=label.anchor, feasible=feasible, action=action))
 
         # Generalized extension: from the anchor and every adopted tail
-        # vertex (the sink excluded), branch on every non-tail arc.
+        # vertex (the sink excluded), branch on every non-tail arc. A
+        # candidate child is judged on its integers, dominance first, and
+        # becomes a label only when it goes on the heap.
         u, cum_v, cum_r = label.anchor, label.val, label.res
         if trace is not None:
             stop_prefix = list(label.prefix_vertices(dag, nxt))  # vertices up to u, for events
@@ -387,38 +386,32 @@ def run_phase2(
                 if new_r < lo[v] or new_r > hi[v]:
                     continue
                 new_v = cum_v + val[aid]
-                child = make_label(wv * new_v + wr * new_r + tail_mu, v, new_v, new_r, label, cut, aid)
+                child_mu = wv * new_v + wr * new_r + tail_mu
                 if use_dominance:
                     key = (v, new_r)
                     best_v = frontier.get(key)
                     if best_v is not None and best_v >= new_v:
                         pruned_dom += 1
                         if trace is not None:
-                            trace(prune_event(child, "dominance", (*stop_prefix, v)))
+                            trace(prune_event(child_mu, v, "dominance", (*stop_prefix, v)))
                         continue
-                if mu_floor is not None:
-                    if use_bound_prune and child.mu <= mu_floor:
-                        pruned_bound += 1
+                if incumbent is not None:
+                    rule = floor_rule(child_mu, v, new_r, new_v)
+                    if rule is not None:
+                        pruned[rule] += 1
                         if trace is not None:
-                            trace(prune_event(child, "bound", (*stop_prefix, v)))
+                            trace(prune_event(child_mu, v, rule, (*stop_prefix, v)))
                         continue
-                    if ub_on:
-                        cap = ub.bound(v, Fraction(new_r, dr), Fraction(new_v, dv))
-                        if cap is None or cap <= value_floor:
-                            pruned_ub += 1
-                            if trace is not None:
-                                trace(prune_event(child, "ub", (*stop_prefix, v)))
-                            continue
-                heappush(heap, (-child.mu, created, child))
+                heappush(heap, (-child_mu, created, make_label(child_mu, v, new_v, new_r, label, cut, aid)))
                 created += 1
                 if use_dominance:
                     frontier[key] = new_v
 
     stats.phase2_iterations = pops
     stats.labels_created = created
-    stats.labels_pruned_bound = pruned_bound
+    stats.labels_pruned_bound = pruned["bound"]
     stats.labels_pruned_dominance = pruned_dom
-    stats.labels_pruned_ub = pruned_ub
+    stats.labels_pruned_ub = pruned["ub"]
     if incumbent is None:
         raise NoFeasiblePath("no window-feasible path", stats)
     best = path_metrics(dag, incumbent.prefix_arc_ids(dag, nxt) + list(tails.arc_ids(incumbent.anchor)), start=source)

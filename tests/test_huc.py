@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import re
@@ -24,6 +25,7 @@ from borwin.graph import (
 )
 from borwin.huc import (
     HucInstance,
+    InvalidInstance,
     OperatingPoint,
     best_schedule_bruteforce,
     build_graph,
@@ -85,6 +87,31 @@ def test_cumulative_values_are_computed_once_per_instance(monkeypatch):
 
 def test_cumulative_flows(huc5):
     assert cumulative_flows(huc5) == [F(0), F(6), F(11)]
+
+
+# one field change per rule that the constructor checks, with its message
+INVALID_CHANGES = [
+    (dict(periods=0), "need at least one period"),
+    (dict(points=(OperatingPoint(F(1), F(0)), OperatingPoint(F(6), F(8)))), "points must start with the idle point"),
+    (dict(points=(OperatingPoint(F(0), F(0)), OperatingPoint(F(0), F(8)))), "non-idle points need positive flow"),
+    (dict(min_updown=0), "minimum hold must be at least one period"),
+    (dict(prices=(F(2),) * 4), "one price per period required"),
+    (dict(win_hi=(F(18),) * 6), "one window per period required"),
+    (dict(win_lo=(F(12), F(0), F(7), F(18), F(18))), "window at period 1 is inverted"),
+    (dict(initial_point=3), "initial point out of range"),
+    (dict(initial_hold=-3), "initial hold out of range"),
+]
+
+
+@pytest.mark.parametrize("changes,message", INVALID_CHANGES, ids=[m for _, m in INVALID_CHANGES])
+def test_an_invalid_instance_cannot_be_built(huc5, changes, message):
+    """The constructor checks every rule, and ``dataclasses.replace``
+    goes through it, so no function that takes an instance needs to."""
+    fields = {f.name: getattr(huc5, f.name) for f in dataclasses.fields(huc5) if f.init}
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        HucInstance(**{**fields, **changes})
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        replace(huc5, **changes)
 
 
 def test_vertex_count_formula(huc5):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -104,6 +105,29 @@ def test_gen_deterministic_bytes():
     assert dump_json(generate(cfg)) == dump_json(generate(cfg))
     cfg = GeneratorConfig(seed=1, family="huc", periods=5)
     assert dump_json(generate(cfg)) == dump_json(generate(cfg))
+
+
+# sha256 of the canonical JSON of a few generated instances, as the
+# generator wrote them when it still scanned every arc per vertex
+PINNED_GENERATED = [
+    (dict(family="dag", vertices=12, seed=1), "3223e9161058c39265d05577867a2b21e0379157451acd4a8f4170a397e1555e"),
+    (
+        dict(family="dag", vertices=40, seed=3, density=0.3),
+        "1c044082fa36cc71a41a20b0912193bc1dc9534ec6b19db3f5f220b9acfbe043",
+    ),
+    (dict(family="dag", vertices=120, seed=4), "092e354891998914134ac3d4bf9c3a58cc2fd8ff6107b8aaba4cc8bae7552e5b"),
+    (dict(family="huc", periods=5, seed=1), "66350004fa1d8c5be8af2beafb8d6eb600c9e755dc355ba713a13aa26aebbe3a"),
+    (
+        dict(family="huc", periods=24, points=4, min_updown=3, seed=2, price_mode="near-flat"),
+        "6264c10ff9848a24ae23dce2415e64c70748c75d88ab3bfc7e77fc0e60a7b5c4",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_GENERATED, ids=[str(c) for c, _ in PINNED_GENERATED])
+def test_generated_instances_are_pinned(config, digest):
+    text = dump_json(generate(GeneratorConfig(**config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_dag_validates():
@@ -235,8 +259,8 @@ INVALID_HUC = [
 
 @pytest.mark.parametrize("key,value,message", INVALID_HUC, ids=[m for _, _, m in INVALID_HUC])
 def test_cli_rejects_invalid_huc_instances(tmp_path, capsys, key, value, message):
-    """Each rule of ``HucInstance.check`` turns a well-typed but
-    inconsistent commitment instance into one error line."""
+    """Each rule that the ``HucInstance`` constructor checks turns a
+    well-typed but inconsistent commitment instance into one error line."""
     assert main(["solve", str(_variant(tmp_path, HUC5, key, value))]) == 1
     assert capsys.readouterr().err == f"error: $: {message}\n"
 
@@ -316,6 +340,13 @@ def test_cli_export_lp(tmp_path, capsys):
     text = out.read_text()
     assert text.count("x_") > 0
     assert "flow_5" in text
+
+
+def test_cli_export_lp_rejects_a_dag_instance(tmp_path, capsys):
+    out = tmp_path / "model.lp"
+    assert main(["export-lp", str(WCLPP5), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: export-lp needs a commitment instance\n"
+    assert not out.exists()
 
 
 def test_cli_export_lp_rejects_non_decimal_data(tmp_path, capsys):

@@ -392,6 +392,36 @@ def test_enumeration_counters_are_pinned(config, status, counters):
     ) == counters
 
 
+def _count_labels(monkeypatch):
+    made = []
+    real = phase2.make_label
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(phase2, "make_label", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "config", [c for c, _, _ in PINNED_STATS], ids=["dag-n40-s3", "dag-n80-s0", "dag-n80-s4", "huc-T24-P3-L3-s2"]
+)
+def test_a_label_is_made_only_for_the_heap(config, monkeypatch):
+    """A candidate that a rule prunes at birth never becomes a label, so
+    the root and the heap entries are every label made."""
+    made = _count_labels(monkeypatch)
+    sol = _solve_generated(config)
+    assert len(made) == sol.stats.labels_created
+
+
+def test_a_lie_solve_makes_a_label_only_for_the_heap(monkeypatch):
+    made = _count_labels(monkeypatch)
+    seed = PINNED_LIE_STATS[1][0]  # prunes candidates at birth by dominance and by the bound rule
+    sol = solve_awclpp(random_dag(random.Random(seed), 2 + seed % 11))
+    assert len(made) == sol.stats.labels_created
+
+
 # sha256 over the repr of every trace event, one per line. The phase-2
 # digests are as the loop with a purge on every feasible pop emitted
 # them: purging only when the incumbent improves must leave every pop and
