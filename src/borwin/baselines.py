@@ -2,10 +2,10 @@
 
 ``brute_force`` is the trusted reference: in strict mode it enumerates
 every source-sink path with no shortcuts, so its counts and optimum are
-ground truth for everything else. ``rcsp_label_setting`` is the classic
-label-setting solver with the window-safe gated dominance rule, kept as
-a baseline rather than an engine. ``relaxed_longest`` is the sanity
-upper bound that ignores all windows.
+ground truth for everything else. ``rcsp_label_setting`` is the second
+exact method: a forward DP that keeps one best value per (vertex,
+cumulative resource) state and reads nothing of the solver's phases.
+``relaxed_longest`` is the sanity upper bound that ignores all windows.
 """
 
 from __future__ import annotations
@@ -115,85 +115,50 @@ def brute_force(
     )
 
 
-@dataclass
-class _RcspLabel:
-    resource: Fraction
-    value: Fraction
-    vertex: int
-    parent: Optional["_RcspLabel"]
-    arc_id: Optional[int]
-
-
 def rcsp_label_setting(dag: WindowedDag, deadline: Optional[float] = None) -> OracleResult:
-    """Topological label extension with per-vertex frontiers.
+    """Forward topological DP over (vertex, cumulative resource) states.
 
-    A label may discard another (higher resource, lower value) only when
-    its own resource already meets every lower bound reachable ahead;
-    lower-bounded windows make the unconditional rule unsound. The gate
-    additionally needs nonnegative arc resources, so dominance is turned
-    off entirely when any arc resource is negative.
+    The completions of a prefix depend only on its last vertex and its
+    cumulative resource, so each vertex keeps one best value per
+    resource: the resource-indexed labels of Desrochers & Soumis (1988).
+    The DP runs on the instance's :class:`IntArcs` and integer windows,
+    with any sign of arc resource; a candidate replaces a state only
+    when its value is strictly larger. The witness is walked back from
+    the first best sink state.
     """
     if dag.topo_order is None:
         raise GraphError("instance is not acyclic")
-    dominance_ok = all(a.resource >= 0 for a in dag.arcs)
-
-    # max lower bound among vertices reachable from u (u included)
-    max_lb: list[Optional[Fraction]] = [None] * dag.n
-    for u in reversed(dag.topo_order):
-        cur = dag.windows[u].lo
-        for aid in dag.out_arcs[u]:
-            sub = max_lb[dag.arcs[aid].dst]
-            if sub is not None and (cur is None or sub > cur):
-                cur = sub
-        max_lb[u] = cur
-
-    labels: list[list[_RcspLabel]] = [[] for _ in range(dag.n)]
-    if dag.windows[dag.source].contains(ZERO):
-        labels[dag.source].append(_RcspLabel(ZERO, ZERO, dag.source, None, None))
-
-    def insert(v: int, cand: _RcspLabel) -> None:
-        if dominance_ok:
-            gate = max_lb[v]
-            for kept in labels[v]:
-                if (
-                    kept.value >= cand.value
-                    and kept.resource <= cand.resource
-                    and (gate is None or kept.resource >= gate)
-                ):
-                    return
-            labels[v] = [
-                kept
-                for kept in labels[v]
-                if not (
-                    cand.value >= kept.value
-                    and cand.resource <= kept.resource
-                    and (gate is None or cand.resource >= gate)
-                )
-            ]
-        labels[v].append(cand)
-
+    ints = dag.int_arcs()
+    dst, val, res = ints.dst, ints.val, ints.res
+    lo, hi = dag.int_windows()
+    # per vertex: cumulative resource -> (value, predecessor's resource, arc)
+    states: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(dag.n)]
+    if lo[dag.source] <= 0 <= hi[dag.source]:
+        states[dag.source][0] = (0, 0, -1)
+    out_arcs = dag.out_arcs
     for u in dag.topo_order:
-        for lab in labels[u]:
+        for r, (value, _, _) in states[u].items():
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutExceeded("label setting hit its deadline")
-            for aid in dag.out_arcs[u]:
-                a = dag.arcs[aid]
-                r = lab.resource + a.resource
-                if not dag.windows[a.dst].contains(r):
-                    continue
-                insert(a.dst, _RcspLabel(r, lab.value + a.value, a.dst, lab, aid))
+            for aid in out_arcs[u]:
+                v = dst[aid]
+                r_v = r + res[aid]
+                if lo[v] <= r_v <= hi[v]:
+                    cand = value + val[aid]
+                    kept = states[v].get(r_v)
+                    if kept is None or cand > kept[0]:
+                        states[v][r_v] = (cand, r, aid)
 
-    sink_labels = labels[dag.sink]
-    if not sink_labels:
+    at_sink = states[dag.sink]
+    if not at_sink:
         return OracleResult("infeasible", None, None, None, None)
-    best = max(sink_labels, key=lambda l: l.value)
+    best, r, aid = at_sink[max(at_sink, key=lambda k: at_sink[k][0])]
     ids: list[int] = []
-    cur: Optional[_RcspLabel] = best
-    while cur is not None and cur.arc_id is not None:
-        ids.append(cur.arc_id)
-        cur = cur.parent
-    witness = path_metrics(dag, list(reversed(ids)), start=dag.source)
-    return OracleResult("optimal", best.value, witness, None, None)
+    while aid >= 0:
+        ids.append(aid)
+        _, r, aid = states[dag.arcs[aid].src][r]
+    witness = path_metrics(dag, ids[::-1], start=dag.source)
+    return OracleResult("optimal", Fraction(best, ints.dv), witness, None, None)
 
 
 def relaxed_longest(dag: WindowedDag) -> Fraction:

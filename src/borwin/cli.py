@@ -85,11 +85,8 @@ def cmd_solve(args) -> int:
         )
     if args.algo == "rcsp":
         res = rcsp_label_setting(dag)
-    elif args.algo == "oracle":
-        res = brute_force(dag, strict=False)
     else:
-        print(f"unknown algorithm {args.algo!r}", file=sys.stderr)
-        return EXIT_ERROR
+        res = brute_force(dag, strict=False)
     if res.status != "optimal":
         return _emit(args, {"status": "infeasible"})
     return _emit(
@@ -130,6 +127,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos or any(a not in ALGOS for a in algos):
+        print(f"error: --algos takes names from {','.join(ALGOS)}, got {args.algos!r}", file=sys.stderr)
+        return EXIT_ERROR
     directory = FsPath(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -142,7 +143,6 @@ def cmd_bench(args) -> int:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
         files.append((path.name, kind, obj))
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     records = run_bench(files, algos=algos, timeout_ms=args.timeout_ms)
     with open(args.csv, "w") as fh:
         write_csv(records, fh)

@@ -103,7 +103,6 @@ class WindowedDag:
         "labels",
         "topo_order",
         "out_arcs",
-        "in_arcs",
         "_int_arcs",
         "_int_windows",
     )
@@ -124,13 +123,10 @@ class WindowedDag:
         self.sink = sink
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(self.n))
         out: list[list[int]] = [[] for _ in range(self.n)]
-        inn: list[list[int]] = [[] for _ in range(self.n)]
         for idx, a in enumerate(self.arcs):
             if 0 <= a.src < self.n and 0 <= a.dst < self.n:
                 out[a.src].append(idx)
-                inn[a.dst].append(idx)
         self.out_arcs = tuple(tuple(v) for v in out)
-        self.in_arcs = tuple(tuple(v) for v in inn)
         if topo_order is not None:
             self.topo_order = tuple(topo_order)
         else:
@@ -180,7 +176,10 @@ def _kahn(dag: WindowedDag) -> Optional[tuple[int, ...]]:
     """Smallest-id-first topological order from the instance's adjacency,
     or None when the graph has a cycle."""
     arcs = dag.arcs
-    indeg = [len(inn) for inn in dag.in_arcs]
+    indeg = [0] * dag.n
+    for out in dag.out_arcs:
+        for aidx in out:
+            indeg[arcs[aidx].dst] += 1
     queue = [v for v in range(dag.n) if indeg[v] == 0]  # sorted, so a heap
     order: list[int] = []
     while queue:
@@ -244,7 +243,11 @@ def reachable_from(dag: WindowedDag, v: int) -> set[int]:
 
 
 def reaching(dag: WindowedDag, v: int) -> set[int]:
-    return _closure(v, dag.in_arcs, [a.src for a in dag.arcs])
+    in_arcs: list[list[int]] = [[] for _ in range(dag.n)]
+    for out in dag.out_arcs:
+        for aidx in out:
+            in_arcs[dag.arcs[aidx].dst].append(aidx)
+    return _closure(v, in_arcs, [a.src for a in dag.arcs])
 
 
 def _closure(v: int, adjacency: Sequence[Sequence[int]], end: Sequence[int]) -> set[int]:

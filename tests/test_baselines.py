@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from borwin.baselines import TooLarge, brute_force, rcsp_label_setting, relaxed_longest
-from borwin.generate import random_dag
+from borwin.generate import random_dag, random_huc
 from borwin.graph import Arc, GraphError, TimeoutExceeded, Window, WindowedDag, check_windows
+from borwin.huc import reached_graph, solve_huc
 from borwin.phase1 import Infeasible, Pair, SolvedAtSp, run_phase1
+from borwin.solver import solve_awclpp
 
 F = Fraction
 
@@ -73,11 +75,25 @@ def test_rcsp_matches_oracle_random():
 
 
 def test_rcsp_no_lower_bounds_reduces_to_classic(wclpp):
-    # drop all lower bounds: the gate condition is vacuous and frontiers
-    # stay small, but the optimum must not change from full enumeration
+    # drop all lower bounds: only upper bounds limit the (vertex,
+    # resource) states, and the optimum must not change from full
+    # enumeration
     windows = [Window(None, w.hi) for w in wclpp.windows]
     dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
     assert rcsp_label_setting(dag).value == brute_force(dag).value
+
+
+def test_rcsp_finishes_what_borwin_solves():
+    # many paths reach each (vertex, resource) state of these two; the
+    # DP keeps one per state and needs milliseconds of the 5 s deadline
+    dag = random_dag(random.Random(2), 120)
+    res = rcsp_label_setting(dag, deadline=time.monotonic() + 5)
+    sol = solve_awclpp(dag)
+    assert (res.status, res.value) == (sol.status, sol.value)
+    inst = random_huc(random.Random(2), 48, 3, 2)
+    res = rcsp_label_setting(reached_graph(inst)[0], deadline=time.monotonic() + 5)
+    sol = solve_huc(inst)
+    assert (res.status, res.value) == (sol.status, sol.revenue)
 
 
 def test_relaxed_longest_fixture(wclpp):
@@ -131,9 +147,15 @@ def test_brute_force_rejects_cyclic_input():
 
 
 def test_rcsp_deadline_overrun_is_small():
-    for seed, n in ((2, 80), (0, 120)):
-        dag = random_dag(random.Random(seed), n)
-        start = time.monotonic()
-        with pytest.raises(TimeoutExceeded):
-            rcsp_label_setting(dag, deadline=start + 0.5)
-        assert time.monotonic() - start < 0.6, f"seed {seed}"
+    # a chain of 600 parallel arcs per step, resources 0..599, inside
+    # windows [0, 600]: every vertex past the first holds about 600
+    # states and each tries 600 arcs, which mostly land on a state of
+    # equal value; the whole DP takes seconds and stays small in memory
+    steps, width = 100, 600
+    arcs = [Arc(u, u + 1, F(1), F(r)) for u in range(steps) for r in range(width)]
+    dag = WindowedDag([Window(F(0), F(width))] * (steps + 1), arcs, 0, steps)
+    dag.int_windows()
+    start = time.monotonic()
+    with pytest.raises(TimeoutExceeded):
+        rcsp_label_setting(dag, deadline=start + 0.5)
+    assert time.monotonic() - start < 0.6

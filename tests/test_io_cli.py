@@ -481,6 +481,21 @@ def test_cli_bench_rejects_a_path_that_is_not_a_directory(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_cli_bench_rejects_unknown_algorithm_names(tmp_path, capsys):
+    """A name outside ``bench.ALGOS``, or no name at all, is one error
+    line before any file is read, and no CSV is written."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_bytes(b"\xff\xfe\x00")  # would print a "skipping" line if read
+    csv_path = tmp_path / "bench.csv"
+    for algos in ("borwin,foo", ","):
+        assert main(["bench", str(corpus), "--csv", str(csv_path), "--algos", algos]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --algos ") and err.count("\n") == 1, algos
+    assert not csv_path.exists()
+    assert not csv_path.with_suffix(".summary.csv").exists()
+
+
 def test_cli_maps_os_errors_to_one_error_line(tmp_path, capsys):
     """A directory where a file is read or written is one error line."""
     for argv in (

@@ -296,8 +296,8 @@ def test_parallel_arcs_are_distinct():
 
 def test_mixed_sign_resources_match_oracle():
     """Arc resources of both signs exercise the orientation logic and the
-    sign-agnostic window checks; dominance in the label-setting baseline
-    turns itself off on such inputs."""
+    sign-agnostic window checks; the label-setting baseline's states are
+    (vertex, resource) pairs, which need no sign of resource."""
     from borwin.baselines import rcsp_label_setting
 
     for seed in range(120):
@@ -700,6 +700,9 @@ def test_solver_agrees_with_the_oracles(dag):
     rcsp = rcsp_label_setting(dag)
     assert (rcsp.status, rcsp.value) == (oracle.status, oracle.value)
     if oracle.status == "optimal":
+        assert rcsp.witness.start == dag.source and rcsp.witness.end == dag.sink
+        assert check_windows(dag, rcsp.witness) is None
+        assert rcsp.witness.value == rcsp.value
         assert sol.value == oracle.value
         assert sol.path.start == dag.source and sol.path.end == dag.sink
         assert check_windows(dag, sol.path) is None
