@@ -6,6 +6,7 @@ from .bounds import MckpItem, NestedMckp, StageOutOfRange, UbProvider, ValueTail
 from .graph import (
     Arc,
     GraphError,
+    InvalidGraph,
     NonContiguous,
     Path,
     SinkUnreachable,

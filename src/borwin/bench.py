@@ -1,9 +1,11 @@
-"""Benchmark harness: run algorithms over an instance directory, emit CSV.
+"""Run one algorithm on one instance; benchmark algorithms over a corpus.
 
-One record per (instance, algorithm). Timeouts are cooperative: each
-solver loop checks a wall-clock deadline, so a timed-out run reports
-status "timeout" with an empty value. A solved-within-t summary usable
-for cactus plots is written next to the main CSV.
+:func:`run` is the one map from an instance kind and an algorithm name
+to a solver: ``borwin solve`` renders its answer, and the harness times
+it into one record per (instance, algorithm). Timeouts are cooperative:
+each solver loop checks a wall-clock deadline, so a timed-out run
+reports status "timeout" with an empty value. A solved-within-t summary
+usable for cactus plots is written next to the main CSV.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
 
 from .baselines import brute_force, rcsp_label_setting
-from .graph import TimeoutExceeded, WindowedDag
+from .graph import InvalidGraph, TimeoutExceeded, WindowedDag, validate
 from .huc import HucInstance, reached_graph, solve_huc
-from .phase2 import SolveStats
 from .rational import rat_str
 from .solver import OPTIMAL, solve_awclpp
 
@@ -36,10 +37,6 @@ CSV_COLUMNS = ["instance", "algo", "status", "value", "time_ms", *STAT_NAMES, "e
 ALGOS = ("borwin", "rcsp", "oracle")
 
 
-def stats_dict(stats: SolveStats) -> dict[str, int]:
-    return {name: getattr(stats, attr) for name, attr in STAT_NAMES.items()}
-
-
 @dataclass
 class BenchRecord:
     instance: str
@@ -47,7 +44,7 @@ class BenchRecord:
     status: str  # "opt" | "infeasible" | "timeout" | "error"
     value: Optional[Fraction] = None
     time_ms: float = 0.0
-    stats: dict[str, int] = field(default_factory=dict)  # stats_dict of a borwin solve
+    stats: dict[str, int] = field(default_factory=dict)  # a borwin solve's, as in Answer.stats
     error: Optional[str] = None  # "Class: message" when status is "error"
 
     def row(self) -> list[str]:
@@ -65,10 +62,60 @@ class BenchRecord:
         ]
 
 
-def _as_dag(kind: str, obj: Union[WindowedDag, HucInstance]) -> WindowedDag:
+@dataclass(frozen=True)
+class Answer:
+    """What :func:`run` found: an optimum's value and path labels, or a
+    commitment's schedule and volumes; borwin's counters by their
+    :data:`STAT_NAMES` name."""
+
+    status: str  # "opt" | "infeasible"
+    value: Optional[Fraction] = None
+    path: Optional[list[str]] = None
+    schedule: Optional[list[int]] = None
+    volumes: Optional[list[Fraction]] = None
+    stats: dict[str, int] = field(default_factory=dict)
+
+
+def as_dag(kind: str, obj: Union[WindowedDag, HucInstance], deadline: Optional[float] = None) -> WindowedDag:
+    """The graph the reference algorithms and ``validate`` read: a DAG
+    input itself, a commitment instance's :func:`reached_graph`."""
+    return obj if kind == "dag" else reached_graph(obj, deadline)[0]
+
+
+def run(
+    kind: str,
+    obj: Union[WindowedDag, HucInstance],
+    algo: str,
+    deadline: Optional[float] = None,
+    trace_phase1=None,
+    trace_phase2=None,
+) -> Answer:
+    """Solve ``obj`` with ``algo``, one of :data:`ALGOS`. A DAG input that
+    fails :func:`validate` raises :class:`InvalidGraph`; past ``deadline``
+    (a ``time.monotonic`` value) :class:`TimeoutExceeded`."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     if kind == "dag":
-        return obj
-    return reached_graph(obj)[0]
+        report = validate(obj)
+        if not report.ok:
+            raise InvalidGraph(f"{report.code}: {report.detail}")
+    if algo == "borwin":
+        solve = solve_huc if kind == "huc" else solve_awclpp
+        sol = solve(obj, deadline=deadline, trace_phase1=trace_phase1, trace_phase2=trace_phase2)
+        stats = {name: getattr(sol.stats, attr) for name, attr in STAT_NAMES.items()}
+        if sol.status != OPTIMAL:
+            return Answer("infeasible", stats=stats)
+        if kind == "huc":
+            return Answer("opt", sol.revenue, schedule=sol.schedule, volumes=sol.volumes, stats=stats)
+        return Answer("opt", sol.value, path=sol.path.labelled(obj), stats=stats)
+    dag = as_dag(kind, obj, deadline)
+    if algo == "rcsp":
+        res = rcsp_label_setting(dag, deadline=deadline)
+    else:
+        res = brute_force(dag, strict=False, deadline=deadline)
+    if res.status != "optimal":
+        return Answer("infeasible")
+    return Answer("opt", res.value, path=res.witness.labelled(dag))
 
 
 def run_one(
@@ -78,35 +125,17 @@ def run_one(
     algo: str,
     timeout_ms: Optional[float],
 ) -> BenchRecord:
+    """Time :func:`run` and record its answer, a timeout, or the
+    exception it raised."""
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
     start = time.perf_counter()
     rec = BenchRecord(instance=name, algo=algo, status="error")
     try:
-        if algo == "borwin":
-            if kind == "huc":
-                sol = solve_huc(obj, deadline=deadline)
-                rec.value = sol.revenue
-            else:
-                sol = solve_awclpp(obj, deadline=deadline)
-                rec.value = sol.value
-            rec.status = "opt" if sol.status == OPTIMAL else "infeasible"
-            rec.stats = stats_dict(sol.stats)
-        elif algo == "rcsp":
-            res = rcsp_label_setting(_as_dag(kind, obj), deadline=deadline)
-            rec.status = "opt" if res.status == "optimal" else "infeasible"
-            rec.value = res.value
-        elif algo == "oracle":
-            res = brute_force(_as_dag(kind, obj), strict=False, deadline=deadline)
-            rec.status = "opt" if res.status == "optimal" else "infeasible"
-            rec.value = res.value
-        else:
-            raise ValueError(f"unknown algorithm {algo!r}")
+        ans = run(kind, obj, algo, deadline)
+        rec.status, rec.value, rec.stats = ans.status, ans.value, ans.stats
     except TimeoutExceeded:
         rec.status = "timeout"
-        rec.value = None
     except Exception as exc:
-        rec.status = "error"
-        rec.value = None
         rec.error = f"{type(exc).__name__}: {exc}"
     rec.time_ms = (time.perf_counter() - start) * 1000.0
     return rec

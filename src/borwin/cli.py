@@ -9,14 +9,12 @@ import sys
 from io import StringIO
 from pathlib import Path as FsPath
 
-from .baselines import brute_force, rcsp_label_setting
-from .bench import ALGOS, run_bench, stats_dict, write_csv, write_summary
+from .bench import ALGOS, as_dag, run, run_bench, write_csv, write_summary
 from .generate import GeneratorConfig, InvalidConfig, generate
-from .graph import GraphError, validate
-from .huc import export_milp, reached_graph, solve_huc
+from .graph import GraphError, InvalidGraph, validate
+from .huc import export_milp
 from .io import InstanceFormatError, dump_json, load_instance, non_decimal_field
 from .rational import NotDecimal, rat_str
-from .solver import OPTIMAL, solve_awclpp
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,53 +44,18 @@ def cmd_solve(args) -> int:
     trace = _trace_enabled(args)
     t1 = _print_phase1 if trace else None
     t2 = _print_phase2 if trace else None
-
-    if kind == "huc":
-        if args.algo == "borwin":
-            sol = solve_huc(obj, trace_phase1=t1, trace_phase2=t2)
-            if sol.status != OPTIMAL:
-                return _emit(args, {"status": "infeasible"})
-            return _emit(
-                args,
-                {
-                    "status": "opt",
-                    "value": rat_str(sol.revenue),
-                    "schedule": sol.schedule,
-                    "volumes": [rat_str(v) for v in sol.volumes],
-                    "stats": stats_dict(sol.stats),
-                },
-            )
-        dag, _ = reached_graph(obj)
+    ans = run(kind, obj, args.algo, trace_phase1=t1, trace_phase2=t2)
+    if ans.status != "opt":
+        return _emit(args, {"status": ans.status})
+    payload = {"status": "opt", "value": rat_str(ans.value)}
+    if ans.schedule is not None:
+        payload["schedule"] = ans.schedule
+        payload["volumes"] = [rat_str(v) for v in ans.volumes]
     else:
-        dag = obj
-        report = validate(dag)
-        if not report.ok:
-            print(f"error: {report.code}: {report.detail}", file=sys.stderr)
-            return EXIT_ERROR
-
-    if args.algo == "borwin":
-        sol = solve_awclpp(dag, trace_phase1=t1, trace_phase2=t2)
-        if sol.status != OPTIMAL:
-            return _emit(args, {"status": "infeasible"})
-        return _emit(
-            args,
-            {
-                "status": "opt",
-                "value": rat_str(sol.value),
-                "path": sol.path.labelled(dag),
-                "stats": stats_dict(sol.stats),
-            },
-        )
-    if args.algo == "rcsp":
-        res = rcsp_label_setting(dag)
-    else:
-        res = brute_force(dag, strict=False)
-    if res.status != "optimal":
-        return _emit(args, {"status": "infeasible"})
-    return _emit(
-        args,
-        {"status": "opt", "value": rat_str(res.value), "path": res.witness.labelled(dag)},
-    )
+        payload["path"] = ans.path
+    if ans.stats:
+        payload["stats"] = ans.stats
+    return _emit(args, payload)
 
 
 def _emit(args, payload: dict) -> int:
@@ -131,6 +94,9 @@ def cmd_bench(args) -> int:
     if not algos or any(a not in ALGOS for a in algos):
         print(f"error: --algos takes names from {','.join(ALGOS)}, got {args.algos!r}", file=sys.stderr)
         return EXIT_ERROR
+    if args.timeout_ms is not None and not args.timeout_ms >= 0:
+        print(f"error: --timeout-ms must be at least 0, got {args.timeout_ms}", file=sys.stderr)
+        return EXIT_ERROR
     directory = FsPath(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -143,12 +109,12 @@ def cmd_bench(args) -> int:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
         files.append((path.name, kind, obj))
-    records = run_bench(files, algos=algos, timeout_ms=args.timeout_ms)
-    with open(args.csv, "w") as fh:
-        write_csv(records, fh)
     summary_path = FsPath(args.csv).with_suffix(".summary.csv")
-    with open(summary_path, "w") as fh:
-        write_summary(records, fh)
+    # open both outputs before solving, so a path that cannot be written costs no solve
+    with open(args.csv, "w") as fh, open(summary_path, "w") as summary:
+        records = run_bench(files, algos=algos, timeout_ms=args.timeout_ms)
+        write_csv(records, fh)
+        write_summary(records, summary)
     print(f"wrote {args.csv} and {summary_path} ({len(records)} rows)")
     return EXIT_OK
 
@@ -176,7 +142,7 @@ def cmd_export_lp(args) -> int:
 
 def cmd_validate(args) -> int:
     kind, obj = load_instance(args.input)
-    report = validate(reached_graph(obj)[0] if kind == "huc" else obj)
+    report = validate(as_dag(kind, obj))
     for warning in report.warnings:
         print(f"warning: {warning}")
     if report.ok:
@@ -233,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, OSError, InvalidConfig, NotDecimal) as exc:
+    except (InstanceFormatError, OSError, InvalidConfig, NotDecimal, InvalidGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except GraphError as exc:

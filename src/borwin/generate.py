@@ -13,7 +13,7 @@ guaranteed by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
@@ -178,18 +178,7 @@ def random_huc(
         slack_hi = Fraction(rng.randint(0, 6))
         win_lo.append(max(ZERO, c - slack_lo))
         win_hi.append(c + slack_hi)
-    inst = HucInstance(
-        periods=periods,
-        points=ops,
-        ramp_up=ramp_up,
-        ramp_down=ramp_down,
-        min_updown=min_updown,
-        prices=prices,
-        water_value_upstream=phi1,
-        water_value_downstream=phi2,
-        win_lo=tuple(win_lo),
-        win_hi=tuple(win_hi),
-    )
+    inst = replace(probe, win_lo=tuple(win_lo), win_hi=tuple(win_hi))
     if not schedule_is_legal(inst, walked):
         raise GraphInvariantError("generator walked an illegal schedule")
     return inst

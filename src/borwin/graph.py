@@ -42,6 +42,10 @@ class TimeoutExceeded(GraphError, TimeoutError):
     """Cooperative deadline hit inside a solver loop or an oracle."""
 
 
+class InvalidGraph(GraphError):
+    """An input DAG fails :func:`validate`; the message is ``code: detail``."""
+
+
 @dataclass(frozen=True)
 class Window:
     """Closed interval on cumulative resource; ``None`` means unbounded."""

@@ -195,10 +195,16 @@ class _Moves(dict):
         return out
 
 
+def _on_time(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutExceeded("HUC compile hit its deadline")
+
+
 def _emit(
     inst: HucInstance,
     layers: Sequence[Sequence[State]],
     moves: Sequence[dict[State, list[State]]],
+    deadline: Optional[float] = None,
 ) -> tuple[list[Arc], list[tuple[int, int, int]], IntArcs]:
     """Number the states of ``layers`` (period 0 to T, each in (i, l)
     order) consecutively, then the sink, and emit an arc for each move
@@ -226,6 +232,7 @@ def _emit(
     arcs: list[Arc] = []
     dst, val, res = [], [], []  # the IntArcs lists
     for t in range(T):
+        _on_time(deadline)
         nxt = ids[t + 1]
         succ = moves[t]
         values = cum_v[t]  # period t + 1
@@ -262,14 +269,15 @@ def _labels(states: Iterable[tuple[int, int, int]], periods: int) -> list[str]:
     return ["s" if t == 0 else "p" if t > periods else f"t{t}i{i}l{l}" for t, i, l in states]
 
 
-def reached_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
+def reached_graph(inst: HucInstance, deadline: Optional[float] = None) -> tuple[WindowedDag, VertexMap]:
     """The instance's s-p graph: the source, the (t, i, l) states the
     initial state reaches in that order, then the sink, with an arc for
     every legal move; each vertex has its period's window, and reaches
     the sink by staying put. The CLI's reference algorithms, ``validate``
     and the benchmark baselines read it; it is independent of
-    :func:`_solve_graph`'s hulls, so they cross-check the solve."""
-    return _reach(inst, grid=False)
+    :func:`_solve_graph`'s hulls, so they cross-check the solve. Its
+    passes check ``deadline`` once per period, as :func:`solve_huc`'s do."""
+    return _reach(inst, grid=False, deadline=deadline)
 
 
 def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
@@ -279,15 +287,16 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
     return _reach(inst, grid=True)
 
 
-def _reach(inst: HucInstance, grid: bool) -> tuple[WindowedDag, VertexMap]:
+def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> tuple[WindowedDag, VertexMap]:
     # reached_graph, plus the unreached grid states when ``grid``; every
     # arc goes from a smaller id to a larger one, so ids are the topo order
     T = inst.periods
     moves = _Moves(inst, cumulative_flows(inst))
     layers = [[(inst.initial_point, inst.initial_hold)]]
     for _ in range(T):
+        _on_time(deadline)
         layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
-    arcs, states, ints = _emit(inst, layers, [moves] * T)
+    arcs, states, ints = _emit(inst, layers, [moves] * T, deadline)
     sink = len(states) - 1
     if grid:
         cells = [(i, l) for i in range(inst.levels) for l in range(1 - inst.min_updown, inst.min_updown)]
@@ -324,16 +333,12 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     flow = [f.numerator * (scale // f.denominator) for f in cum_f]
     moves = _Moves(inst, cum_f)
 
-    def on_time() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("HUC compile hit its deadline")
-
     # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
     start = (inst.initial_point, inst.initial_hold)
     lo: list[dict[State, int]] = [{start: 0}]
     hi: list[dict[State, int]] = [{start: 0}]
     for t in range(T):
-        on_time()
+        _on_time(deadline)
         w_lo = -(-inst.win_lo[t].numerator * scale // inst.win_lo[t].denominator)
         w_hi = inst.win_hi[t].numerator * scale // inst.win_hi[t].denominator
         nlo: dict[State, int] = {}
@@ -361,7 +366,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     # meets hull(m), so the moves that do are the arcs.
     kept: list[dict[State, list[State]]] = [{} for _ in range(T)]
     for t in range(T - 1, -1, -1):
-        on_time()
+        _on_time(deadline)
         nlo, nhi = lo[t + 1], hi[t + 1]
         klo: dict[State, int] = {}
         khi: dict[State, int] = {}
@@ -390,7 +395,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         hi[t] = khi
 
     layers = [sorted(layer) for layer in lo]
-    arcs, states, ints = _emit(inst, layers, kept)
+    arcs, states, ints = _emit(inst, layers, kept, deadline)
     hulls = [(lo[t][s], hi[t][s]) for t, layer in enumerate(layers) for s in layer]
     hulls.append((min(lo[T].values()), max(hi[T].values())))  # the sink's
     # one Window per distinct hull, one Fraction per distinct end
@@ -534,7 +539,7 @@ def solve_huc(
     """Compile the window-feasible states (see :func:`_solve_graph`) and
     solve the graph with :func:`solve_awclpp` and its default value
     bound; returns the best commitment. The compile checks ``deadline``
-    once per period of each hull pass and raises
+    once per period of each pass and raises
     :class:`TimeoutExceeded` past it."""
     compiled = _solve_graph(inst, deadline)
     if compiled is None:

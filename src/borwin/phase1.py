@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .graph import (
     Arc,
+    GraphError,
     Path,
     SinkUnreachable,
     TailMap,
@@ -46,7 +47,7 @@ class NotAPair(Exception):
     """Operation needs a straddling-pair outcome."""
 
 
-class GraphInvariantError(Exception):
+class GraphInvariantError(GraphError):
     """An internal invariant failed: a defect in the solver or the
     generators, not in the input."""
 

@@ -323,15 +323,60 @@ def test_cli_solve_rejects_a_cyclic_instance(tmp_path, capsys):
 
 
 def test_cli_maps_solver_errors_to_exit_codes(capsys, monkeypatch):
-    from borwin import cli
+    from borwin import bench
     from borwin.graph import GraphError
 
     def fail(dag, **kwargs):
         raise GraphError("instance is not acyclic")
 
-    monkeypatch.setattr(cli, "solve_awclpp", fail)
+    monkeypatch.setattr(bench, "solve_awclpp", fail)
     assert main(["solve", str(WCLPP5)]) == 1
     assert capsys.readouterr().err == "error: GraphError: instance is not acyclic\n"
+
+
+def test_cli_maps_internal_invariant_errors_to_one_error_line(capsys, monkeypatch):
+    from borwin import huc
+    from borwin.phase2 import SolveStats
+    from borwin.solver import OPTIMAL, AwclppSolution
+
+    monkeypatch.setattr(huc, "solve_awclpp", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
+    assert main(["solve", str(HUC5)]) == 1
+    assert capsys.readouterr().err == "error: GraphInvariantError: an optimal solve returned no path\n"
+
+
+def _malformed_dags():
+    bad_source = json.loads(WCLPP5.read_text())
+    bad_source["vertices"][0]["lo"] = 1
+    inverted = json.loads(WCLPP5.read_text())
+    sink = next(v for v in inverted["vertices"] if v["id"] == "p")
+    sink["lo"], sink["hi"] = 45, 41
+    cyclic = json.loads(WCLPP5.read_text())
+    cyclic["arcs"].append({"from": "p", "to": "s", "value": 1, "resource": 1})
+    return [
+        pytest.param(bad_source, "BadSourceWindow: source window does not contain resource 0", id="bad_source"),
+        pytest.param(inverted, "InvertedWindow: vertex p has lo > hi", id="inverted"),
+        pytest.param(cyclic, "CycleDetected: graph contains a directed cycle", id="cyclic"),
+    ]
+
+
+@pytest.mark.parametrize("data,message", _malformed_dags())
+def test_bench_and_solve_reject_a_malformed_dag_alike(tmp_path, capsys, data, message):
+    """``bench`` validates a DAG input as ``solve`` does: one error row per
+    algorithm, naming the check ``solve`` prints."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "bad.json"
+    path.write_text(json.dumps(data))
+    for algo in ("borwin", "rcsp", "oracle"):
+        assert main(["solve", str(path), "--algo", algo]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--csv", str(csv_path)]) == 0
+    with open(csv_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["algo"], r["status"], r["error"]) for r in rows] == [
+        (algo, "error", f"InvalidGraph: {message}") for algo in ("borwin", "rcsp", "oracle")
+    ]
 
 
 def test_cli_export_lp(tmp_path, capsys):
@@ -496,6 +541,38 @@ def test_cli_bench_rejects_unknown_algorithm_names(tmp_path, capsys):
     assert not csv_path.with_suffix(".summary.csv").exists()
 
 
+def test_cli_bench_rejects_a_negative_or_nan_timeout(tmp_path, capsys):
+    """A bad ``--timeout-ms`` is one error line before any file is read,
+    and no CSV is written; 0 and inf stay valid."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_bytes(b"\xff\xfe\x00")  # would print a "skipping" line if read
+    csv_path = tmp_path / "bench.csv"
+    for value in ("-5", "nan"):
+        assert main(["bench", str(corpus), "--csv", str(csv_path), "--timeout-ms", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --timeout-ms ") and err.count("\n") == 1, value
+    assert not csv_path.exists()
+    for value in ("0", "inf"):
+        assert main(["bench", str(corpus), "--csv", str(csv_path), "--timeout-ms", value]) == 0
+
+
+def test_cli_bench_opens_its_outputs_before_solving(tmp_path, capsys, monkeypatch):
+    from borwin import bench
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bench solved before opening its outputs")
+
+    monkeypatch.setattr(bench, "run_one", unreachable)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    main(["gen", "--family", "dag", "--seed", "1", "--vertices", "8", "--out", str(corpus / "d1.json")])
+    capsys.readouterr()
+    assert main(["bench", str(corpus), "--csv", str(tmp_path / "missing" / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_maps_os_errors_to_one_error_line(tmp_path, capsys):
     """A directory where a file is read or written is one error line."""
     for argv in (
@@ -521,6 +598,22 @@ def test_bench_timeout_rows():
     write_csv(records, buf)
     rows = list(csv.DictReader(iomod.StringIO(buf.getvalue())))
     assert all(r["status"] == "timeout" and r["value"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("algo", ["rcsp", "oracle"])
+def test_bench_deadline_covers_the_commitment_compile(algo):
+    """The reference algorithms' rows on a commitment instance time out
+    inside its reached-graph compile, not after it."""
+    from random import Random
+
+    from borwin.bench import run_one
+    from borwin.generate import random_huc
+
+    inst = random_huc(Random(1), 20000, 5, 4)
+    start = time.perf_counter()
+    rec = run_one("h", "huc", inst, algo, 100)
+    assert rec.status == "timeout"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_bench_error_rows_record_the_exception():
