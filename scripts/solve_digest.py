@@ -13,6 +13,13 @@ events.
 
 Usage, from the root of each checkout:
     python3 scripts/solve_digest.py > digest.jsonl
+
+Compare two digests:
+    python3 scripts/solve_digest.py --diff OLD.jsonl NEW.jsonl
+
+prints the rows whose status or value changed (exit code 1 if any), the
+rows whose witness or schedule alone changed, and the rows whose
+phase-2 pops or created labels rose.
 """
 
 import dataclasses
@@ -65,7 +72,35 @@ def _row(name, solve, obj) -> dict:
     return row
 
 
+WORK = ("phase2_iterations", "labels_created")
+
+
+def diff(old_path: str, new_path: str) -> int:
+    def load(path):
+        with open(path) as fh:
+            return {row["name"]: row for row in map(json.loads, fh)}
+
+    old, new = load(old_path), load(new_path)
+    changed, witness, rose = [], [], []
+    for name in old.keys() | new.keys():
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None or (a["status"], a.get("value")) != (b["status"], b.get("value")):
+            changed.append(name)
+            continue
+        if (a.get("witness"), a.get("schedule")) != (b.get("witness"), b.get("schedule")):
+            witness.append(name)
+        if any(b["stats"][k] > a["stats"][k] for k in WORK):
+            rose.append(name)
+    for title, names in (("status or value changed", changed), ("witness only", witness), ("pops or labels rose", rose)):
+        print(f"{title}: {len(names)}")
+        for name in sorted(names):
+            print(f"  {name}")
+    return 1 if changed else 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--diff"] and len(sys.argv) == 4:
+        return diff(sys.argv[2], sys.argv[3])
     for specs in corpus.WORKLOADS.values():
         for inst in corpus.load_texts(corpus.generate_texts(specs, 0)):
             solve = solve_huc if inst.family == "huc" else solve_awclpp

@@ -20,6 +20,7 @@ from .graph import (
     longest_path,
     path_by_vertices,
     path_metrics,
+    presolve,
     prune_unreachable,
     validate,
 )

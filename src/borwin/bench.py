@@ -30,6 +30,7 @@ STAT_NAMES = {
     "labels_pruned_bound": "labels_pruned_bound",
     "labels_pruned_dom": "labels_pruned_dominance",
     "labels_pruned_ub": "labels_pruned_ub",
+    "arcs_cut": "arcs_cut",
 }
 
 CSV_COLUMNS = ["instance", "algo", "status", "value", "time_ms", *STAT_NAMES, "error"]

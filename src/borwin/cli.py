@@ -45,14 +45,14 @@ def cmd_solve(args) -> int:
     t1 = _print_phase1 if trace else None
     t2 = _print_phase2 if trace else None
     ans = run(kind, obj, args.algo, trace_phase1=t1, trace_phase2=t2)
-    if ans.status != "opt":
-        return _emit(args, {"status": ans.status})
-    payload = {"status": "opt", "value": rat_str(ans.value)}
-    if ans.schedule is not None:
-        payload["schedule"] = ans.schedule
-        payload["volumes"] = [rat_str(v) for v in ans.volumes]
-    else:
-        payload["path"] = ans.path
+    payload: dict = {"status": ans.status}
+    if ans.status == "opt":
+        payload["value"] = rat_str(ans.value)
+        if ans.schedule is not None:
+            payload["schedule"] = ans.schedule
+            payload["volumes"] = [rat_str(v) for v in ans.volumes]
+        else:
+            payload["path"] = ans.path
     if ans.stats:
         payload["stats"] = ans.stats
     return _emit(args, payload)

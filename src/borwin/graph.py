@@ -16,6 +16,7 @@ vertex, a best path to the sink under a parametric arc weight.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -495,6 +496,113 @@ def longest_path(dag: WindowedDag, delta: Weight, start: Optional[int] = None) -
     if at not in tails:
         raise SinkUnreachable(f"vertex {dag.labels[at]} cannot reach the sink")
     return tails.path(at), Fraction(tails.mu[at], tails.scale)
+
+
+def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[WindowedDag]:
+    """Exact resource-window reduction of ``dag`` (Desrochers and Soumis,
+    1988): two passes over :meth:`~WindowedDag.int_arcs` and
+    :meth:`~WindowedDag.int_windows`, O(n + m) integer work each.
+
+    Forward, in topological order, each vertex gets ``F_v``: the hull of
+    ``F_u + r`` over its in-arcs, cut to its window; the source starts at
+    ``[0, 0]``. Backward from the sink, each vertex gets ``B_v``: within
+    ``F_v``, the hull of the points from which some out-arc ``v -> w``
+    reaches a non-empty ``B_w``. Every window-feasible s-p path visits
+    each of its vertices with a cumulative resource in ``B_v``, so an arc
+    ``u -> w`` can carry such a path only when ``B_u + r`` meets ``B_w``.
+
+    Returns None when the source or the sink ends with an empty interval:
+    then no window-feasible path exists. Otherwise a view with the same
+    vertex and arc ids, which shares ``n``, ``arcs``, ``labels``,
+    ``topo_order`` and the :class:`IntArcs` with ``dag``; its
+    ``out_arcs`` keep the arcs that can carry a feasible path, and each
+    vertex with a non-empty ``B_v`` has it as its integer and Fraction
+    window. The view has the same window-feasible s-p paths as ``dag``,
+    so paths, values and value-bound providers carry over unchanged.
+    ``deadline`` (a ``time.monotonic`` value) is checked before each
+    pass; past it, :class:`TimeoutExceeded` is raised."""
+    if dag.topo_order is None:
+        raise GraphError("instance is not acyclic")
+    _presolve_on_time(deadline)
+    arcs = dag.int_arcs()
+    dst, res = arcs.dst, arcs.res
+    lo, hi = dag.int_windows()
+    order, out_arcs, source, sink = dag.topo_order, dag.out_arcs, dag.source, dag.sink
+    # forward: [flo[v], fhi[v]] is the hull of F_v; None is empty
+    flo: list[Optional[int]] = [None] * dag.n
+    fhi = [0] * dag.n
+    flo[source] = 0
+    for u in order:
+        a = flo[u]
+        if a is None:
+            continue
+        b = fhi[u]
+        a, b = a if a > lo[u] else lo[u], b if b < hi[u] else hi[u]
+        if a > b:
+            flo[u] = None
+            continue
+        flo[u], fhi[u] = a, b
+        for aid in out_arcs[u]:
+            w, r = dst[aid], res[aid]
+            c = flo[w]
+            if c is None:
+                flo[w], fhi[w] = a + r, b + r
+                continue
+            if a + r < c:
+                flo[w] = a + r
+            if b + r > fhi[w]:
+                fhi[w] = b + r
+    if flo[sink] is None:
+        return None
+    _presolve_on_time(deadline)
+    # backward: B_v within F_v, and the arcs that reach a non-empty B_w
+    blo: list[Optional[int]] = [None] * dag.n
+    bhi = [0] * dag.n
+    blo[sink], bhi[sink] = flo[sink], fhi[sink]
+    kept: list[tuple[int, ...]] = [()] * dag.n
+    for u in reversed(order):
+        a = flo[u]
+        if a is None or u == sink:
+            continue
+        b = fhi[u]
+        out = []
+        for aid in out_arcs[u]:
+            w, r = dst[aid], res[aid]
+            c = blo[w]
+            if c is None:
+                continue
+            x, y = c - r, bhi[w] - r
+            x, y = x if x > a else a, y if y < b else b
+            if x <= y:
+                if not out or x < x0:
+                    x0 = x
+                if not out or y > y0:
+                    y0 = y
+                out.append(aid)
+        if out:
+            blo[u], bhi[u], kept[u] = x0, y0, tuple(out)
+    if blo[source] is None:
+        return None
+    windows = list(dag.windows)
+    ilo, ihi = list(lo), list(hi)
+    for v, x in enumerate(blo):
+        if x is not None:
+            y = bhi[v]
+            ilo[v], ihi[v] = x, y
+            windows[v] = Window(Fraction(x, arcs.dr), Fraction(y, arcs.dr))
+    view = WindowedDag.__new__(WindowedDag)
+    view.n, view.arcs, view.labels, view.topo_order = dag.n, dag.arcs, dag.labels, order
+    view.source, view.sink = source, sink
+    view.windows = tuple(windows)
+    view.out_arcs = tuple(kept)
+    view._int_arcs = arcs
+    view._int_windows = (ilo, ihi)
+    return view
+
+
+def _presolve_on_time(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutExceeded("presolve hit its deadline")
 
 
 def prune_unreachable(dag: WindowedDag) -> tuple[WindowedDag, tuple[int, ...]]:

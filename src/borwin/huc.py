@@ -20,7 +20,8 @@ compiles only the window-feasible states: exact integer hulls of the
 cumulative flow, propagated forward from the initial state and backward
 from the last period, drop every state and move no window-feasible
 schedule uses and prove some instances infeasible before any ``Arc``
-exists. :func:`solve_awclpp` then solves that graph as it is, with the
+exists. That compile already is the solver's presolve, so
+:func:`~borwin.solver.solve_tight` solves that graph as it is, with the
 same default value bound as any windowed DAG.
 """
 
@@ -46,7 +47,7 @@ from .graph import (
 from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
 from .rational import decimal_str
-from .solver import INFEASIBLE, OPTIMAL, AwclppSolution, solve_awclpp
+from .solver import INFEASIBLE, OPTIMAL, AwclppSolution, solve_tight
 
 ZERO = Fraction(0)
 
@@ -276,7 +277,8 @@ def reached_graph(inst: HucInstance, deadline: Optional[float] = None) -> tuple[
     the sink by staying put. The CLI's reference algorithms, ``validate``
     and the benchmark baselines read it; it is independent of
     :func:`_solve_graph`'s hulls, so they cross-check the solve. Its
-    passes check ``deadline`` once per period, as :func:`solve_huc`'s do."""
+    passes check ``deadline`` once per period and between its last
+    steps, as :func:`solve_huc`'s do."""
     return _reach(inst, grid=False, deadline=deadline)
 
 
@@ -297,6 +299,7 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
         _on_time(deadline)
         layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
     arcs, states, ints = _emit(inst, layers, [moves] * T, deadline)
+    _on_time(deadline)
     sink = len(states) - 1
     if grid:
         cells = [(i, l) for i in range(inst.levels) for l in range(1 - inst.min_updown, inst.min_updown)]
@@ -305,8 +308,11 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     # one shared window per period; the sink's is the last period's
     period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
     windows = [period[min(t, T)] for t, _, _ in states]
-    dag = WindowedDag(windows, arcs, 0, sink, labels=_labels(states, T), topo_order=range(len(states)))
+    labels = _labels(states, T)
+    _on_time(deadline)
+    dag = WindowedDag(windows, arcs, 0, sink, labels=labels, topo_order=range(len(states)))
     dag._int_arcs = ints
+    _on_time(deadline)
     return dag, VertexMap(T, states)
 
 
@@ -396,6 +402,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
 
     layers = [sorted(layer) for layer in lo]
     arcs, states, ints = _emit(inst, layers, kept, deadline)
+    _on_time(deadline)
     hulls = [(lo[t][s], hi[t][s]) for t, layer in enumerate(layers) for s in layer]
     hulls.append((min(lo[T].values()), max(hi[T].values())))  # the sink's
     # one Window per distinct hull, one Fraction per distinct end
@@ -403,11 +410,15 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     ends = {x: Fraction(x, scale) for x in {x for hull in distinct for x in hull}}
     shared = {hull: Window(ends[hull[0]], ends[hull[1]]) for hull in distinct}
     windows = [shared[hull] for hull in hulls]
-    dag = WindowedDag(windows, arcs, 0, len(states) - 1, labels=_labels(states, T), topo_order=range(len(states)))
+    labels = _labels(states, T)
+    _on_time(deadline)
+    dag = WindowedDag(windows, arcs, 0, len(states) - 1, labels=labels, topo_order=range(len(states)))
     dag._int_arcs = ints
+    _on_time(deadline)
     # the arcs' resource scale dr divides ``scale``
     k = scale // ints.dr
     dag._int_windows = ([-(-a // k) for a, _ in hulls], [b // k for _, b in hulls])
+    _on_time(deadline)
     return dag, VertexMap(T, states)
 
 
@@ -537,15 +548,15 @@ def solve_huc(
     trace_phase2=None,
 ) -> HucSolution:
     """Compile the window-feasible states (see :func:`_solve_graph`) and
-    solve the graph with :func:`solve_awclpp` and its default value
-    bound; returns the best commitment. The compile checks ``deadline``
-    once per period of each pass and raises
-    :class:`TimeoutExceeded` past it."""
+    solve the graph with :func:`~borwin.solver.solve_tight` and its
+    default value bound; returns the best commitment. The compile checks
+    ``deadline`` once per period of each pass and between its last
+    steps, and raises :class:`TimeoutExceeded` past it."""
     compiled = _solve_graph(inst, deadline)
     if compiled is None:
         return HucSolution(INFEASIBLE, None, None, None, SolveStats())
     dag, vmap = compiled
-    sol = solve_awclpp(dag, deadline=deadline, trace_phase1=trace_phase1, trace_phase2=trace_phase2)
+    sol = solve_tight(dag, deadline=deadline, trace_phase1=trace_phase1, trace_phase2=trace_phase2)
     if sol.status != OPTIMAL:
         return HucSolution(INFEASIBLE, None, None, None, sol.stats, sol)
 

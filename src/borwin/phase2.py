@@ -147,6 +147,7 @@ class SolveStats:
     labels_pruned_bound: int = 0
     labels_pruned_dominance: int = 0
     labels_pruned_ub: int = 0
+    arcs_cut: int = 0  # arcs the presolve removed; all of them when it proved infeasibility
 
 
 class NoFeasiblePath(GraphError):

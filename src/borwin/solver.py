@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import phase2
 from .bounds import ValueTailBound
-from .graph import Path, SinkUnreachable, WindowedDag
+from .graph import Path, SinkUnreachable, WindowedDag, presolve
 from .phase1 import (
     GraphInvariantError,
     Infeasible,
@@ -48,11 +49,55 @@ def solve_awclpp(
 ) -> AwclppSolution:
     """Solve a windowed instance exactly.
 
+    Between the phases, :func:`~borwin.graph.presolve` tightens the
+    windows to the exact resource hulls and cuts the arcs no feasible
+    path can use; it proves some instances infeasible with no label
+    made. Phase 2 then runs on that view, with the view's own sweeps.
+
     ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
-    complementary rule, called with the instance's own resources; None
-    means the window-relaxed value tails. ``use_ub_prune=False``
-    switches the rule off.
+    complementary rule, called with the instance's own vertex ids and
+    resources; None means the window-relaxed value tails.
+    ``use_ub_prune=False`` switches the rule off.
     """
+    return _two_phase(
+        dag,
+        tighten=True,
+        ub_provider=ub_provider,
+        use_dominance=use_dominance,
+        use_bound_prune=use_bound_prune,
+        use_ub_prune=use_ub_prune,
+        trace_phase1=trace_phase1,
+        trace_phase2=trace_phase2,
+        deadline=deadline,
+    )
+
+
+def solve_tight(
+    dag: WindowedDag,
+    *,
+    trace_phase1: Optional[Callable[[Phase1TraceEvent], None]] = None,
+    trace_phase2: Optional[Trace] = None,
+    deadline: Optional[float] = None,
+) -> AwclppSolution:
+    """:func:`solve_awclpp` with its default rules and no presolve, for an
+    instance that is already its own presolve: every window is the exact
+    hull and every arc joins hulls that meet, as in the commitment solve
+    graph that ``huc._solve_graph`` compiles. Phase 2 runs on ``dag``."""
+    return _two_phase(dag, tighten=False, trace_phase1=trace_phase1, trace_phase2=trace_phase2, deadline=deadline)
+
+
+def _two_phase(
+    dag: WindowedDag,
+    *,
+    tighten: bool,
+    ub_provider: Optional[ValueBound] = None,
+    use_dominance: bool = True,
+    use_bound_prune: bool = True,
+    use_ub_prune: bool = True,
+    trace_phase1: Optional[Callable[[Phase1TraceEvent], None]] = None,
+    trace_phase2: Optional[Trace] = None,
+    deadline: Optional[float] = None,
+) -> AwclppSolution:
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
     except SinkUnreachable:
@@ -76,7 +121,23 @@ def solve_awclpp(
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
-    ub = ValueTailBound(dag, value_tails) if ub_provider is None else ub_provider
+    tails = outcome.tails
+    arcs_cut = 0
+    if tighten:
+        view = presolve(dag, deadline)
+        if view is None:
+            stats = SolveStats(phase1_iterations=iterations, arcs_cut=len(dag.arcs))
+            return AwclppSolution(INFEASIBLE, None, None, outcome, stats)
+        arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
+        dag = view
+        # through phase2's binding, so a traced run counts these sweeps
+        tails = phase2.all_tails(dag, delta, tails.sign)
+        if ub_provider is None and use_ub_prune:
+            value_tails = tails if delta == 0 else phase2.all_tails(dag, ZERO)
+
+    ub = ub_provider
+    if ub is None and use_ub_prune:
+        ub = ValueTailBound(dag, value_tails)
     try:
         result = run_phase2(
             dag,
@@ -87,13 +148,15 @@ def solve_awclpp(
             use_ub_prune=use_ub_prune,
             trace=trace_phase2,
             deadline=deadline,
-            tails=outcome.tails,
+            tails=tails,
         )
     except NoFeasiblePath as exc:
         exc.stats.phase1_iterations = iterations
+        exc.stats.arcs_cut = arcs_cut
         return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
 
     result.stats.phase1_iterations = iterations
+    result.stats.arcs_cut = arcs_cut
     best = result.best
     if best is None:
         raise GraphInvariantError("enumeration returned no incumbent")

@@ -5,6 +5,7 @@ import re
 import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -544,10 +545,35 @@ def test_solve_compile_honours_the_deadline(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the solver ran after the deadline")
 
-    monkeypatch.setattr(huc, "solve_awclpp", unreachable)
+    monkeypatch.setattr(huc, "solve_tight", unreachable)
     inst = random_huc(random.Random(0), 1200, 3, 2)
     with pytest.raises(TimeoutExceeded, match="HUC compile"):
         solve_huc(inst, deadline=time.monotonic() - 1.0)
+
+
+@pytest.mark.parametrize("compile_graph", [huc.reached_graph, huc._solve_graph], ids=["reached", "solve"])
+def test_compile_checks_the_deadline_after_the_arcs(compile_graph, monkeypatch):
+    """A deadline that passes just after the arc emitter's last period
+    check stops the compile before its windows, labels and instance are
+    built."""
+    real_emit = huc._emit
+    now = [0.0]
+
+    def emit_then_expire(*args, **kwargs):
+        out = real_emit(*args, **kwargs)
+        now[0] = 10.0
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the compile built the instance after the deadline")
+
+    monkeypatch.setattr(huc, "_emit", emit_then_expire)
+    monkeypatch.setattr(huc, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(huc, "WindowedDag", refuse)
+    inst = random_huc(random.Random(0), 40, 3, 2)
+    with pytest.raises(TimeoutExceeded, match="HUC compile"):
+        compile_graph(inst, deadline=5.0)
+    assert now[0] == 10.0
 
 
 def test_graph_ids_are_the_smallest_id_first_topological_order():
@@ -712,7 +738,7 @@ def test_solve_huc_rejects_an_optimal_answer_without_path(huc5, monkeypatch):
     from borwin.phase2 import SolveStats
     from borwin.solver import OPTIMAL, AwclppSolution
 
-    monkeypatch.setattr(huc, "solve_awclpp", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
+    monkeypatch.setattr(huc, "solve_tight", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
     with pytest.raises(GraphInvariantError, match="no path"):
         solve_huc(huc5)
 

@@ -194,6 +194,38 @@ def test_cli_solve_infeasible_exit_code(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
+def test_cli_reports_the_arcs_the_presolve_cut(tmp_path, capsys):
+    """``arcs_cut`` tells a presolve proof (every arc cut, no pop) apart
+    from an infeasibility the enumeration exhausted, in ``solve --json``
+    and in the bench CSV."""
+    import random
+
+    from borwin.generate import random_dag
+    from borwin.io import dag_to_dict
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    proved = generate(GeneratorConfig(seed=4, family="dag", vertices=120))
+    (corpus / "proved.json").write_text(json.dumps(proved))
+    rng = random.Random(840)
+    searched = dag_to_dict(random_dag(rng, rng.randint(5, 40), density=rng.choice([0.3, 0.6, 0.9])))
+    (corpus / "searched.json").write_text(json.dumps(searched))
+    stats = {}
+    for name, data in (("proved", proved), ("searched", searched)):
+        assert main(["solve", str(corpus / f"{name}.json"), "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "infeasible"
+        stats[name] = payload["stats"]
+    assert stats["proved"]["arcs_cut"] == len(proved["arcs"]) and stats["proved"]["p2_iters"] == 0
+    assert 0 < stats["searched"]["arcs_cut"] < len(searched["arcs"]) and stats["searched"]["p2_iters"] > 0
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--csv", str(csv_path), "--algos", "borwin"]) == 0
+    with open(csv_path) as fh:
+        rows = {row["instance"]: row for row in csv.DictReader(fh)}
+    for name in stats:
+        assert rows[f"{name}.json"]["arcs_cut"] == str(stats[name]["arcs_cut"])
+
+
 def test_cli_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [], "arcs": [], "source": "s", "sink": "p"}')
@@ -339,7 +371,7 @@ def test_cli_maps_internal_invariant_errors_to_one_error_line(capsys, monkeypatc
     from borwin.phase2 import SolveStats
     from borwin.solver import OPTIMAL, AwclppSolution
 
-    monkeypatch.setattr(huc, "solve_awclpp", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
+    monkeypatch.setattr(huc, "solve_tight", lambda dag, **kw: AwclppSolution(OPTIMAL, None, F(0), None, SolveStats()))
     assert main(["solve", str(HUC5)]) == 1
     assert capsys.readouterr().err == "error: GraphInvariantError: an optimal solve returned no path\n"
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,16 @@ from borwin import graph, huc, phase2
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.bounds import NMCKP, UbProvider, ValueTailBound
 from borwin.generate import GeneratorConfig, generate, random_dag
-from borwin.graph import Arc, Window, WindowedDag, all_tails, check_windows, path_by_vertices, path_metrics
+from borwin.graph import (
+    Arc,
+    TimeoutExceeded,
+    Window,
+    WindowedDag,
+    all_tails,
+    check_windows,
+    path_by_vertices,
+    path_metrics,
+)
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
 from borwin.phase1 import Pair, run_phase1
@@ -128,19 +138,17 @@ def test_no_feasible_path_raises(wclpp):
         run_phase2(dag, F(1, 19))
 
 
-def test_infeasible_solve_keeps_enumeration_stats(wclpp):
-    # the sink window straddles the relaxed optimum, so phase 1 returns a
-    # pair, but vertex 2's window rules out every path: the store empties
-    # with no incumbent
-    windows = list(wclpp.windows)
-    windows[wclpp.vertex("2")] = Window(F(10), F(14))
-    windows[wclpp.sink] = Window(F(22), F(29))
-    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
+def test_infeasible_solve_keeps_enumeration_stats():
+    # phase 1 returns a pair and the presolve's hulls keep a path open,
+    # but no path meets every window: the store empties with no incumbent
+    rng = random.Random(840)
+    dag = random_dag(rng, rng.randint(5, 40), density=rng.choice([0.3, 0.6, 0.9]))
     assert brute_force(dag).status == "infeasible"
     sol = solve_awclpp(dag)
     assert sol.status == "infeasible"
-    assert sol.phase1.iterations >= 1
+    assert isinstance(sol.phase1, Pair) and sol.phase1.iterations >= 1
     assert sol.stats.phase1_iterations == sol.phase1.iterations
+    assert 0 < sol.stats.arcs_cut < len(dag.arcs)
     assert sol.stats.phase2_iterations > 0
     assert sol.stats.labels_created >= sol.stats.phase2_iterations
 
@@ -153,16 +161,21 @@ def test_phase1_tails_serve_phase2(wclpp):
     assert (reused.value, reused.best.arc_ids, reused.stats) == (fresh.value, fresh.best.arc_ids, fresh.stats)
     with pytest.raises(ValueError):
         run_phase2(wclpp, F(0), tails=out.tails)
-    # LIE: the pair's tails are a sign = -1 sweep of the instance itself,
-    # and phase 2 on the instance with them is the whole solve's search
+    # LIE: the pair's tails are a sign = -1 sweep of the instance itself;
+    # the solve's search is phase 2 on the presolved view, swept at the
+    # pair's delta in the same sign
     dag = random_dag(random.Random(9), 2 + 9 % 11)
     out = run_phase1(dag)
     assert out.orientation == "lie" and out.delta > 0
     assert out.tails.dag is dag and out.tails.sign == -1
     reused = run_phase2(dag, out.delta, tails=out.tails)
-    reused.stats.phase1_iterations = out.iterations
+    view = graph.presolve(dag)
+    searched = run_phase2(view, out.delta, tails=all_tails(view, out.delta, out.tails.sign))
+    searched.stats.phase1_iterations = out.iterations
+    searched.stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
     sol = solve_awclpp(dag)
-    assert (reused.value, reused.best.arc_ids, reused.stats) == (sol.value, sol.path.arc_ids, sol.stats)
+    assert (searched.value, searched.best.arc_ids, searched.stats) == (sol.value, sol.path.arc_ids, sol.stats)
+    assert reused.value == sol.value
 
 
 def test_feasible_pops_still_extend():
@@ -319,27 +332,25 @@ def test_mixed_sign_resources_match_oracle():
 
 # -- the enumeration's work on seeded instances ------------------------------------
 
-# SolveStats counters as the Fraction implementation of the loop recorded
-# them: (phase-1 iterations, pops, labels created, pruned by the bound
-# rule, by dominance, by the value bound). The integer loop must make the
-# same search, so every counter must match.
+# SolveStats counters: (phase-1 iterations, pops, labels created, pruned
+# by the bound rule, by dominance, by the value bound). The presolve
+# between the phases proves n80-s0 infeasible before any label exists.
 PINNED_STATS = [
-    (dict(family="dag", vertices=40, seed=3), "optimal", (4, 86, 176, 92, 129, 0)),
-    (dict(family="dag", vertices=80, seed=0), "infeasible", (3, 1407, 1407, 0, 1794, 0)),
-    (dict(family="dag", vertices=80, seed=4), "optimal", (5, 162, 907, 1108, 1217, 30)),
-    (dict(family="huc", periods=24, points=3, min_updown=3, seed=2), "optimal", (5, 141, 168, 30, 194, 7)),
+    (dict(family="dag", vertices=40, seed=3), "optimal", (4, 2, 18, 16, 0, 0)),
+    (dict(family="dag", vertices=80, seed=0), "infeasible", (3, 0, 0, 0, 0, 0)),
+    (dict(family="dag", vertices=80, seed=4), "optimal", (5, 18, 99, 469, 47, 13)),
+    (dict(family="huc", periods=24, points=3, min_updown=3, seed=2), "optimal", (5, 37, 48, 18, 36, 1)),
 ]
 
 
 # LIE instances of gate c03's sweep (seeds 7, 87 and 167 end phase 1 at
-# delta = 0), counted when the solver still swept an oriented copy of the
-# instance. Seed 167 needs the sweep's tie-break to prefer the larger
+# delta = 0). Seed 167 needs the sweep's tie-break to prefer the larger
 # oriented resource.
 PINNED_LIE_STATS = [
-    (6, (2, 3, 3, 0, 0, 0)),
-    (7, (1, 2, 5, 5, 1, 0)),
-    (87, (2, 2, 7, 5, 0, 0)),
-    (167, (2, 1, 1, 1, 0, 0)),
+    (6, (2, 1, 1, 0, 0, 0)),
+    (7, (1, 1, 1, 2, 0, 0)),
+    (87, (2, 1, 1, 4, 0, 0)),
+    (167, (2, 1, 1, 0, 0, 0)),
 ]
 
 
@@ -423,13 +434,13 @@ def test_a_lie_solve_makes_a_label_only_for_the_heap(monkeypatch):
 
 
 # sha256 over the repr of every trace event, one per line. The phase-2
-# digests are as the loop with a purge on every feasible pop emitted
-# them: purging only when the incumbent improves must leave every pop and
-# prune event in place. The phase-1 digest (a LIE instance) is as the
-# solver gave it when it swept an oriented copy of the instance.
+# digests are of the enumeration on the presolved view. The phase-1
+# digest (a LIE instance) is as the solver gave it when it swept an
+# oriented copy of the instance: the presolve runs after phase 1 and
+# must leave it unchanged.
 PINNED_TRACES = [
-    (PINNED_STATS[0][0], "trace_phase2", "d2827bad720726656494f06d94e3e44f9b96b07f59a56b6a791a238f53f02491"),
-    (PINNED_STATS[3][0], "trace_phase2", "440b5fb7f7d4193634a12bee3316be16e1a6d13a35359dcb2f0726136a0403dd"),
+    (PINNED_STATS[0][0], "trace_phase2", "93125ef36e361f7a35bc049e989eade911064d40c8efd1cba12b0b7563a7b785"),
+    (PINNED_STATS[3][0], "trace_phase2", "ae0d1b135c5c41900b49517fe6b4ac4cffa2b2d3bf33800759e7a9e618efaee3"),
     (PINNED_STATS[3][0], "trace_phase1", "ba7a3adfb7943002e333787da141109a795ce37426e915783edb37512ca443a0"),
 ]
 
@@ -443,17 +454,17 @@ def test_enumeration_trace_is_pinned(config, phase, digest):
     assert h.hexdigest() == digest
 
 
-# Value-bound calls of two commitment solves. New labels are scored at
-# birth and waiting ones only when the incumbent improves, so a pop that
-# keeps the incumbent makes no call. The digest is a sha256 over every
-# call's "(vertex, prefix_resource, prefix_value) -> bound" line, as the
-# Fraction greedy that rebuilt every frontier on each call answered them.
+# Value-bound calls of two commitment solves on the presolved full grid.
+# New labels are scored at birth and waiting ones only when the incumbent
+# improves, so a pop that keeps the incumbent makes no call. The digest
+# is a sha256 over every call's "(vertex, prefix_resource, prefix_value)
+# -> bound" line.
 PINNED_BOUND_CALLS = [
-    (PINNED_STATS[3][0], 131, "7c19359852d8033f74bb3c3e5deb7f4647030b1690cfb1413807b5030c36d0d0"),
+    (PINNED_STATS[3][0], 58, "40bd102529f67ce91854d3d56647aac214f56c990336b240333a074db90cd236"),
     (
         dict(family="huc", periods=24, points=3, min_updown=2, seed=2),
-        284,
-        "8b25ac0d93f4d6eb8c9b3aaa4b92b917509d8b49e4ee2dde874130da98af2b23",
+        227,
+        "4ded5e1895b7a6a36d44f6e0757488c51beb97d327c3ac507ebea1795ab81b1b",
     ),
 ]
 
@@ -566,13 +577,16 @@ def _count_sweeps(monkeypatch):
 
 
 def test_default_value_bound_reuses_the_phase1_sweep(wclpp, monkeypatch):
-    """A solve through a straddling pair sweeps once at delta = 0, once at
-    +infinity and once per dichotomy round; nothing more for the value
-    bound or the enumeration."""
+    """A solve through a straddling pair sweeps the instance once at
+    delta = 0, once at +infinity and once per dichotomy round, then the
+    presolved view once at the pair's delta for the enumeration and once
+    at delta = 0 for the value bound; nothing more."""
     sweeps = _count_sweeps(monkeypatch)
     sol = solve_awclpp(wclpp)
-    assert isinstance(sol.phase1, Pair) and sol.value == 29
-    assert len(sweeps) == sol.phase1.iterations + 2
+    assert isinstance(sol.phase1, Pair) and sol.value == 29 and sol.phase1.delta > 0
+    assert len(sweeps) == sol.phase1.iterations + 4
+    assert sweeps[:-2] == [wclpp] * (sol.phase1.iterations + 2)
+    assert sweeps[-2] is sweeps[-1] is not wclpp
 
 
 def _count_paths(monkeypatch):
@@ -590,7 +604,8 @@ def _count_paths(monkeypatch):
 
 def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
     """The relaxed optimum meets the sink window but breaks vertex 3's, so
-    the enumeration runs at delta = 0 on phase 1's only sweep. The
+    the enumeration runs at delta = 0 after phase 1's only sweep, on one
+    sweep of the presolved view that also serves the value bound. The
     integer root check rejects the relaxed optimum without building its
     path, so the answer is the only path built."""
     windows = list(wclpp.windows)
@@ -602,7 +617,7 @@ def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
     sol = solve_awclpp(dag)
     assert sol.status == "optimal" and sol.value == brute_force(dag).value
     assert sol.stats.phase2_iterations > 0
-    assert len(sweeps) == 1
+    assert len(sweeps) == 2 and sweeps[0] is dag and sweeps[1] is not dag
     assert built == [sol.path.arc_ids]
 
 
@@ -707,3 +722,65 @@ def test_solver_agrees_with_the_oracles(dag):
         assert sol.path.start == dag.source and sol.path.end == dag.sink
         assert check_windows(dag, sol.path) is None
         assert sol.path.value == sol.value
+
+
+# -- the presolve between the phases ---------------------------------------------
+
+
+def _feasible_paths(dag):
+    """Arc ids of every window-feasible s-p path, by depth-first search."""
+    found = []
+    stack = [(dag.source, ())]
+    while stack:
+        u, ids = stack.pop()
+        if u == dag.sink:
+            if check_windows(dag, path_metrics(dag, ids)) is None:
+                found.append(ids)
+            continue
+        stack.extend((dag.arcs[aid].dst, ids + (aid,)) for aid in dag.out_arcs[u])
+    return found
+
+
+@given(dag=windowed_instances())
+@settings(max_examples=300, deadline=None)
+def test_presolve_keeps_every_feasible_path(dag):
+    """Every window-feasible s-p path is a path of the view, with each
+    prefix inside the view's integer and Fraction windows; the view
+    shares the instance's ids, and the solve through it agrees with
+    the oracle."""
+    paths = _feasible_paths(dag)
+    oracle = brute_force(dag)
+    assert len(paths) == oracle.feasible_count
+    view = graph.presolve(dag)
+    if view is None:
+        assert paths == []
+    else:
+        assert (view.n, view.arcs, view.labels, view.topo_order) == (dag.n, dag.arcs, dag.labels, dag.topo_order)
+        assert view.int_arcs() is dag.int_arcs()
+        lo, hi = view.int_windows()
+        dr = dag.int_arcs().dr
+        for ids in paths:
+            path = path_metrics(view, ids)
+            assert all(aid in view.out_arcs[dag.arcs[aid].src] for aid in ids)
+            for v, r in zip(path.vertices(), path.prefix_resources):
+                assert view.windows[v].contains(r) and dag.windows[v].contains(r)
+                assert lo[v] <= r * dr <= hi[v]
+    sol = solve_awclpp(dag)
+    assert (sol.status, sol.value) == (oracle.status, oracle.value)
+
+
+def test_presolve_proves_the_infeasible_dag_mixed_instance():
+    """dag-mixed's n120s4 needed 17,325 pops to prove that no path fits
+    the windows; the presolve proves it before any label exists."""
+    dag = dag_from_dict(generate(GeneratorConfig(seed=4, family="dag", vertices=120)))
+    assert graph.presolve(dag) is None
+    sol = solve_awclpp(dag)
+    assert sol.status == "infeasible"
+    assert sol.stats.phase1_iterations == sol.phase1.iterations
+    assert sol.stats.phase2_iterations == sol.stats.labels_created == 0
+    assert sol.stats.arcs_cut == len(dag.arcs)
+
+
+def test_presolve_honours_the_deadline(wclpp):
+    with pytest.raises(TimeoutExceeded, match="presolve"):
+        graph.presolve(wclpp, deadline=time.monotonic() - 1.0)
