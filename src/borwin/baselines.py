@@ -156,7 +156,7 @@ def rcsp_label_setting(dag: WindowedDag, deadline: Optional[float] = None) -> Or
     ids: list[int] = []
     while aid >= 0:
         ids.append(aid)
-        _, r, aid = states[dag.arcs[aid].src][r]
+        _, r, aid = states[ints.src[aid]][r]
     witness = path_metrics(dag, ids[::-1], start=dag.source)
     return OracleResult("optimal", Fraction(best, ints.dv), witness, None, None)
 

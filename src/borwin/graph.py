@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .rational import Weight, _PlusInfinity
 
@@ -90,6 +90,45 @@ class WindowViolation:
     side: str  # "lo" | "hi"
 
 
+class LazyTuple(Sequence):
+    """A read-only sequence of ``size`` items whose item ``k`` is
+    ``item(k)``. The first read through the sequence interface builds the
+    tuple of all items and keeps it; :meth:`one` reads a single item
+    without building the rest, and the length needs no item at all. It
+    compares equal to the tuple of its items."""
+
+    __slots__ = ("_size", "_item", "_items")
+
+    def __init__(self, size: int, item: Callable[[int], Any]):
+        self._size = size
+        self._item = item
+        self._items: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def one(self, k: int) -> Any:
+        return self._item(k) if self._items is None else self._items[k]
+
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(map(self._item, range(self._size)))
+        return self._items
+
+    def __getitem__(self, k):
+        return self.items()[k]
+
+    def __iter__(self):
+        return iter(self.items())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyTuple):
+            other = other.items()
+        return isinstance(other, tuple) and self.items() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class WindowedDag:
     """Immutable problem instance.
 
@@ -97,6 +136,13 @@ class WindowedDag:
     names for display. ``topo_order`` is derived when the graph is acyclic
     and not supplied; an unusable order is kept as ``None`` so that
     :func:`validate` can report the defect instead of construction failing.
+
+    The constructor takes Fraction windows and arcs. :meth:`of_ints`
+    builds an instance from integer arrays instead: its ``arcs``,
+    ``windows`` and ``labels`` are :class:`LazyTuple` views, each built in
+    full on its first read and then kept. :meth:`arc` and :meth:`window`
+    read one item of either kind of instance without building the rest;
+    the solver reads the integer arrays and the sink's window only.
     """
 
     __slots__ = (
@@ -139,6 +185,35 @@ class WindowedDag:
         self._int_arcs: Optional[IntArcs] = None
         self._int_windows: Optional[tuple[list[int], list[int]]] = None
 
+    @classmethod
+    def of_ints(
+        cls,
+        ints: "IntArcs",
+        windows: tuple[list[int], list[int]],
+        out_arcs: Sequence[range],
+        sink: int,
+        arc: Callable[[int], Arc],
+        window: Callable[[int], Window],
+        label: Callable[[int], str],
+    ) -> "WindowedDag":
+        """An instance whose ids are a topological order, from its
+        :class:`IntArcs`, grouped by source in id order, its integer
+        windows on their resource scale and each vertex's range of out-arc
+        ids; the source is vertex 0. ``arc``, ``window`` and ``label`` make
+        the Fraction arc, window and label of one id; the views call them
+        on first read."""
+        dag = cls.__new__(cls)
+        dag.n = n = len(out_arcs)
+        dag.source, dag.sink = 0, sink
+        dag.arcs = LazyTuple(len(ints.dst), arc)
+        dag.windows = LazyTuple(n, window)
+        dag.labels = LazyTuple(n, label)
+        dag.out_arcs = tuple(out_arcs)
+        dag.topo_order = tuple(range(n))
+        dag._int_arcs = ints
+        dag._int_windows = windows
+        return dag
+
     def int_arcs(self) -> "IntArcs":
         """Integer-scaled arc data, built on first use and kept."""
         if self._int_arcs is None:
@@ -166,15 +241,26 @@ class WindowedDag:
 
     # -- lookups -----------------------------------------------------------
 
+    def arc(self, aid: int) -> Arc:
+        return _one(self.arcs, aid)
+
+    def window(self, v: int) -> Window:
+        return _one(self.windows, v)
+
     def vertex(self, label: str) -> int:
         return self.labels.index(label)
 
     def find_arc(self, src: int, dst: int) -> int:
         """Index of the first src->dst arc (fixtures and tests)."""
         for idx in self.out_arcs[src]:
-            if self.arcs[idx].dst == dst:
+            if self.arc(idx).dst == dst:
                 return idx
         raise KeyError(f"no arc {src}->{dst}")
+
+
+def _one(items: Sequence, k: int):
+    """Item ``k`` of a tuple, or of a :class:`LazyTuple` without building it."""
+    return items.one(k) if isinstance(items, LazyTuple) else items[k]
 
 
 def _kahn(dag: WindowedDag) -> Optional[tuple[int, ...]]:
@@ -244,15 +330,16 @@ def validate(dag: WindowedDag) -> ValidationReport:
 
 
 def reachable_from(dag: WindowedDag, v: int) -> set[int]:
-    return _closure(v, dag.out_arcs, [a.dst for a in dag.arcs])
+    return _closure(v, dag.out_arcs, dag.int_arcs().dst)
 
 
 def reaching(dag: WindowedDag, v: int) -> set[int]:
+    ints = dag.int_arcs()
     in_arcs: list[list[int]] = [[] for _ in range(dag.n)]
     for out in dag.out_arcs:
         for aidx in out:
-            in_arcs[dag.arcs[aidx].dst].append(aidx)
-    return _closure(v, in_arcs, [a.src for a in dag.arcs])
+            in_arcs[ints.dst[aidx]].append(aidx)
+    return _closure(v, in_arcs, ints.src)
 
 
 def _closure(v: int, adjacency: Sequence[Sequence[int]], end: Sequence[int]) -> set[int]:
@@ -271,61 +358,86 @@ def _closure(v: int, adjacency: Sequence[Sequence[int]], end: Sequence[int]) -> 
 # -- paths ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Path:
     """A contiguous walk with cached totals.
 
     ``prefix_resources[k]`` is the cumulative resource after the first k
     arcs, so it aligns with ``vertices()`` and starts at 0 at the path's
-    own start vertex. ``arc_ids`` are the arc indices the path was built
-    from (:func:`path_metrics` always sets them).
+    own start vertex. A path that :func:`path_metrics` builds keeps its
+    ``arc_ids``, its vertices, read off the instance's integer arcs, and
+    the instance; its ``arcs``, the :class:`Arc` objects, are read from
+    the instance on first use and kept. A path made with explicit
+    ``arcs`` takes its vertices from them.
     """
 
-    start: int
-    arcs: tuple[Arc, ...]
-    value: Fraction
-    resource: Fraction
-    prefix_resources: tuple[Fraction, ...]
-    arc_ids: Optional[tuple[int, ...]] = None
+    __slots__ = ("start", "value", "resource", "prefix_resources", "arc_ids", "_arcs", "_vertices", "_dag")
+
+    def __init__(
+        self,
+        start: int,
+        arcs: Optional[tuple[Arc, ...]],
+        value: Fraction,
+        resource: Fraction,
+        prefix_resources: tuple[Fraction, ...],
+        arc_ids: Optional[tuple[int, ...]] = None,
+        dag: Optional[WindowedDag] = None,
+        vertices: Optional[tuple[int, ...]] = None,
+    ):
+        self.start = start
+        self.value = value
+        self.resource = resource
+        self.prefix_resources = prefix_resources
+        self.arc_ids = arc_ids
+        self._arcs = arcs
+        self._dag = dag
+        self._vertices = (start, *(a.dst for a in arcs)) if vertices is None else vertices
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        if self._arcs is None:
+            self._arcs = tuple(map(self._dag.arc, self.arc_ids))
+        return self._arcs
 
     def vertices(self) -> list[int]:
-        return [self.start] + [a.dst for a in self.arcs]
+        return list(self._vertices)
 
     @property
     def end(self) -> int:
-        return self.arcs[-1].dst if self.arcs else self.start
+        return self._vertices[-1]
 
     def labelled(self, dag: WindowedDag) -> list[str]:
-        return [dag.labels[v] for v in self.vertices()]
+        return [_one(dag.labels, v) for v in self._vertices]
 
 
 def path_metrics(dag: WindowedDag, arc_ids: Sequence[int], start: Optional[int] = None) -> Path:
     """Build a :class:`Path` from arc indices, with cached value, resource
     and prefixes; an empty list needs ``start`` (defaulting to the
-    source). The totals are summed on the instance's :class:`IntArcs`,
-    so the only Fractions made are one per prefix and the value.
+    source). The walk reads only the instance's :class:`IntArcs`: it
+    checks contiguity on ``src`` and sums on integers, so the only
+    Fractions made are one per prefix and the value, and no :class:`Arc`.
     """
-    resolved = tuple(dag.arcs[aid] for aid in arc_ids)
-    if resolved:
-        at = resolved[0].src if start is None else start
-        if at != resolved[0].src:
-            raise NonContiguous(f"path starts at {at} but first arc leaves {resolved[0].src}")
+    ints = dag.int_arcs()
+    src, dst, val, res = ints.src, ints.dst, ints.val, ints.res
+    arc_ids = tuple(arc_ids)
+    if arc_ids:
+        first = src[arc_ids[0]]
+        at = first if start is None else start
+        if at != first:
+            raise NonContiguous(f"path starts at {at} but first arc leaves {first}")
     else:
         at = dag.source if start is None else start
-    ints = dag.int_arcs()
-    val, res = ints.val, ints.res
+    vertices = [at]
     prefixes = [0]
     value = resource = 0
-    cursor = at
-    for aid, a in zip(arc_ids, resolved):
-        if a.src != cursor:
-            raise NonContiguous(f"arc {a.src}->{a.dst} does not continue from {cursor}")
+    for aid in arc_ids:
+        if src[aid] != vertices[-1]:
+            raise NonContiguous(f"arc {src[aid]}->{dst[aid]} does not continue from {vertices[-1]}")
         value += val[aid]
         resource += res[aid]
         prefixes.append(resource)
-        cursor = a.dst
+        vertices.append(dst[aid])
     prefixes = tuple(Fraction(r, ints.dr) for r in prefixes)
-    return Path(at, resolved, Fraction(value, ints.dv), prefixes[-1], prefixes, tuple(arc_ids))
+    return Path(at, None, Fraction(value, ints.dv), prefixes[-1], prefixes, arc_ids, dag, tuple(vertices))
 
 
 def path_by_vertices(dag: WindowedDag, vertices: Sequence[Union[int, str]]) -> Path:
@@ -342,7 +454,7 @@ def check_windows(dag: WindowedDag, path: Path) -> Optional[WindowViolation]:
     if path.start != dag.source:
         raise ValueError("check_windows expects a source-anchored path")
     for v, r in zip(path.vertices(), path.prefix_resources):
-        side = dag.windows[v].violated_side(r)
+        side = dag.window(v).violated_side(r)
         if side is not None:
             return WindowViolation(v, side)
     return None
@@ -354,14 +466,16 @@ def check_windows(dag: WindowedDag, path: Path) -> Optional[WindowViolation]:
 class IntArcs:
     """Arc data scaled to integers for the sweep kernel.
 
-    ``val[i] = dv * arcs[i].value`` and ``res[i] = dr * arcs[i].resource``,
-    where ``dv`` and ``dr`` are the lcms of the value and resource
-    denominators, so every entry is an exact integer.
+    ``src[i]`` and ``dst[i]`` are the ends of arc ``i``, ``val[i] = dv *
+    arcs[i].value`` and ``res[i] = dr * arcs[i].resource``, where ``dv``
+    and ``dr`` are the lcms of the value and resource denominators, so
+    every entry is an exact integer.
     """
 
-    __slots__ = ("dst", "val", "res", "dv", "dr")
+    __slots__ = ("src", "dst", "val", "res", "dv", "dr")
 
-    def __init__(self, dst: list[int], val: list[int], res: list[int], dv: int, dr: int):
+    def __init__(self, src: list[int], dst: list[int], val: list[int], res: list[int], dv: int, dr: int):
+        self.src = src
         self.dst = dst
         self.val = val
         self.res = res
@@ -373,6 +487,7 @@ class IntArcs:
         dv = lcm(*{a.value.denominator for a in arcs})
         dr = lcm(*{a.resource.denominator for a in arcs})
         return cls(
+            [a.src for a in arcs],
             [a.dst for a in arcs],
             [a.value.numerator * (dv // a.value.denominator) for a in arcs],
             [a.resource.numerator * (dr // a.resource.denominator) for a in arcs],
@@ -514,11 +629,13 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
     Returns None when the source or the sink ends with an empty interval:
     then no window-feasible path exists. Otherwise a view with the same
     vertex and arc ids, which shares ``n``, ``arcs``, ``labels``,
-    ``topo_order`` and the :class:`IntArcs` with ``dag``; its
-    ``out_arcs`` keep the arcs that can carry a feasible path, and each
-    vertex with a non-empty ``B_v`` has it as its integer and Fraction
-    window. The view has the same window-feasible s-p paths as ``dag``,
-    so paths, values and value-bound providers carry over unchanged.
+    ``topo_order`` and the :class:`IntArcs` with ``dag``, views
+    included, without building them; its ``out_arcs`` keep the arcs
+    that can carry a feasible path, and each vertex with a non-empty
+    ``B_v`` has it as its integer window and as its Fraction window,
+    which a :class:`LazyTuple` makes on first read. The view has the
+    same window-feasible s-p paths as ``dag``, so paths, values and
+    value-bound providers carry over unchanged.
     ``deadline`` (a ``time.monotonic`` value) is checked before each
     pass; past it, :class:`TimeoutExceeded` is raised."""
     if dag.topo_order is None:
@@ -583,17 +700,19 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
             blo[u], bhi[u], kept[u] = x0, y0, tuple(out)
     if blo[source] is None:
         return None
-    windows = list(dag.windows)
     ilo, ihi = list(lo), list(hi)
     for v, x in enumerate(blo):
         if x is not None:
-            y = bhi[v]
-            ilo[v], ihi[v] = x, y
-            windows[v] = Window(Fraction(x, arcs.dr), Fraction(y, arcs.dr))
+            ilo[v], ihi[v] = x, bhi[v]
+
+    def window(v: int) -> Window:
+        x = blo[v]
+        return dag.window(v) if x is None else Window(Fraction(x, arcs.dr), Fraction(bhi[v], arcs.dr))
+
     view = WindowedDag.__new__(WindowedDag)
     view.n, view.arcs, view.labels, view.topo_order = dag.n, dag.arcs, dag.labels, order
     view.source, view.sink = source, sink
-    view.windows = tuple(windows)
+    view.windows = LazyTuple(dag.n, window)
     view.out_arcs = tuple(kept)
     view._int_arcs = arcs
     view._int_windows = (ilo, ihi)

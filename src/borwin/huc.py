@@ -11,18 +11,23 @@ the target-volume constraint that makes instances hard.
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
 reversal (positive after a move up, negative after a move down). Two
-compiles share one lazily filled moves table, one per-period numbering
-and one arc emitter, so neither grows with ``min_updown`` past the
-horizon. :func:`reached_graph` is the instance's s-p graph, which the
-reference algorithms read; :func:`build_graph`, the model view gate c07
-pins, appends the unreached grid states to it. :func:`solve_huc`
-compiles only the window-feasible states: exact integer hulls of the
-cumulative flow, propagated forward from the initial state and backward
-from the last period, drop every state and move no window-feasible
-schedule uses and prove some instances infeasible before any ``Arc``
-exists. That compile already is the solver's presolve, so
-:func:`~borwin.solver.solve_tight` solves that graph as it is, with the
-same default value bound as any windowed DAG.
+compiles share one lazily filled moves table on integer state codes and
+one numbering-and-arc emitter, so neither grows with ``min_updown`` past
+the horizon. Both are integer-native: the emitter writes the arcs'
+:class:`~borwin.graph.IntArcs` from integer tables of the cumulative
+values and flows, and the graph makes a Fraction ``Arc``, ``Window`` or
+label only when one is read (see :meth:`WindowedDag.of_ints
+<borwin.graph.WindowedDag.of_ints>`). :func:`reached_graph` is the
+instance's s-p graph, which the reference algorithms read;
+:func:`build_graph`, the model view gate c07 pins, appends the unreached
+grid states to it. :func:`solve_huc` compiles only the window-feasible
+states: exact integer hulls of the cumulative flow, propagated forward
+from the initial state and backward from the last period, drop every
+state and move no window-feasible schedule uses and prove some
+instances infeasible before any arc is emitted. That compile already is
+the solver's presolve, so :func:`~borwin.solver.solve_tight` solves that
+graph as it is, with the same default value bound as any windowed DAG;
+a solve makes no ``Arc`` and reads only the sink's ``Window``.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bounds import MckpItem, NestedMckp
 from .graph import (
     Arc,
     IntArcs,
+    LazyTuple,
     Path,
     TimeoutExceeded,
     Window,
@@ -153,22 +159,26 @@ def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: 
 
 
 class VertexMap:
-    """A compiled graph's vertices by id: ``states[v]`` is the
-    (period, level, hold) state of vertex ``v``. The source is the
+    """A compiled graph's vertices by id: :meth:`state_of` gives the
+    (period, level, hold) state of a vertex, from the period and state
+    code (see :class:`_Moves`) that the compile keeps per vertex, and
+    ``states`` holds them all, built on first read. The source is the
     inherited state at period 0 and the sink is ``(T + 1, 0, 0)``;
     :meth:`id_of` maps every period-0 state to the source and every
     period-``T + 1`` state to the sink, from a dict built on first use."""
 
-    __slots__ = ("periods", "states", "_ids")
+    __slots__ = ("periods", "states", "_period", "_code", "_span", "_ids")
 
-    def __init__(self, periods: int, states: Sequence[tuple[int, int, int]]):
-        self.periods = periods
-        self.states = tuple(states)
+    def __init__(self, inst: HucInstance, period: list[int], code: list[int]):
+        self.periods = inst.periods
+        self._period, self._code = period, code
+        self._span = inst.min_updown - 1
+        self.states = LazyTuple(len(code), self.state_of)
         self._ids: Optional[dict[tuple[int, int, int], int]] = None
 
     @property
     def count(self) -> int:
-        return len(self.states)
+        return len(self._code)
 
     def id_of(self, t: int, i: int, l: int) -> int:
         if t == 0:
@@ -178,22 +188,33 @@ class VertexMap:
         return self._ids[(t, 0, 0) if t == self.periods + 1 else (t, i, l)]
 
     def state_of(self, vid: int) -> tuple[int, int, int]:
-        return self.states[vid]
-
-
-State = tuple[int, int]  # (level, hold)
+        return (self._period[vid], *_state(self._code[vid], self._span))
 
 
 class _Moves(dict):
-    """:func:`legal_moves` by (level, hold), filled on first lookup: moves
-    do not depend on the period, and schedules reach few of the holds."""
+    """:func:`legal_moves` by state code, filled on first lookup: moves
+    do not depend on the period, and schedules reach few of the holds.
+    State ``(level, hold)`` has code ``level * (2L - 1) + hold + L - 1``
+    for ``L = min_updown``, so codes sort as the states do. An entry is
+    a list of ``(code, level)`` pairs, one per successor."""
 
-    def __init__(self, inst: HucInstance, flows: Sequence[Fraction]):
-        self.args = inst, flows
+    def __init__(self, inst: HucInstance):
+        self.inst, self.flows = inst, cumulative_flows(inst)
+        self.span = inst.min_updown - 1
 
-    def __missing__(self, s: State) -> list[State]:
-        out = self[s] = legal_moves(*self.args, *s)
+    def code(self, level: int, hold: int) -> int:
+        return level * (2 * self.span + 1) + hold + self.span
+
+    def __missing__(self, s: int) -> list[tuple[int, int]]:
+        moves = legal_moves(self.inst, self.flows, *_state(s, self.span))
+        out = self[s] = [(self.code(lvl, hold), lvl) for lvl, hold in moves]
         return out
+
+
+def _state(code: int, span: int) -> tuple[int, int]:
+    """The (level, hold) state of a state code, for ``span = L - 1``."""
+    level, h = divmod(code, 2 * span + 1)
+    return level, h - span
 
 
 def _on_time(deadline: Optional[float]) -> None:
@@ -201,61 +222,92 @@ def _on_time(deadline: Optional[float]) -> None:
         raise TimeoutExceeded("HUC compile hit its deadline")
 
 
+def _flow_ints(inst: HucInstance) -> tuple[list[int], int]:
+    """:func:`cumulative_flows` on the lcm ``scale`` of their
+    denominators, and ``scale``."""
+    cum_f = cumulative_flows(inst)
+    scale = lcm(*(f.denominator for f in cum_f))
+    return [f.numerator * (scale // f.denominator) for f in cum_f], scale
+
+
+def _value_ints(inst: HucInstance) -> tuple[list[tuple[int, ...]], int]:
+    """:func:`cumulative_values` on a common multiple ``dv`` of their
+    denominators, and ``dv``, with no Fraction arithmetic: the value of
+    level ``i`` in period ``t`` is price ``t`` times the cumulative power
+    of points 1..i plus the water-value shift times their cumulative
+    flow (see :func:`value_table`), each factor an integer on its own
+    lcm."""
+    shift = inst.water_value_downstream - inst.water_value_upstream
+    dp = lcm(*(q.denominator for q in inst.prices))
+    dw = lcm(*(p.power.denominator for p in inst.points))
+    df = lcm(*(p.flow.denominator for p in inst.points))
+    dv = lcm(dp * dw, shift.denominator * df)
+    power = accumulate(p.power.numerator * (dw // p.power.denominator) for p in inst.points)
+    flow = accumulate(p.flow.numerator * (df // p.flow.denominator) for p in inst.points)
+    a, b = dv // (dp * dw), dv // (shift.denominator * df) * shift.numerator
+    prices = [q.numerator * (dp // q.denominator) for q in inst.prices]
+    levels = [[q * a * w + b * f for q in prices] for w, f in zip(power, flow)]
+    return list(zip(*levels)), dv
+
+
 def _emit(
     inst: HucInstance,
-    layers: Sequence[Sequence[State]],
-    moves: Sequence[dict[State, list[State]]],
+    layers: Sequence[Iterable[int]],
+    moves: Sequence[dict[int, list[tuple[int, int]]]],
     deadline: Optional[float] = None,
-) -> tuple[list[Arc], list[tuple[int, int, int]], IntArcs]:
-    """Number the states of ``layers`` (period 0 to T, each in (i, l)
-    order) consecutively, then the sink, and emit an arc for each move
-    ``m`` in ``moves[t][s]`` from a period-``t`` state ``s`` (every such
-    ``m`` lies in the next period's layer), plus an arc from every
-    period-T state to the sink. Returns the arcs, the (period, level,
-    hold) state of each id and the arcs' :class:`IntArcs`, filled in the
-    same pass from integer tables of the cumulative values and flows."""
-    cum_v = cumulative_values(inst)
-    cum_f = cumulative_flows(inst)
+) -> tuple[IntArcs, list[range], list[int], list[int]]:
+    """Number the states of ``layers`` (period 0 to T, each a collection
+    of state codes) consecutively in period and code order, then the
+    sink, and emit in the same pass an arc for each move ``(m, i)`` in
+    ``moves[t][s]`` from a period-``t`` state ``s`` (every such ``m``
+    lies in the next period's layer), plus an arc from every period-T
+    state to the sink. Returns the arcs' :class:`IntArcs`, grouped by
+    source in id order, with values from :func:`_value_ints` and
+    resources from :func:`_flow_ints`; each vertex's range of out-arc
+    ids; and each vertex's period and state code. All per-vertex work
+    runs inside the per-period deadline checks."""
     T = inst.periods
-    ids: list[dict[State, int]] = []
-    sink = 0
-    for layer in layers:
-        ids.append({s: sink + k for k, s in enumerate(layer)})
-        sink += len(layer)
-    # integers on common multiples of all cumulative values (sums of
-    # price * power + shift * flow, see value_table) and flows; _lowest
-    # brings them to the lcms over the arcs
-    shift = inst.water_value_downstream - inst.water_value_upstream
-    dv = lcm(*(q.denominator for q in inst.prices)) * lcm(*(p.power.denominator for p in inst.points))
-    dv = lcm(dv, shift.denominator * lcm(*(p.flow.denominator for p in inst.points)))
-    df = lcm(*(f.denominator for f in cum_f))
-    flow = [f.numerator * (df // f.denominator) for f in cum_f]
-    arcs: list[Arc] = []
-    dst, val, res = [], [], []  # the IntArcs lists
+    values, dv = _value_ints(inst)
+    flow, df = _flow_ints(inst)
+    src: list[int] = []
+    dst: list[int] = []
+    val: list[int] = []
+    res: list[int] = []
+    out: list[range] = []
+    period: list[int] = []
+    code: list[int] = []
+    base = 0
+    layer = sorted(layers[0])
     for t in range(T):
         _on_time(deadline)
-        nxt = ids[t + 1]
-        succ = moves[t]
-        values = cum_v[t]  # period t + 1
-        for s, u in ids[t].items():
-            for m in succ[s]:
-                v = nxt[m]
-                i = m[0]
-                q = values[i]
-                arcs.append(Arc(u, v, q, cum_f[i]))
-                dst.append(v)
-                val.append(q.numerator * (dv // q.denominator))
+        period += [t] * len(layer)
+        code += layer
+        following = sorted(layers[t + 1])
+        ids = {m: v for v, m in enumerate(following, base + len(layer))}
+        succ, row = moves[t], values[t]
+        for u, s in enumerate(layer, base):
+            start = len(dst)
+            for m, i in succ[s]:
+                src.append(u)
+                dst.append(ids[m])
+                val.append(row[i])
                 res.append(flow[i])
-    for u in ids[T].values():
-        arcs.append(Arc(u, sink, ZERO, ZERO))
-        dst.append(sink)
-        val.append(0)
-        res.append(0)
-    states = [(t, i, l) for t, layer in enumerate(layers) for i, l in layer]
-    states.append((T + 1, 0, 0))
+            out.append(range(start, len(dst)))
+        base += len(layer)
+        layer = following
+    sink = base + len(layer)
+    m = len(dst)
+    period += [T] * len(layer) + [T + 1]
+    code += [*layer, inst.min_updown - 1]  # the sink, (0, 0)
+    out += [range(k, k + 1) for k in range(m, m + len(layer))]
+    out.append(range(0))  # the sink's
+    src += range(base, sink)
+    dst += [sink] * len(layer)
+    val += [0] * len(layer)
+    res += [0] * len(layer)
     val, dv = _lowest(val, dv)
     res, dr = _lowest(res, df)
-    return arcs, states, IntArcs(dst, val, res, dv, dr)
+    return IntArcs(src, dst, val, res, dv, dr), out, period, code
 
 
 def _lowest(ints: list[int], scale: int) -> tuple[list[int], int]:
@@ -266,8 +318,41 @@ def _lowest(ints: list[int], scale: int) -> tuple[list[int], int]:
     return (ints if g == 1 else [x // g for x in ints]), scale // g
 
 
-def _labels(states: Iterable[tuple[int, int, int]], periods: int) -> list[str]:
-    return ["s" if t == 0 else "p" if t > periods else f"t{t}i{i}l{l}" for t, i, l in states]
+def _graph(
+    inst: HucInstance,
+    ints: IntArcs,
+    windows: tuple[list[int], list[int]],
+    out: list[range],
+    sink: int,
+    period: list[int],
+    code: list[int],
+    window: Callable[[int], Window],
+) -> tuple[WindowedDag, VertexMap]:
+    """The compiled instance on the integer arrays of :func:`_emit`, and
+    its vertex map. Its Fraction views read the instance's shared
+    Fractions: an arc into a period-t state at level i has value
+    ``cumulative_values(inst)[t - 1][i]`` and resource
+    ``cumulative_flows(inst)[i]``, an arc into the sink zero; ``window(v)``
+    is vertex ``v``'s window."""
+    T = inst.periods
+    width = 2 * inst.min_updown - 1
+    cum_f = cumulative_flows(inst)
+    src, dst = ints.src, ints.dst
+    vmap = VertexMap(inst, period, code)
+
+    def arc(k: int) -> Arc:
+        v = dst[k]
+        t = period[v]
+        if t > T:
+            return Arc(src[k], v, ZERO, ZERO)
+        i = code[v] // width
+        return Arc(src[k], v, cumulative_values(inst)[t - 1][i], cum_f[i])
+
+    def label(v: int) -> str:
+        t, i, l = vmap.state_of(v)
+        return "s" if t == 0 else "p" if t > T else f"t{t}i{i}l{l}"
+
+    return WindowedDag.of_ints(ints, windows, out, sink, arc, window, label), vmap
 
 
 def reached_graph(inst: HucInstance, deadline: Optional[float] = None) -> tuple[WindowedDag, VertexMap]:
@@ -293,27 +378,39 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     # reached_graph, plus the unreached grid states when ``grid``; every
     # arc goes from a smaller id to a larger one, so ids are the topo order
     T = inst.periods
-    moves = _Moves(inst, cumulative_flows(inst))
-    layers = [[(inst.initial_point, inst.initial_hold)]]
+    moves = _Moves(inst)
+    layers = [{moves.code(inst.initial_point, inst.initial_hold)}]
     for _ in range(T):
         _on_time(deadline)
-        layers.append(sorted({m for s in layers[-1] for m in moves[s]}))
-    arcs, states, ints = _emit(inst, layers, [moves] * T, deadline)
+        layers.append({m for s in layers[-1] for m, _ in moves[s]})
+    ints, out, period, code = _emit(inst, layers, [moves] * T, deadline)
     _on_time(deadline)
-    sink = len(states) - 1
+    sink = len(code) - 1
     if grid:
-        cells = [(i, l) for i in range(inst.levels) for l in range(1 - inst.min_updown, inst.min_updown)]
-        reached = [set(layer) for layer in layers]
-        states += [(t, i, l) for t in range(1, T + 1) for i, l in cells if (i, l) not in reached[t]]
-    # one shared window per period; the sink's is the last period's
-    period = [Window(ZERO, None)] + [Window(lo, hi) for lo, hi in zip(inst.win_lo, inst.win_hi)]
-    windows = [period[min(t, T)] for t, _, _ in states]
-    labels = _labels(states, T)
+        for t in range(1, T + 1):
+            extra = [c for c in range(inst.levels * (2 * inst.min_updown - 1)) if c not in layers[t]]
+            period += [t] * len(extra)
+            code += extra
+        out += [range(0)] * (len(code) - sink - 1)
+    # each period's window on the arcs' resource scale; the source's is
+    # [0, inf), with a bound past the total of the (nonnegative) resources
+    # for inf, and the sink's the last period's
+    dr = ints.dr
+    plo = [0] + [-(-q.numerator * dr // q.denominator) for q in inst.win_lo]
+    phi = [sum(ints.res) + 1] + [q.numerator * dr // q.denominator for q in inst.win_hi]
+    plo.append(plo[T])
+    phi.append(phi[T])
+    ilo = list(map(plo.__getitem__, period))
     _on_time(deadline)
-    dag = WindowedDag(windows, arcs, 0, sink, labels=labels, topo_order=range(len(states)))
-    dag._int_arcs = ints
+    ihi = list(map(phi.__getitem__, period))
     _on_time(deadline)
-    return dag, VertexMap(T, states)
+
+    def period_window(t: int) -> Window:
+        return Window(ZERO, None) if t == 0 else Window(inst.win_lo[t - 1], inst.win_hi[t - 1])
+
+    # one Window per period, shared by its states once read
+    shared = LazyTuple(T + 1, period_window)
+    return _graph(inst, ints, (ilo, ihi), out, sink, period, code, lambda v: shared[min(period[v], T)])
 
 
 def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optional[tuple[WindowedDag, VertexMap]]:
@@ -325,35 +422,34 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     forward pass gives each state the hull of the scaled cumulative flow
     that window-feasible prefixes reach; a backward pass from the last
     period keeps, within it, the hull from which the last period is still
-    reached inside the windows. The graph keeps the states with a
-    non-empty hull, numbered as in :func:`reached_graph`, and the moves
-    ``(s, m)`` along which ``hull(s) + flow`` meets ``hull(m)``; each
-    vertex's window is its hull, one shared :class:`Window` per distinct
-    hull. Every window-feasible schedule stays inside the hulls, and the
-    hulls lie inside the windows, so the graph has the same feasible
-    schedules, values and optimum as the full grid. The integer arcs and
-    windows the solver reads come from the same integers."""
+    reached inside the windows. Both passes key states by their codes
+    (see :class:`_Moves`). The graph keeps the states with a non-empty
+    hull, numbered as in :func:`reached_graph`, and the moves ``(s, m)``
+    along which ``hull(s) + flow`` meets ``hull(m)``; each vertex's
+    window is its hull, on the arcs' integer scale for the solver and as
+    a Fraction :class:`Window` made when read. Every window-feasible
+    schedule stays inside the hulls, and the hulls lie inside the
+    windows, so the graph has the same feasible schedules, values and
+    optimum as the full grid."""
     T = inst.periods
-    cum_f = cumulative_flows(inst)
-    scale = lcm(*(f.denominator for f in cum_f))
-    flow = [f.numerator * (scale // f.denominator) for f in cum_f]
-    moves = _Moves(inst, cum_f)
+    flow, scale = _flow_ints(inst)
+    moves = _Moves(inst)
 
     # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
-    start = (inst.initial_point, inst.initial_hold)
-    lo: list[dict[State, int]] = [{start: 0}]
-    hi: list[dict[State, int]] = [{start: 0}]
+    start = moves.code(inst.initial_point, inst.initial_hold)
+    lo: list[dict[int, int]] = [{start: 0}]
+    hi: list[dict[int, int]] = [{start: 0}]
     for t in range(T):
         _on_time(deadline)
         w_lo = -(-inst.win_lo[t].numerator * scale // inst.win_lo[t].denominator)
         w_hi = inst.win_hi[t].numerator * scale // inst.win_hi[t].denominator
-        nlo: dict[State, int] = {}
-        nhi: dict[State, int] = {}
+        nlo: dict[int, int] = {}
+        nhi: dict[int, int] = {}
         his = hi[t]
         for s, a in lo[t].items():
             b = his[s]
-            for m in moves[s]:
-                f = flow[m[0]]
+            for m, i in moves[s]:
+                f = flow[i]
                 x, y = a + f, b + f
                 x, y = x if x > w_lo else w_lo, y if y < w_hi else w_hi
                 if x <= y:
@@ -370,21 +466,22 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     # inside the windows (period T's hulls already lie in the sink window).
     # A move (s, m) keeps a piece of hull(s) exactly when hull(s) + flow
     # meets hull(m), so the moves that do are the arcs.
-    kept: list[dict[State, list[State]]] = [{} for _ in range(T)]
+    kept: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(T)]
     for t in range(T - 1, -1, -1):
         _on_time(deadline)
         nlo, nhi = lo[t + 1], hi[t + 1]
-        klo: dict[State, int] = {}
-        khi: dict[State, int] = {}
+        klo: dict[int, int] = {}
+        khi: dict[int, int] = {}
         his = hi[t]
         arcs_out = kept[t]
         for s, a in lo[t].items():
             b = his[s]
             out = []
-            for m in moves[s]:
+            for move in moves[s]:
+                m, i = move
                 c = nlo.get(m)
                 if c is not None:
-                    f = flow[m[0]]
+                    f = flow[i]
                     x, y = c - f, nhi[m] - f
                     x, y = x if x > a else a, y if y < b else b
                     if x <= y:
@@ -392,7 +489,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
                             x0 = x
                         if not out or y > y0:
                             y0 = y
-                        out.append(m)
+                        out.append(move)
             if out:
                 klo[s], khi[s], arcs_out[s] = x0, y0, out
         if not klo:
@@ -400,26 +497,23 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         lo[t] = klo
         hi[t] = khi
 
-    layers = [sorted(layer) for layer in lo]
-    arcs, states, ints = _emit(inst, layers, kept, deadline)
+    ints, out, period, code = _emit(inst, lo, kept, deadline)
     _on_time(deadline)
-    hulls = [(lo[t][s], hi[t][s]) for t, layer in enumerate(layers) for s in layer]
-    hulls.append((min(lo[T].values()), max(hi[T].values())))  # the sink's
-    # one Window per distinct hull, one Fraction per distinct end
-    distinct = set(hulls)
-    ends = {x: Fraction(x, scale) for x in {x for hull in distinct for x in hull}}
-    shared = {hull: Window(ends[hull[0]], ends[hull[1]]) for hull in distinct}
-    windows = [shared[hull] for hull in hulls]
-    labels = _labels(states, T)
-    _on_time(deadline)
-    dag = WindowedDag(windows, arcs, 0, len(states) - 1, labels=labels, topo_order=range(len(states)))
-    dag._int_arcs = ints
-    _on_time(deadline)
+    sink = len(code) - 1
+    hlo = [lo[t][s] for t, s in zip(period, code[:sink])]
+    hhi = [hi[t][s] for t, s in zip(period, code[:sink])]
+    hlo.append(min(lo[T].values()))  # the sink's hull
+    hhi.append(max(hi[T].values()))
     # the arcs' resource scale dr divides ``scale``
     k = scale // ints.dr
-    dag._int_windows = ([-(-a // k) for a, _ in hulls], [b // k for _, b in hulls])
+    windows = (hlo, hhi) if k == 1 else ([-(-a // k) for a in hlo], [b // k for b in hhi])
     _on_time(deadline)
-    return dag, VertexMap(T, states)
+    sink_window = Window(Fraction(hlo[sink], scale), Fraction(hhi[sink], scale))
+
+    def window(v: int) -> Window:
+        return sink_window if v == sink else Window(Fraction(hlo[v], scale), Fraction(hhi[v], scale))
+
+    return _graph(inst, ints, windows, out, sink, period, code, window)
 
 
 def _hold_clock(inst: HucInstance) -> tuple[int, int]:

@@ -180,7 +180,7 @@ def run_phase1(
         raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
     # later sweeps run on the same arcs, so the source reaches the sink there too
     sp = point(sp_tails)
-    sink_window = dag.windows[dag.sink]
+    sink_window = dag.window(dag.sink)
     if sink_window.contains(sp.resource):
         return SolvedAtSp(tails=sp_tails)
 

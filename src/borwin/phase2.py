@@ -293,7 +293,7 @@ def run_phase2(
     out_arcs = dag.out_arcs
     source, sink = dag.source, dag.sink
     # the bound rule's floor for incumbent value V (scaled) is wv * V + beta_floor
-    beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.windows[sink].oriented(tails.sign).lo))
+    beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.window(sink).oriented(tails.sign).lo))
     ub_on = use_ub_prune and ub is not None
     stats = SolveStats()
     if tmu[source] is None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from borwin.baselines import brute_force
 from borwin.graph import (
     Arc,
+    LazyTuple,
     NonContiguous,
     SinkUnreachable,
     Window,
@@ -19,6 +20,7 @@ from borwin.graph import (
     prune_unreachable,
     validate,
 )
+from borwin.huc import reached_graph
 from borwin.phase1 import orient_dag
 from borwin.rational import PLUS_INF
 
@@ -109,6 +111,36 @@ def test_path_metrics_empty(wclpp):
 def test_path_metrics_noncontiguous(wclpp):
     with pytest.raises(NonContiguous):
         path_metrics(wclpp, [wclpp.find_arc(0, 1), wclpp.find_arc(3, 4)])
+
+
+def test_path_metrics_noncontiguous_on_an_integer_built_graph(huc5):
+    """Contiguity is checked on the integer arc ends, so a broken arc list
+    over a compiled graph raises as it does over an eager one, and no
+    arc is made."""
+    dag, vmap = reached_graph(huc5)
+    out = dag.out_arcs[dag.source]
+    second = dag.out_arcs[dag.int_arcs().dst[out[0]]][0]
+    assert path_metrics(dag, [out[0], second]).vertices()[0] == dag.source
+    with pytest.raises(NonContiguous, match="does not continue"):
+        path_metrics(dag, [out[0], out[-1]])
+    with pytest.raises(NonContiguous, match="path starts at"):
+        path_metrics(dag, [second], start=dag.source)
+    assert dag.arcs._items is None
+
+
+def test_lazy_tuple_builds_on_the_first_sequence_read():
+    made = []
+
+    def item(k):
+        made.append(k)
+        return k * k
+
+    view = LazyTuple(4, item)
+    assert len(view) == 4 and made == []
+    assert view.one(3) == 9 and made == [3]
+    assert view[1:3] == (1, 4) and made == [3, 0, 1, 2, 3]
+    assert view.one(2) == 4 and list(view) == [0, 1, 4, 9] and len(made) == 5
+    assert view == (0, 1, 4, 9) == view and view != [0, 1, 4, 9]
 
 
 # -- window checks ------------------------------------------------------------

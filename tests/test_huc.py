@@ -69,18 +69,17 @@ def test_cumulative_arc_values(huc5):
 
 
 def test_cumulative_values_are_computed_once_per_instance(monkeypatch):
-    """The compile and the knapsack bound share one table, kept on the
-    instance and left out of its equality."""
-    from dataclasses import replace
-
-    from borwin import huc
-
+    """The knapsack bound, the schedule oracle and the compiled graphs'
+    Fraction arcs share one table, kept on the instance and left out of
+    its equality. A solve, which runs on integers, computes none."""
     inst = random_huc(random.Random(2), 24, 3, 2)
     calls = []
     monkeypatch.setattr(huc, "value_table", lambda i: calls.append(i) or value_table(i))
-    first = solve_huc(inst)
-    assert len(calls) == 1
-    assert solve_huc(inst).revenue == first.revenue
+    sol = solve_huc(inst)
+    assert calls == []
+    huc.nmckp_of_instance(inst)
+    assert best_schedule_bruteforce(inst)[0] == sol.revenue
+    assert sol.graph_solution.path.arcs[0].value in cumulative_values(inst)[0]
     assert len(calls) == 1
     fresh = replace(inst)
     assert fresh == inst and fresh._cum_values is None
@@ -516,6 +515,73 @@ def test_solve_graph_integers_are_the_ones_the_graph_derives(inst, dens):
             assert inst.win_lo[t - 1] <= dag.windows[v].lo <= dag.windows[v].hi <= inst.win_hi[t - 1]
 
 
+COMPILES = [huc.reached_graph, huc.build_graph, huc._solve_graph]
+
+
+@given(windowed_hucs())
+@example(ROUNDED_HULL)
+@settings(max_examples=60, deadline=None)
+def test_lazy_views_equal_an_eager_instance_built_from_them(inst):
+    """Every compile's Fraction arcs, windows and labels are views: single
+    reads build none of them, and in full they make an eager instance
+    with the same adjacency, order and integers as the compiled one."""
+    for compile_graph in COMPILES:
+        compiled = compile_graph(inst)
+        if compiled is None:
+            continue
+        dag, vmap = compiled
+        arcs = [dag.arc(k) for k in range(len(dag.arcs))]
+        windows = [dag.window(v) for v in range(dag.n)]
+        assert dag.arcs._items is dag.windows._items is dag.labels._items is vmap.states._items is None
+        eager = WindowedDag(dag.windows, dag.arcs, dag.source, dag.sink, labels=dag.labels)
+        assert (eager.arcs, eager.windows) == (tuple(arcs), tuple(windows))
+        assert dag.arcs == eager.arcs and dag.windows == eager.windows and dag.labels == eager.labels
+        assert eager.out_arcs == tuple(map(tuple, dag.out_arcs))
+        assert eager.topo_order == dag.topo_order
+        ints, ref = dag.int_arcs(), eager.int_arcs()
+        assert (ints.src, ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (
+            ref.src, ref.dst, ref.val, ref.res, ref.dv, ref.dr
+        )
+        assert dag.int_windows() == eager.int_windows()
+        assert vmap.states == tuple(map(vmap.state_of, range(dag.n)))
+
+
+def test_a_solve_makes_no_arc_and_one_window(monkeypatch):
+    """A corpus-sized solve through both phases runs on integers: no
+    ``Arc``, the sink's ``Window`` alone, no value table, and the answer
+    path's arcs are read only when asked for."""
+    inst = random_huc(random.Random(1), 1200, 3, 2)
+    made = {"windows": 0}
+    compiled = []
+
+    def refuse(*args):
+        raise AssertionError("a solve made an Arc or read the Fraction values")
+
+    def window(*args):
+        made["windows"] += 1
+        return graph.Window(*args)
+
+    def compile_graph(*args):
+        compiled.append(real_compile(*args))
+        return compiled[-1]
+
+    real_compile = huc._solve_graph
+    for namespace in (graph, huc):
+        monkeypatch.setattr(namespace, "Arc", refuse)
+    monkeypatch.setattr(huc, "cumulative_values", refuse)
+    monkeypatch.setattr(huc, "Window", window)
+    monkeypatch.setattr(huc, "_solve_graph", compile_graph)
+    sol = solve_huc(inst)
+    assert sol.status == "optimal" and len(sol.schedule) == 1200
+    assert sol.stats.phase1_iterations > 0 and sol.stats.phase2_iterations > 0
+    assert made["windows"] == 1
+    dag, _ = compiled[0]
+    assert dag.arcs._items is dag.windows._items is dag.labels._items is None
+    assert sol.graph_solution.path._arcs is None
+    with pytest.raises(AssertionError, match="made an Arc"):
+        sol.graph_solution.path.arcs
+
+
 def test_window_hulls_prove_infeasibility_before_any_sweep(monkeypatch):
     """Cumulative flows are multiples of 5, so period 3 never meets its
     window [3, 3]. The forward hull of the idle state at period 2 is
@@ -553,9 +619,8 @@ def test_solve_compile_honours_the_deadline(monkeypatch):
 
 @pytest.mark.parametrize("compile_graph", [huc.reached_graph, huc._solve_graph], ids=["reached", "solve"])
 def test_compile_checks_the_deadline_after_the_arcs(compile_graph, monkeypatch):
-    """A deadline that passes just after the arc emitter's last period
-    check stops the compile before its windows, labels and instance are
-    built."""
+    """A deadline that passes just after the emitter's last period check
+    stops the compile before its vertex map and its instance are built."""
     real_emit = huc._emit
     now = [0.0]
 
@@ -569,7 +634,8 @@ def test_compile_checks_the_deadline_after_the_arcs(compile_graph, monkeypatch):
 
     monkeypatch.setattr(huc, "_emit", emit_then_expire)
     monkeypatch.setattr(huc, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(huc, "WindowedDag", refuse)
+    monkeypatch.setattr(huc, "WindowedDag", SimpleNamespace(of_ints=refuse))
+    monkeypatch.setattr(huc, "VertexMap", refuse)
     inst = random_huc(random.Random(0), 40, 3, 2)
     with pytest.raises(TimeoutExceeded, match="HUC compile"):
         compile_graph(inst, deadline=5.0)
