@@ -5,6 +5,9 @@ flows through one ``random.Random(seed)`` and the JSON rendering is
 canonical. DAG windows are sampled against the per-vertex envelope of
 attainable prefix resources, wide enough to keep a healthy share of
 feasible instances and tight enough that a good share are infeasible.
+DAGs are drawn, enveloped and built on integers; their Fraction arcs
+and windows are views made on first read, and the JSON writer reads the
+integer arcs.
 Commitment instances are built around a randomly walked legal schedule,
 re-checked by the legality oracle, so at least one feasible schedule is
 guaranteed by construction.
@@ -15,13 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional
 
-from .graph import Arc, Window, WindowedDag
+from .graph import WindowedDag
 from .huc import HucInstance, OperatingPoint, cumulative_flows, legal_moves, schedule_is_legal
 from .io import dag_to_dict, huc_to_dict
 from .phase1 import GraphInvariantError
+from .rational import Ratio
 
 ZERO = Fraction(0)
 
@@ -70,18 +73,26 @@ def random_dag(rng: random.Random, n: int, density: float = 0.5) -> WindowedDag:
     Every vertex lies on an s-p path. Window bounds are drawn around the
     attainable prefix-resource envelope; roughly two in five instances
     admit no feasible path, which is the mix the cross-checking sweeps
-    want.
+    want. Arcs, envelope and windows stay integers, and the instance is
+    built with :meth:`WindowedDag.of_ratios`, so no Fraction is made
+    until one is read.
     """
-    labels = ["s"] + [f"u{k}" for k in range(1, n - 1)] + ["p"]
+    labels = ("s",) + tuple(f"u{k}" for k in range(1, n - 1)) + ("p",)
     layers = max(2, min(n - 1, 2 + n // 3))
     layer_of = [0] + sorted(rng.randint(1, layers - 1) for _ in range(n - 2)) + [layers]
 
-    arcs: list[Arc] = []
+    src: list[int] = []
+    dst: list[int] = []
+    val: list[int] = []
+    res: list[int] = []
     seen: set[tuple[int, int]] = set()
     has_out = [False] * n
 
     def add_arc(u: int, v: int) -> None:
-        arcs.append(Arc(u, v, Fraction(rng.randint(-3, 12)), Fraction(rng.randint(0, 9))))
+        src.append(u)
+        dst.append(v)
+        val.append(rng.randint(-3, 12))
+        res.append(rng.randint(0, 9))
         seen.add((u, v))
         has_out[u] = True
 
@@ -98,23 +109,25 @@ def random_dag(rng: random.Random, n: int, density: float = 0.5) -> WindowedDag:
 
     # attainable prefix-resource envelope: every arc runs from a smaller
     # vertex to a larger one, so in source order each tail is final
-    env = [(ZERO, ZERO)] + [None] * (n - 1)
-    for a in sorted(arcs, key=attrgetter("src")):
-        lo, hi = (r + a.resource for r in env[a.src])
-        if env[a.dst] is not None:
-            lo, hi = min(lo, env[a.dst][0]), max(hi, env[a.dst][1])
-        env[a.dst] = (lo, hi)
+    env_lo: list[Optional[int]] = [0] + [None] * (n - 1)
+    env_hi = [0] * n
+    for k in sorted(range(len(src)), key=src.__getitem__):
+        u, v, r = src[k], dst[k], res[k]
+        lo, hi = env_lo[u] + r, env_hi[u] + r
+        if env_lo[v] is not None:
+            lo, hi = min(lo, env_lo[v]), max(hi, env_hi[v])
+        env_lo[v], env_hi[v] = lo, hi
 
-    windows = [Window(ZERO, None)]
+    bounds: list[tuple[Optional[Ratio], Optional[Ratio]]] = [((0, 1), None)]
     for v in range(1, n):
-        lo, hi = env[v]
+        lo, hi = env_lo[v], env_hi[v]
         span = hi - lo
         windowed = v == n - 1 or rng.random() < 0.6
         if not windowed:
-            windows.append(Window(None, None))
+            bounds.append((None, None))
             continue
-        w_lo: Optional[Fraction] = lo + Fraction(rng.randint(0, int(span) + 3))
-        w_hi: Optional[Fraction] = w_lo + Fraction(rng.randint(0, max(1, int(span))))
+        w_lo: Optional[int] = lo + rng.randint(0, span + 3)
+        w_hi: Optional[int] = w_lo + rng.randint(0, max(1, span))
         style = rng.random()
         if style < 0.2:
             w_lo = None
@@ -122,8 +135,9 @@ def random_dag(rng: random.Random, n: int, density: float = 0.5) -> WindowedDag:
             w_hi = None
         if w_lo is not None and w_hi is not None and w_lo > w_hi:
             w_lo, w_hi = w_hi, w_lo
-        windows.append(Window(w_lo, w_hi))
-    return WindowedDag(windows, arcs, 0, n - 1, labels=labels)
+        bounds.append((None if w_lo is None else (w_lo, 1), None if w_hi is None else (w_hi, 1)))
+    values, resources = [(x, 1) for x in val], [(r, 1) for r in res]
+    return WindowedDag.of_ratios(src, dst, values, resources, bounds, 0, n - 1, labels)
 
 
 def random_huc(

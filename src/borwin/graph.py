@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .rational import Weight, _PlusInfinity
+from .rational import Ratio, Weight, _PlusInfinity
 
 ZERO = Fraction(0)
 
@@ -137,12 +137,16 @@ class WindowedDag:
     and not supplied; an unusable order is kept as ``None`` so that
     :func:`validate` can report the defect instead of construction failing.
 
-    The constructor takes Fraction windows and arcs. :meth:`of_ints`
-    builds an instance from integer arrays instead: its ``arcs``,
-    ``windows`` and ``labels`` are :class:`LazyTuple` views, each built in
-    full on its first read and then kept. :meth:`arc` and :meth:`window`
-    read one item of either kind of instance without building the rest;
-    the solver reads the integer arrays and the sink's window only.
+    The constructor takes Fraction windows and arcs; tests, fixtures and
+    :func:`prune_unreachable` use it. :meth:`of_ints` builds an instance
+    from integer arrays instead, and :meth:`of_ratios` from exact
+    ``(num, den)`` data, as the JSON loader and the DAG generator do: its
+    ``arcs`` and ``windows`` (and a compile's ``labels``) are
+    :class:`LazyTuple` views, each built in full on its first read and
+    then kept. :meth:`arc` and :meth:`window` read one item of either
+    kind of instance without building the rest; the solver reads the
+    integer arrays and the sink's window only, and :func:`validate` the
+    integer arrays and the windows.
     """
 
     __slots__ = (
@@ -178,41 +182,75 @@ class WindowedDag:
             if 0 <= a.src < self.n and 0 <= a.dst < self.n:
                 out[a.src].append(idx)
         self.out_arcs = tuple(tuple(v) for v in out)
-        if topo_order is not None:
-            self.topo_order = tuple(topo_order)
-        else:
-            self.topo_order = _kahn(self)
         self._int_arcs: Optional[IntArcs] = None
         self._int_windows: Optional[tuple[list[int], list[int]]] = None
+        self.topo_order = _kahn(self) if topo_order is None else tuple(topo_order)
 
     @classmethod
     def of_ints(
         cls,
         ints: "IntArcs",
         windows: tuple[list[int], list[int]],
-        out_arcs: Sequence[range],
+        source: int,
         sink: int,
         arc: Callable[[int], Arc],
         window: Callable[[int], Window],
-        label: Callable[[int], str],
+        labels: Sequence[str],
+        out_arcs: Optional[Sequence[Sequence[int]]] = None,
+        topo_order: Optional[Sequence[int]] = None,
     ) -> "WindowedDag":
-        """An instance whose ids are a topological order, from its
-        :class:`IntArcs`, grouped by source in id order, its integer
-        windows on their resource scale and each vertex's range of out-arc
-        ids; the source is vertex 0. ``arc``, ``window`` and ``label`` make
-        the Fraction arc, window and label of one id; the views call them
-        on first read."""
+        """An instance on integer arrays: its :class:`IntArcs`, whose ends
+        are vertex ids, and its integer windows on their resource scale,
+        one per vertex. ``arc`` and ``window`` make the Fraction arc and
+        window of one id; the views call them on first read. Without
+        ``out_arcs`` each vertex's out-arcs are its arc ids in id order,
+        and without ``topo_order`` the order is :func:`_kahn`'s, None on
+        a cycle, as in the constructor."""
         dag = cls.__new__(cls)
-        dag.n = n = len(out_arcs)
-        dag.source, dag.sink = 0, sink
+        dag.n = n = len(windows[0])
+        dag.source, dag.sink = source, sink
         dag.arcs = LazyTuple(len(ints.dst), arc)
         dag.windows = LazyTuple(n, window)
-        dag.labels = LazyTuple(n, label)
+        dag.labels = labels
+        if out_arcs is None:
+            out: list[list[int]] = [[] for _ in range(n)]
+            for aid, u in enumerate(ints.src):
+                out[u].append(aid)
+            out_arcs = map(tuple, out)
         dag.out_arcs = tuple(out_arcs)
-        dag.topo_order = tuple(range(n))
         dag._int_arcs = ints
         dag._int_windows = windows
+        dag.topo_order = _kahn(dag) if topo_order is None else tuple(topo_order)
         return dag
+
+    @classmethod
+    def of_ratios(
+        cls,
+        src: list[int],
+        dst: list[int],
+        values: list[Ratio],
+        resources: list[Ratio],
+        bounds: Sequence[tuple[Optional[Ratio], Optional[Ratio]]],
+        source: int,
+        sink: int,
+        labels: Sequence[str],
+    ) -> "WindowedDag":
+        """The instance with arcs ``src[k] -> dst[k]`` of value
+        ``values[k]`` and resource ``resources[k]`` and with the windows
+        ``bounds[v]``, (lo, hi) pairs with None for an unbounded side, all
+        given as :data:`Ratio`. Its :class:`IntArcs` and integer windows
+        equal those of the constructor's instance; its Fraction arcs and
+        windows are views made from the ratios, as in :meth:`of_ints`."""
+        ints = IntArcs.of_ratios(src, dst, values, resources)
+
+        def arc(k: int) -> Arc:
+            return Arc(src[k], dst[k], Fraction(*values[k]), Fraction(*resources[k]))
+
+        def window(v: int) -> Window:
+            lo, hi = bounds[v]
+            return Window(None if lo is None else Fraction(*lo), None if hi is None else Fraction(*hi))
+
+        return cls.of_ints(ints, _scaled_windows(bounds, ints), source, sink, arc, window, labels)
 
     def int_arcs(self) -> "IntArcs":
         """Integer-scaled arc data, built on first use and kept."""
@@ -222,21 +260,11 @@ class WindowedDag:
 
     def int_windows(self) -> tuple[list[int], list[int]]:
         """Per-vertex windows on the scaled cumulative resource of
-        :meth:`int_arcs`, built on first use and kept: ``lo[v] =
-        ceil(dr * lo)`` and ``hi[v] = floor(dr * hi)``, computed on
-        numerators and denominators, so an integer ``r`` lies in
-        ``[lo[v], hi[v]]`` exactly when ``r / dr`` lies in the window.
-        An unbounded side gets a bound beyond the sum of all
-        absolute arc resources, which no path's cumulative resource
-        reaches."""
+        :meth:`int_arcs`, built on first use and kept; see
+        :func:`_scaled_windows`."""
         if self._int_windows is None:
-            arcs = self.int_arcs()
-            dr = arcs.dr
-            beyond = sum(abs(r) for r in arcs.res) + 1
-            self._int_windows = (
-                [-beyond if w.lo is None else -(-w.lo.numerator * dr // w.lo.denominator) for w in self.windows],
-                [beyond if w.hi is None else w.hi.numerator * dr // w.hi.denominator for w in self.windows],
-            )
+            bounds = [(_ratio(w.lo), _ratio(w.hi)) for w in self.windows]
+            self._int_windows = _scaled_windows(bounds, self.int_arcs())
         return self._int_windows
 
     # -- lookups -----------------------------------------------------------
@@ -264,20 +292,21 @@ def _one(items: Sequence, k: int):
 
 
 def _kahn(dag: WindowedDag) -> Optional[tuple[int, ...]]:
-    """Smallest-id-first topological order from the instance's adjacency,
-    or None when the graph has a cycle."""
-    arcs = dag.arcs
+    """Smallest-id-first topological order from the instance's out-arcs
+    and integer arc heads, or None when the graph has a cycle."""
+    dst = dag.int_arcs().dst
+    out_arcs = dag.out_arcs
     indeg = [0] * dag.n
-    for out in dag.out_arcs:
+    for out in out_arcs:
         for aidx in out:
-            indeg[arcs[aidx].dst] += 1
+            indeg[dst[aidx]] += 1
     queue = [v for v in range(dag.n) if indeg[v] == 0]  # sorted, so a heap
     order: list[int] = []
     while queue:
         u = heapq.heappop(queue)
         order.append(u)
-        for aidx in dag.out_arcs[u]:
-            w = arcs[aidx].dst
+        for aidx in out_arcs[u]:
+            w = dst[aidx]
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(queue, w)
@@ -298,12 +327,17 @@ def validate(dag: WindowedDag) -> ValidationReport:
     """Check the structural invariants; the report names the first violation.
 
     Windows on vertices that cannot lie on any s-p path are legal but
-    pointless, so they are surfaced as warnings rather than errors.
+    pointless, so they are surfaced as warnings rather than errors. Arc
+    ends are read from :meth:`~WindowedDag.int_arcs`, so no :class:`Arc`
+    is made; windows are compared as Fractions, since the integer windows
+    are rounded.
     """
-    for idx, a in enumerate(dag.arcs):
-        if not (0 <= a.src < dag.n and 0 <= a.dst < dag.n):
+    ints = dag.int_arcs()
+    ends = list(zip(ints.src, ints.dst))
+    for idx, (u, w) in enumerate(ends):
+        if not (0 <= u < dag.n and 0 <= w < dag.n):
             return ValidationReport(False, "DanglingArc", f"arc {idx} endpoints out of range")
-        if a.src == a.dst:
+        if u == w:
             return ValidationReport(False, "CycleDetected", f"arc {idx} is a self-loop")
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         return ValidationReport(False, "DanglingArc", "source or sink out of range")
@@ -312,8 +346,8 @@ def validate(dag: WindowedDag) -> ValidationReport:
     if dag.topo_order is None or sorted(dag.topo_order) != list(range(dag.n)):
         return ValidationReport(False, "BadTopoOrder", "stored order is not a permutation of the vertices")
     pos = {u: i for i, u in enumerate(dag.topo_order)}
-    for idx, a in enumerate(dag.arcs):
-        if pos[a.src] >= pos[a.dst]:
+    for idx, (u, w) in enumerate(ends):
+        if pos[u] >= pos[w]:
             return ValidationReport(False, "BadTopoOrder", f"arc {idx} goes backwards in the stored order")
     for v, w in enumerate(dag.windows):
         if w.lo is not None and w.hi is not None and w.lo > w.hi:
@@ -484,16 +518,48 @@ class IntArcs:
 
     @classmethod
     def of(cls, arcs: Sequence[Arc]) -> "IntArcs":
-        dv = lcm(*{a.value.denominator for a in arcs})
-        dr = lcm(*{a.resource.denominator for a in arcs})
-        return cls(
+        return cls.of_ratios(
             [a.src for a in arcs],
             [a.dst for a in arcs],
-            [a.value.numerator * (dv // a.value.denominator) for a in arcs],
-            [a.resource.numerator * (dr // a.resource.denominator) for a in arcs],
+            [_ratio(a.value) for a in arcs],
+            [_ratio(a.resource) for a in arcs],
+        )
+
+    @classmethod
+    def of_ratios(cls, src: list[int], dst: list[int], values: list[Ratio], resources: list[Ratio]) -> "IntArcs":
+        """The arcs from ``src[k]`` to ``dst[k]`` with value ``values[k]``
+        and resource ``resources[k]``, each a :data:`Ratio`."""
+        dv = lcm(*{d for _, d in values})
+        dr = lcm(*{d for _, d in resources})
+        return cls(
+            src,
+            dst,
+            [n * (dv // d) for n, d in values],
+            [n * (dr // d) for n, d in resources],
             dv,
             dr,
         )
+
+
+def _ratio(q: Optional[Fraction]) -> Optional[Ratio]:
+    return None if q is None else (q.numerator, q.denominator)
+
+
+def _scaled_windows(
+    bounds: Sequence[tuple[Optional[Ratio], Optional[Ratio]]], arcs: IntArcs
+) -> tuple[list[int], list[int]]:
+    """Windows given as (lo, hi) :data:`Ratio` pairs, a side None when
+    unbounded, on the resource scale ``dr`` of ``arcs``: ``ceil(dr * lo)``
+    and ``floor(dr * hi)``, so an integer ``r`` lies in the pair exactly
+    when ``r / dr`` lies in the window. An unbounded side gets a bound
+    beyond the sum of all absolute arc resources, which no path's
+    cumulative resource reaches."""
+    dr = arcs.dr
+    beyond = sum(map(abs, arcs.res)) + 1
+    return (
+        [-beyond if lo is None else -(-lo[0] * dr // lo[1]) for lo, _ in bounds],
+        [beyond if hi is None else hi[0] * dr // hi[1] for _, hi in bounds],
+    )
 
 
 class TailMap:

@@ -352,7 +352,9 @@ def _graph(
         t, i, l = vmap.state_of(v)
         return "s" if t == 0 else "p" if t > T else f"t{t}i{i}l{l}"
 
-    return WindowedDag.of_ints(ints, windows, out, sink, arc, window, label), vmap
+    n = len(out)
+    dag = WindowedDag.of_ints(ints, windows, 0, sink, arc, window, LazyTuple(n, label), out, range(n))
+    return dag, vmap
 
 
 def reached_graph(inst: HucInstance, deadline: Optional[float] = None) -> tuple[WindowedDag, VertexMap]:

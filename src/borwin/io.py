@@ -4,18 +4,30 @@ Two disjoint schemas are auto-detected: windowed-DAG instances carry
 "vertices"/"arcs", commitment instances carry "T"/"points". Rationals
 are accepted as integers, "num/den" strings or decimal strings, and are
 always emitted as "num/den" so round-trips are exact.
+
+Every rational is parsed to a ``(num, den)`` pair of integers in lowest
+terms. JSON integers and the ASCII ``-?digits/digits`` strings that the
+writers emit take a fast path; everything else goes through
+:func:`~borwin.rational.rat`, which decides what is accepted and words
+every error. A DAG is built from those integers with
+:meth:`WindowedDag.of_ratios <borwin.graph.WindowedDag.of_ratios>`: its
+integer arcs and windows are computed at load, and a Fraction ``Arc`` or
+``Window`` is made only when one is read. A commitment instance keeps
+Fraction fields, made from the pairs.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path as FsPath
 from typing import Any, Optional, Union
 
-from .graph import Arc, Window, WindowedDag
+from .graph import WindowedDag
 from .huc import HucInstance, InvalidInstance, OperatingPoint
-from .rational import NotDecimal, decimal_str, rat, rat_str
+from .rational import NotDecimal, Ratio, decimal_str, rat, rat_str
 
 
 class InstanceFormatError(Exception):
@@ -26,19 +38,42 @@ class InstanceFormatError(Exception):
         self.field = field
 
 
-def _rat_at(value: Any, field: str) -> Fraction:
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)").fullmatch
+
+
+def _rat_at(value: Any, field: str) -> Ratio:
+    """``value`` as ``(num, den)`` in lowest terms, exactly what
+    :func:`~borwin.rational.rat` makes of it; a value it rejects, or a
+    float, is an :class:`InstanceFormatError` at ``field``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        m = _RATIO(value)
+        if m is not None:
+            try:
+                num, den = int(m[1]), int(m[2])
+            except ValueError:  # past the int digit limit; rat words it
+                den = 0
+            if den:
+                g = gcd(num, den)
+                return num // g, den // g
     if isinstance(value, float):
         raise InstanceFormatError(field, "floats are not accepted; use a decimal string")
     try:
-        return rat(value)
+        q = rat(value)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(field, str(exc)) from exc
+    return q.numerator, q.denominator
 
 
-def _opt_rat_at(value: Any, field: str) -> Optional[Fraction]:
+def _opt_rat_at(value: Any, field: str) -> Optional[Ratio]:
     if value is None:
         return None
     return _rat_at(value, field)
+
+
+def _fraction_at(value: Any, field: str) -> Fraction:
+    return Fraction(*_rat_at(value, field))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -72,7 +107,7 @@ def dag_from_dict(data: dict) -> WindowedDag:
     if not isinstance(verts, list) or not verts:
         raise InstanceFormatError("vertices", "must be a non-empty list")
     ids: list[str] = []
-    windows: list[Window] = []
+    bounds: list[tuple[Optional[Ratio], Optional[Ratio]]] = []
     index: dict[str, int] = {}
     for k, v in enumerate(verts):
         field = f"vertices[{k}]"
@@ -82,58 +117,62 @@ def dag_from_dict(data: dict) -> WindowedDag:
             raise InstanceFormatError(f"{field}.id", f"duplicate vertex id {vid!r}")
         index[vid] = k
         ids.append(vid)
-        windows.append(
-            Window(
-                lo=_opt_rat_at(v.get("lo"), f"{field}.lo"),
-                hi=_opt_rat_at(v.get("hi"), f"{field}.hi"),
-            )
-        )
-    arcs: list[Arc] = []
+        bounds.append((_opt_rat_at(v.get("lo"), f"{field}.lo"), _opt_rat_at(v.get("hi"), f"{field}.hi")))
+    src: list[int] = []
+    dst: list[int] = []
+    values: list[Ratio] = []
+    resources: list[Ratio] = []
     for k, a in enumerate(_need(data, "arcs", "", list)):
         field = f"arcs[{k}]"
         a = _typed(a, dict, field)
-        src = _need(a, "from", field, str)
-        dst = _need(a, "to", field, str)
-        for end, name in ((src, "from"), (dst, "to")):
+        u = _need(a, "from", field, str)
+        w = _need(a, "to", field, str)
+        for end, name in ((u, "from"), (w, "to")):
             if end not in index:
                 raise InstanceFormatError(f"{field}.{name}", f"unknown vertex id {end!r}")
-        arcs.append(
-            Arc(
-                index[src],
-                index[dst],
-                _rat_at(_need(a, "value", field), f"{field}.value"),
-                _rat_at(_need(a, "resource", field), f"{field}.resource"),
-            )
-        )
+        src.append(index[u])
+        dst.append(index[w])
+        values.append(_rat_at(_need(a, "value", field), f"{field}.value"))
+        resources.append(_rat_at(_need(a, "resource", field), f"{field}.resource"))
     source = _need(data, "source", "", str)
     sink = _need(data, "sink", "", str)
     for end, name in ((source, "source"), (sink, "sink")):
         if end not in index:
             raise InstanceFormatError(name, f"unknown vertex id {end!r}")
-    return WindowedDag(windows, arcs, index[source], index[sink], labels=ids)
+    return WindowedDag.of_ratios(src, dst, values, resources, bounds, index[source], index[sink], tuple(ids))
+
+
+def _scaled_str(x: int, scale: int) -> str:
+    """``x / scale`` in the ``num/den`` form of :func:`~borwin.rational.rat_str`."""
+    g = gcd(x, scale)
+    return f"{x // g}/{scale // g}"
 
 
 def dag_to_dict(dag: WindowedDag) -> dict:
+    """The JSON form of ``dag``: arcs read from its integer arrays, windows
+    one :meth:`~WindowedDag.window` at a time."""
+    ints = dag.int_arcs()
+    labels = dag.labels
     return {
         "vertices": [
             {
-                "id": dag.labels[v],
+                "id": labels[v],
                 "lo": None if w.lo is None else rat_str(w.lo),
                 "hi": None if w.hi is None else rat_str(w.hi),
             }
-            for v, w in enumerate(dag.windows)
+            for v, w in enumerate(map(dag.window, range(dag.n)))
         ],
         "arcs": [
             {
-                "from": dag.labels[a.src],
-                "to": dag.labels[a.dst],
-                "value": rat_str(a.value),
-                "resource": rat_str(a.resource),
+                "from": labels[u],
+                "to": labels[w],
+                "value": _scaled_str(x, ints.dv),
+                "resource": _scaled_str(r, ints.dr),
             }
-            for a in dag.arcs
+            for u, w, x, r in zip(ints.src, ints.dst, ints.val, ints.res)
         ],
-        "source": dag.labels[dag.source],
-        "sink": dag.labels[dag.sink],
+        "source": labels[dag.source],
+        "sink": labels[dag.sink],
     }
 
 
@@ -144,8 +183,8 @@ def huc_from_dict(data: dict) -> HucInstance:
         p = _typed(p, dict, field)
         points.append(
             OperatingPoint(
-                flow=_rat_at(_need(p, "D", field), f"{field}.D"),
-                power=_rat_at(_need(p, "P", field), f"{field}.P"),
+                flow=_fraction_at(_need(p, "D", field), f"{field}.D"),
+                power=_fraction_at(_need(p, "P", field), f"{field}.P"),
             )
         )
     initial = data.get("initial")
@@ -153,14 +192,14 @@ def huc_from_dict(data: dict) -> HucInstance:
     fields = dict(
         periods=_need(data, "T", "", int),
         points=tuple(points),
-        ramp_up=_rat_at(_need(data, "ramp_up", ""), "ramp_up"),
-        ramp_down=_rat_at(_need(data, "ramp_down", ""), "ramp_down"),
+        ramp_up=_fraction_at(_need(data, "ramp_up", ""), "ramp_up"),
+        ramp_down=_fraction_at(_need(data, "ramp_down", ""), "ramp_down"),
         min_updown=_need(data, "min_updown", "", int),
-        prices=tuple(_rat_at(x, f"prices[{k}]") for k, x in enumerate(_need(data, "prices", "", list))),
-        water_value_upstream=_rat_at(_need(data, "phi1", ""), "phi1"),
-        water_value_downstream=_rat_at(_need(data, "phi2", ""), "phi2"),
-        win_lo=tuple(_rat_at(x, f"win_lo[{k}]") for k, x in enumerate(_need(data, "win_lo", "", list))),
-        win_hi=tuple(_rat_at(x, f"win_hi[{k}]") for k, x in enumerate(_need(data, "win_hi", "", list))),
+        prices=tuple(_fraction_at(x, f"prices[{k}]") for k, x in enumerate(_need(data, "prices", "", list))),
+        water_value_upstream=_fraction_at(_need(data, "phi1", ""), "phi1"),
+        water_value_downstream=_fraction_at(_need(data, "phi2", ""), "phi2"),
+        win_lo=tuple(_fraction_at(x, f"win_lo[{k}]") for k, x in enumerate(_need(data, "win_lo", "", list))),
+        win_hi=tuple(_fraction_at(x, f"win_hi[{k}]") for k, x in enumerate(_need(data, "win_hi", "", list))),
         initial_point=_typed(initial.get("i", 0), int, "initial.i"),
         initial_hold=_typed(initial.get("l", 0), int, "initial.l"),
     )

@@ -30,6 +30,10 @@ Weight = Union[Fraction, _PlusInfinity]
 
 RatLike = Union[int, str, Fraction]
 
+#: An exact rational as integers: ``(numerator, denominator)``, in lowest
+#: terms with a positive denominator.
+Ratio = tuple[int, int]
+
 
 class NotDecimal(ValueError):
     """A rational with no finite decimal expansion, so no decimal text."""

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,10 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from borwin import graph as graph_module
+from borwin import io as io_module
 from borwin.cli import main
-from borwin.generate import GeneratorConfig, generate
-from borwin.graph import validate
+from borwin.generate import GeneratorConfig, generate, random_dag
+from borwin.graph import Arc, Window, WindowedDag, validate
 from borwin.io import (
     InstanceFormatError,
     dag_from_dict,
@@ -21,6 +26,7 @@ from borwin.io import (
     huc_to_dict,
     load_instance,
 )
+from borwin.rational import rat
 
 F = Fraction
 
@@ -95,6 +101,197 @@ def test_error_paths_are_reported(tmp_path):
     with pytest.raises(InstanceFormatError) as err:
         load_instance(path)
     assert "points[1].D" in str(err.value)
+
+
+def _rat_reference(value, field):
+    """The loader's rational rule before the integer fast path: floats
+    refused, everything else through ``rat``."""
+    if isinstance(value, float):
+        raise InstanceFormatError(field, "floats are not accepted; use a decimal string")
+    try:
+        q = rat(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(field, str(exc)) from exc
+    return q.numerator, q.denominator
+
+
+_DIGITS = st.sampled_from(list("0123456789") + ["0", "00", "_", "٣", "５", "²", "१"])
+_NUMERAL = st.lists(_DIGITS, max_size=6).map("".join)
+_RATIONAL_TEXT = st.builds(
+    lambda pad, sign, num, tail, end: pad + sign + num + tail + end,
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["", "-", "+", "--"]),
+    _NUMERAL,
+    st.one_of(
+        st.just(""),
+        st.builds(lambda d: "/" + d, _NUMERAL),
+        st.builds(lambda d: "." + d, _NUMERAL),
+        st.builds(lambda e, d: e + d, st.sampled_from(["e", "E", "e-", "E+", ".5e"]), _NUMERAL),
+        st.builds(lambda d: "/-" + d, _NUMERAL),
+    ),
+    st.sampled_from(["", " ", "\n", "x"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example("1" * 5000 + "/3")  # past the int digit limit
+@example("3/" + "1" * 5000)
+@given(
+    st.one_of(
+        st.integers(),
+        st.integers(min_value=-(10**60), max_value=10**60),
+        st.booleans(),
+        st.floats(),
+        st.none(),
+        _RATIONAL_TEXT,
+        st.text(max_size=8),
+        st.builds(lambda n, d: f"{n}/{d}", st.integers(-(10**30), 10**30), st.integers(0, 10**30)),
+        st.lists(st.integers(), max_size=2),
+    )
+)
+def test_rat_at_agrees_with_rat(value):
+    """The loader's integer parser returns exactly ``rat``'s value, in
+    lowest terms, or raises the same format error."""
+    try:
+        want = _rat_reference(value, "f")
+    except InstanceFormatError as exc:
+        with pytest.raises(InstanceFormatError) as err:
+            io_module._rat_at(value, "f")
+        assert str(err.value) == str(exc)
+    else:
+        got = io_module._rat_at(value, "f")
+        assert got == want and type(got[0]) is int and type(got[1]) is int
+
+
+def _eager_dag(data):
+    """The instance the Fraction constructor builds from a DAG's JSON
+    data, parsed with ``rat``."""
+
+    def opt(x):
+        return None if x is None else rat(x)
+
+    index = {v["id"]: k for k, v in enumerate(data["vertices"])}
+    return WindowedDag(
+        [Window(opt(v.get("lo")), opt(v.get("hi"))) for v in data["vertices"]],
+        [Arc(index[a["from"]], index[a["to"]], rat(a["value"]), rat(a["resource"])) for a in data["arcs"]],
+        index[data["source"]],
+        index[data["sink"]],
+        labels=[v["id"] for v in data["vertices"]],
+    )
+
+
+def _assert_same_instance(dag, ref):
+    ints, want = dag.int_arcs(), ref.int_arcs()
+    for name in ("src", "dst", "val", "res", "dv", "dr"):
+        assert getattr(ints, name) == getattr(want, name), name
+    assert dag.int_windows() == ref.int_windows()
+    assert dag.out_arcs == ref.out_arcs
+    assert dag.topo_order == ref.topo_order
+    assert (dag.n, dag.source, dag.sink) == (ref.n, ref.source, ref.sink)
+    assert dag.arcs == ref.arcs
+    assert dag.windows == ref.windows
+    assert dag.labels == ref.labels
+
+
+def _load_without_fractions(data, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("loading made an Arc or a Window")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(graph_module, "Arc", refuse)
+        patched.setattr(graph_module, "Window", refuse)
+        return dag_from_dict(data)
+
+
+HAND_WRITTEN = {
+    "vertices": [
+        {"id": "s", "lo": "0", "hi": None},
+        {"id": "a", "lo": "1/3", "hi": "7/6"},
+        {"id": "b", "lo": None, "hi": "0.15"},
+        {"id": "c", "lo": "-2/4", "hi": None},
+        {"id": "p", "lo": "1/7", "hi": "9/2"},
+    ],
+    "arcs": [
+        {"from": "s", "to": "a", "value": "2/4", "resource": "1/2"},
+        {"from": "a", "to": "p", "value": -3, "resource": "0.15"},
+        {"from": "s", "to": "b", "value": "0.15", "resource": "2/4"},
+        {"from": "b", "to": "c", "value": "1/7", "resource": "-6/20"},
+        {"from": "c", "to": "p", "value": "10/5", "resource": 3},
+        {"from": "s", "to": "c", "value": " 3 ", "resource": "1_0/4"},
+    ],
+    "source": "s",
+    "sink": "p",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 120), st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.integers(0, 2**32))
+def test_integer_loader_equals_the_eager_instance_on_generated_dags(n, density, seed):
+    """A generated DAG loads, with no Arc and no Window, into the
+    instance the Fraction constructor builds from the same data; the
+    generator's own instance is that instance too."""
+    data = generate(GeneratorConfig(seed=seed, family="dag", vertices=n, density=density))
+    ref = _eager_dag(data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        loaded = _load_without_fractions(data, monkeypatch)
+    _assert_same_instance(loaded, ref)
+    _assert_same_instance(random_dag(random.Random(seed), n, density), ref)
+
+
+@pytest.mark.parametrize("data", [json.loads(WCLPP5.read_text()), HAND_WRITTEN], ids=["wclpp5", "hand-written"])
+def test_integer_loader_equals_the_eager_instance(data, monkeypatch):
+    """Fractions in any accepted spelling, null window sides and window
+    denominators that do not divide the resource scale load into the
+    eager instance's integers, views and order."""
+    loaded = _load_without_fractions(data, monkeypatch)
+    ref = _eager_dag(data)
+    _assert_same_instance(loaded, ref)
+    assert dag_to_dict(loaded) == dag_to_dict(ref)
+
+
+def test_hand_written_instance_loads_on_its_reduced_scales():
+    """The reduced denominators give the scales 140 (values) and 20
+    (resources); each window side rounds inwards onto the resource
+    scale, and an unbounded side lies past the 139 of all absolute
+    resources."""
+    dag = dag_from_dict(HAND_WRITTEN)
+    ints = dag.int_arcs()
+    assert (ints.dv, ints.dr) == (140, 20)
+    assert ints.val == [70, -420, 21, 20, 280, 420]
+    assert ints.res == [10, 3, 10, -6, 60, 50]
+    assert dag.int_windows() == ([0, 7, -140, -10, 3], [140, 23, 3, 140, 90])
+    assert validate(dag).ok
+
+
+def test_a_solve_and_validate_of_a_json_dag_make_no_arc(tmp_path, capsys, monkeypatch):
+    """``borwin solve`` and ``borwin validate`` of a JSON DAG read the
+    integer arcs only, for every algorithm: no ``Arc`` is constructed.
+    An inverted window is still found on the exact windows: ``[1/3, 1/2]``
+    on resource scale 1 reads ``[1, 0]`` as integers, but is not inverted."""
+    made = []
+    real_arc = graph_module.Arc
+
+    def counting_arc(*args):
+        made.append(args)
+        return real_arc(*args)
+
+    monkeypatch.setattr(graph_module, "Arc", counting_arc)
+    path = tmp_path / "gen.json"
+    path.write_text(dump_json(generate(GeneratorConfig(seed=4, family="dag", vertices=120))))
+    for args in (["solve", str(path)], ["solve", str(WCLPP5)], ["solve", str(path), "--algo", "rcsp"]):
+        assert main(args) in (0, 2)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+    data = json.loads(WCLPP5.read_text())
+    data["vertices"][1].update(lo="1/3", hi="1/2")
+    dag = dag_from_dict(data)
+    lo, hi = dag.int_windows()
+    assert (lo[1], hi[1]) == (1, 0)
+    assert validate(dag).ok
+    data["vertices"][1].update(lo="1/2", hi="1/3")
+    assert validate(dag_from_dict(data)).code == "InvertedWindow"
+    assert made == []
 
 
 # -- generator ---------------------------------------------------------------
