@@ -137,16 +137,16 @@ class WindowedDag:
     and not supplied; an unusable order is kept as ``None`` so that
     :func:`validate` can report the defect instead of construction failing.
 
-    The constructor takes Fraction windows and arcs; tests, fixtures and
-    :func:`prune_unreachable` use it. :meth:`of_ints` builds an instance
-    from integer arrays instead, and :meth:`of_ratios` from exact
-    ``(num, den)`` data, as the JSON loader and the DAG generator do: its
-    ``arcs`` and ``windows`` (and a compile's ``labels``) are
-    :class:`LazyTuple` views, each built in full on its first read and
-    then kept. :meth:`arc` and :meth:`window` read one item of either
-    kind of instance without building the rest; the solver reads the
-    integer arrays and the sink's window only, and :func:`validate` the
-    integer arrays and the windows.
+    Every instance is its :class:`IntArcs` and integer windows, set up
+    by one initializer. The constructor scales Fraction windows and arcs
+    (tests, fixtures, :func:`prune_unreachable`); :meth:`of_ints` takes
+    the integer arrays (the HUC compiles, :func:`presolve`) and
+    :meth:`of_ratios` exact ``(num, den)`` data (the JSON loader, the DAG
+    generator). ``arcs`` is a :class:`LazyTuple` view of the
+    :class:`IntArcs`, built in full on first read and then kept.
+    ``windows`` stay exact, since rounded integers cannot give them back:
+    the constructor's tuple, or the view of :meth:`of_ints`. :meth:`arc`
+    and :meth:`window` read one item without building the rest.
     """
 
     __slots__ = (
@@ -171,19 +171,39 @@ class WindowedDag:
         labels: Optional[Sequence[str]] = None,
         topo_order: Optional[Sequence[int]] = None,
     ):
-        self.n = len(windows)
-        self.windows = tuple(windows)
-        self.arcs = tuple(arcs)
-        self.source = source
-        self.sink = sink
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(self.n))
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for idx, a in enumerate(self.arcs):
-            if 0 <= a.src < self.n and 0 <= a.dst < self.n:
-                out[a.src].append(idx)
-        self.out_arcs = tuple(tuple(v) for v in out)
-        self._int_arcs: Optional[IntArcs] = None
-        self._int_windows: Optional[tuple[list[int], list[int]]] = None
+        windows = tuple(windows)
+        ints = IntArcs.of(arcs)
+        int_windows = _scaled_windows([(_ratio(w.lo), _ratio(w.hi)) for w in windows], ints.dr, _beyond(ints))
+        labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(len(windows)))
+        self._init(ints, int_windows, windows, source, sink, labels, None, topo_order)
+
+    def _init(
+        self,
+        ints: "IntArcs",
+        int_windows: tuple[list[int], list[int]],
+        windows: Sequence[Window],
+        source: int,
+        sink: int,
+        labels: Sequence[str],
+        out_arcs: Optional[Sequence[Sequence[int]]],
+        topo_order: Optional[Sequence[int]],
+    ) -> None:
+        # the arc view holds ``ints``, not the instance: no reference cycle
+        self.n = n = len(windows)
+        self.windows = windows
+        self.arcs = LazyTuple(len(ints.dst), ints.arc)
+        self.source, self.sink = source, sink
+        self.labels = labels
+        if out_arcs is None:
+            # an arc with an end out of range is left out, for validate
+            out: list[list[int]] = [[] for _ in range(n)]
+            for aid, (u, w) in enumerate(zip(ints.src, ints.dst)):
+                if 0 <= u < n and 0 <= w < n:
+                    out[u].append(aid)
+            out_arcs = map(tuple, out)
+        self.out_arcs = tuple(out_arcs)
+        self._int_arcs = ints
+        self._int_windows = int_windows
         self.topo_order = _kahn(self) if topo_order is None else tuple(topo_order)
 
     @classmethod
@@ -193,7 +213,6 @@ class WindowedDag:
         windows: tuple[list[int], list[int]],
         source: int,
         sink: int,
-        arc: Callable[[int], Arc],
         window: Callable[[int], Window],
         labels: Sequence[str],
         out_arcs: Optional[Sequence[Sequence[int]]] = None,
@@ -201,26 +220,13 @@ class WindowedDag:
     ) -> "WindowedDag":
         """An instance on integer arrays: its :class:`IntArcs`, whose ends
         are vertex ids, and its integer windows on their resource scale,
-        one per vertex. ``arc`` and ``window`` make the Fraction arc and
-        window of one id; the views call them on first read. Without
+        one per vertex. ``window`` makes the exact Fraction window of one
+        vertex, which the ``windows`` view calls on first read. Without
         ``out_arcs`` each vertex's out-arcs are its arc ids in id order,
         and without ``topo_order`` the order is :func:`_kahn`'s, None on
         a cycle, as in the constructor."""
         dag = cls.__new__(cls)
-        dag.n = n = len(windows[0])
-        dag.source, dag.sink = source, sink
-        dag.arcs = LazyTuple(len(ints.dst), arc)
-        dag.windows = LazyTuple(n, window)
-        dag.labels = labels
-        if out_arcs is None:
-            out: list[list[int]] = [[] for _ in range(n)]
-            for aid, u in enumerate(ints.src):
-                out[u].append(aid)
-            out_arcs = map(tuple, out)
-        dag.out_arcs = tuple(out_arcs)
-        dag._int_arcs = ints
-        dag._int_windows = windows
-        dag.topo_order = _kahn(dag) if topo_order is None else tuple(topo_order)
+        dag._init(ints, windows, LazyTuple(len(windows[0]), window), source, sink, labels, out_arcs, topo_order)
         return dag
 
     @classmethod
@@ -238,33 +244,22 @@ class WindowedDag:
         """The instance with arcs ``src[k] -> dst[k]`` of value
         ``values[k]`` and resource ``resources[k]`` and with the windows
         ``bounds[v]``, (lo, hi) pairs with None for an unbounded side, all
-        given as :data:`Ratio`. Its :class:`IntArcs` and integer windows
-        equal those of the constructor's instance; its Fraction arcs and
-        windows are views made from the ratios, as in :meth:`of_ints`."""
+        given as :data:`Ratio`. It equals the constructor's instance; its
+        Fraction windows are a view made from the ratios."""
         ints = IntArcs.of_ratios(src, dst, values, resources)
-
-        def arc(k: int) -> Arc:
-            return Arc(src[k], dst[k], Fraction(*values[k]), Fraction(*resources[k]))
 
         def window(v: int) -> Window:
             lo, hi = bounds[v]
             return Window(None if lo is None else Fraction(*lo), None if hi is None else Fraction(*hi))
 
-        return cls.of_ints(ints, _scaled_windows(bounds, ints), source, sink, arc, window, labels)
+        return cls.of_ints(ints, _scaled_windows(bounds, ints.dr, _beyond(ints)), source, sink, window, labels)
 
     def int_arcs(self) -> "IntArcs":
-        """Integer-scaled arc data, built on first use and kept."""
-        if self._int_arcs is None:
-            self._int_arcs = IntArcs.of(self.arcs)
+        """Integer-scaled arc data; ``arcs`` is a view of it."""
         return self._int_arcs
 
     def int_windows(self) -> tuple[list[int], list[int]]:
-        """Per-vertex windows on the scaled cumulative resource of
-        :meth:`int_arcs`, built on first use and kept; see
-        :func:`_scaled_windows`."""
-        if self._int_windows is None:
-            bounds = [(_ratio(w.lo), _ratio(w.hi)) for w in self.windows]
-            self._int_windows = _scaled_windows(bounds, self.int_arcs())
+        """Per-vertex windows on the resource scale of :meth:`int_arcs`."""
         return self._int_windows
 
     # -- lookups -----------------------------------------------------------
@@ -497,6 +492,7 @@ def check_windows(dag: WindowedDag, path: Path) -> Optional[WindowViolation]:
 # -- parametric longest paths to the sink ---------------------------------
 
 
+@dataclass(slots=True)
 class IntArcs:
     """Arc data scaled to integers for the sweep kernel.
 
@@ -506,15 +502,16 @@ class IntArcs:
     every entry is an exact integer.
     """
 
-    __slots__ = ("src", "dst", "val", "res", "dv", "dr")
+    src: list[int]
+    dst: list[int]
+    val: list[int]
+    res: list[int]
+    dv: int
+    dr: int
 
-    def __init__(self, src: list[int], dst: list[int], val: list[int], res: list[int], dv: int, dr: int):
-        self.src = src
-        self.dst = dst
-        self.val = val
-        self.res = res
-        self.dv = dv
-        self.dr = dr
+    def arc(self, k: int) -> Arc:
+        """The exact :class:`Arc` of id ``k``."""
+        return Arc(self.src[k], self.dst[k], Fraction(self.val[k], self.dv), Fraction(self.res[k], self.dr))
 
     @classmethod
     def of(cls, arcs: Sequence[Arc]) -> "IntArcs":
@@ -546,20 +543,22 @@ def _ratio(q: Optional[Fraction]) -> Optional[Ratio]:
 
 
 def _scaled_windows(
-    bounds: Sequence[tuple[Optional[Ratio], Optional[Ratio]]], arcs: IntArcs
+    bounds: Sequence[tuple[Optional[Ratio], Optional[Ratio]]], scale: int, beyond: int
 ) -> tuple[list[int], list[int]]:
     """Windows given as (lo, hi) :data:`Ratio` pairs, a side None when
-    unbounded, on the resource scale ``dr`` of ``arcs``: ``ceil(dr * lo)``
-    and ``floor(dr * hi)``, so an integer ``r`` lies in the pair exactly
-    when ``r / dr`` lies in the window. An unbounded side gets a bound
-    beyond the sum of all absolute arc resources, which no path's
-    cumulative resource reaches."""
-    dr = arcs.dr
-    beyond = sum(map(abs, arcs.res)) + 1
+    unbounded, on the integer resource ``scale``: ``ceil(scale * lo)``
+    and ``floor(scale * hi)``, so an integer ``r`` lies in the pair
+    exactly when ``r / scale`` lies in the window. An unbounded side gets
+    ``-beyond`` or ``beyond``."""
     return (
-        [-beyond if lo is None else -(-lo[0] * dr // lo[1]) for lo, _ in bounds],
-        [beyond if hi is None else hi[0] * dr // hi[1] for _, hi in bounds],
+        [-beyond if lo is None else -(-lo[0] * scale // lo[1]) for lo, _ in bounds],
+        [beyond if hi is None else hi[0] * scale // hi[1] for _, hi in bounds],
     )
+
+
+def _beyond(arcs: IntArcs) -> int:
+    """A resource bound that no path's cumulative resource reaches."""
+    return sum(map(abs, arcs.res)) + 1
 
 
 class TailMap:
@@ -694,12 +693,12 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
 
     Returns None when the source or the sink ends with an empty interval:
     then no window-feasible path exists. Otherwise a view with the same
-    vertex and arc ids, which shares ``n``, ``arcs``, ``labels``,
-    ``topo_order`` and the :class:`IntArcs` with ``dag``, views
-    included, without building them; its ``out_arcs`` keep the arcs
-    that can carry a feasible path, and each vertex with a non-empty
-    ``B_v`` has it as its integer window and as its Fraction window,
-    which a :class:`LazyTuple` makes on first read. The view has the
+    vertex and arc ids, made by :meth:`WindowedDag.of_ints` on the
+    :class:`IntArcs`, labels and ``topo_order`` of ``dag``, without
+    building any view of ``dag``; its ``out_arcs`` keep the arcs that
+    can carry a feasible path, and each vertex with a non-empty ``B_v``
+    has it as its integer window and as its Fraction window, which a
+    :class:`LazyTuple` makes on first read. The view has the
     same window-feasible s-p paths as ``dag``, so paths, values and
     value-bound providers carry over unchanged.
     ``deadline`` (a ``time.monotonic`` value) is checked before each
@@ -775,14 +774,7 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
         x = blo[v]
         return dag.window(v) if x is None else Window(Fraction(x, arcs.dr), Fraction(bhi[v], arcs.dr))
 
-    view = WindowedDag.__new__(WindowedDag)
-    view.n, view.arcs, view.labels, view.topo_order = dag.n, dag.arcs, dag.labels, order
-    view.source, view.sink = source, sink
-    view.windows = LazyTuple(dag.n, window)
-    view.out_arcs = tuple(kept)
-    view._int_arcs = arcs
-    view._int_windows = (ilo, ihi)
-    return view
+    return WindowedDag.of_ints(arcs, (ilo, ihi), source, sink, window, dag.labels, out_arcs=kept, topo_order=order)
 
 
 def _presolve_on_time(deadline: Optional[float]) -> None:

@@ -15,19 +15,20 @@ compiles share one lazily filled moves table on integer state codes and
 one numbering-and-arc emitter, so neither grows with ``min_updown`` past
 the horizon. Both are integer-native: the emitter writes the arcs'
 :class:`~borwin.graph.IntArcs` from integer tables of the cumulative
-values and flows, and the graph makes a Fraction ``Arc``, ``Window`` or
-label only when one is read (see :meth:`WindowedDag.of_ints
-<borwin.graph.WindowedDag.of_ints>`). :func:`reached_graph` is the
-instance's s-p graph, which the reference algorithms read;
-:func:`build_graph`, the model view gate c07 pins, appends the unreached
-grid states to it. :func:`solve_huc` compiles only the window-feasible
-states: exact integer hulls of the cumulative flow, propagated forward
-from the initial state and backward from the last period, drop every
-state and move no window-feasible schedule uses and prove some
-instances infeasible before any arc is emitted. That compile already is
-the solver's presolve, so :func:`~borwin.solver.solve_tight` solves that
-graph as it is, with the same default value bound as any windowed DAG;
-a solve makes no ``Arc`` and reads only the sink's ``Window``.
+values and flows, the graph's Fraction arcs are a view of them, and a
+``Window`` or label is made only when one is read (see
+:meth:`WindowedDag.of_ints <borwin.graph.WindowedDag.of_ints>`).
+:func:`reached_graph` is the instance's s-p graph, which the reference
+algorithms read; :func:`build_graph`, the model view gate c07 pins,
+appends the unreached grid states to it. :func:`solve_huc` compiles only
+the window-feasible states: exact integer hulls of the cumulative flow,
+propagated forward from the initial state and backward from the last
+period, drop every state and move no window-feasible schedule uses and
+prove some instances infeasible before any arc is emitted.
+:func:`~borwin.solver.solve_tight` solves that graph with the same
+default value bound as any windowed DAG and without the presolve, which
+would still cut a few arcs but costs more than it saves there; a solve
+makes no ``Arc`` and reads only the sink's ``Window``.
 """
 
 from __future__ import annotations
@@ -41,14 +42,15 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bounds import MckpItem, NestedMckp
 from .graph import (
-    Arc,
     IntArcs,
     LazyTuple,
     Path,
     TimeoutExceeded,
     Window,
     WindowedDag,
-    prune_unreachable,  # noqa: F401  unused here; kept so lookups of huc.prune_unreachable still resolve
+    _ratio,
+    _scaled_windows,
+    prune_unreachable,  # noqa: F401  perfbench hooks huc.prune_unreachable; see test_layer_self_times_sum_to_the_traced_solve_span
 )
 from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
@@ -328,32 +330,20 @@ def _graph(
     code: list[int],
     window: Callable[[int], Window],
 ) -> tuple[WindowedDag, VertexMap]:
-    """The compiled instance on the integer arrays of :func:`_emit`, and
-    its vertex map. Its Fraction views read the instance's shared
-    Fractions: an arc into a period-t state at level i has value
-    ``cumulative_values(inst)[t - 1][i]`` and resource
-    ``cumulative_flows(inst)[i]``, an arc into the sink zero; ``window(v)``
-    is vertex ``v``'s window."""
+    """The compiled instance on the integer arrays of :func:`_emit`, and its
+    vertex map. Its Fraction arcs are a view of ``ints``: an arc into a
+    period-t state at level i has value ``cumulative_values(inst)[t - 1][i]``
+    and resource ``cumulative_flows(inst)[i]``, one into the sink zero.
+    ``window(v)`` is vertex ``v``'s exact window."""
     T = inst.periods
-    width = 2 * inst.min_updown - 1
-    cum_f = cumulative_flows(inst)
-    src, dst = ints.src, ints.dst
     vmap = VertexMap(inst, period, code)
-
-    def arc(k: int) -> Arc:
-        v = dst[k]
-        t = period[v]
-        if t > T:
-            return Arc(src[k], v, ZERO, ZERO)
-        i = code[v] // width
-        return Arc(src[k], v, cumulative_values(inst)[t - 1][i], cum_f[i])
 
     def label(v: int) -> str:
         t, i, l = vmap.state_of(v)
         return "s" if t == 0 else "p" if t > T else f"t{t}i{i}l{l}"
 
     n = len(out)
-    dag = WindowedDag.of_ints(ints, windows, 0, sink, arc, window, LazyTuple(n, label), out, range(n))
+    dag = WindowedDag.of_ints(ints, windows, 0, sink, window, LazyTuple(n, label), out, range(n))
     return dag, vmap
 
 
@@ -397,11 +387,8 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     # each period's window on the arcs' resource scale; the source's is
     # [0, inf), with a bound past the total of the (nonnegative) resources
     # for inf, and the sink's the last period's
-    dr = ints.dr
-    plo = [0] + [-(-q.numerator * dr // q.denominator) for q in inst.win_lo]
-    phi = [sum(ints.res) + 1] + [q.numerator * dr // q.denominator for q in inst.win_hi]
-    plo.append(plo[T])
-    phi.append(phi[T])
+    periods = list(zip(map(_ratio, inst.win_lo), map(_ratio, inst.win_hi)))
+    plo, phi = _scaled_windows([((0, 1), None), *periods, periods[-1]], ints.dr, sum(ints.res) + 1)
     ilo = list(map(plo.__getitem__, period))
     _on_time(deadline)
     ihi = list(map(phi.__getitem__, period))
@@ -436,6 +423,8 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     T = inst.periods
     flow, scale = _flow_ints(inst)
     moves = _Moves(inst)
+    # each period's window on the flows' scale; no side is unbounded
+    wlo, whi = _scaled_windows(list(zip(map(_ratio, inst.win_lo), map(_ratio, inst.win_hi))), scale, 0)
 
     # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
     start = moves.code(inst.initial_point, inst.initial_hold)
@@ -443,8 +432,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     hi: list[dict[int, int]] = [{start: 0}]
     for t in range(T):
         _on_time(deadline)
-        w_lo = -(-inst.win_lo[t].numerator * scale // inst.win_lo[t].denominator)
-        w_hi = inst.win_hi[t].numerator * scale // inst.win_hi[t].denominator
+        w_lo, w_hi = wlo[t], whi[t]
         nlo: dict[int, int] = {}
         nhi: dict[int, int] = {}
         his = hi[t]

@@ -16,7 +16,7 @@ from .phase1 import (
     Phase1TraceEvent,
     PhaseOneOutcome,
     SolvedAtSp,
-    orient_dag,  # noqa: F401  unused here; kept so lookups of solver.orient_dag still resolve
+    orient_dag,  # noqa: F401  perfbench hooks solver.orient_dag; see test_layer_self_times_sum_to_the_traced_solve_span
     run_phase1,
 )
 from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, relaxed_violation, run_phase2
@@ -79,10 +79,10 @@ def solve_tight(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """:func:`solve_awclpp` with its default rules and no presolve, for an
-    instance that is already its own presolve: every window is the exact
-    hull and every arc joins hulls that meet, as in the commitment solve
-    graph that ``huc._solve_graph`` compiles. Phase 2 runs on ``dag``."""
+    """:func:`solve_awclpp` with its default rules and no presolve, for the
+    commitment solve graph of ``huc._solve_graph``, where every arc ``u -> w``
+    has ``[lo[u] + r, hi[u] + r]`` meeting ``[lo[w], hi[w]]``: a presolve still
+    cuts a few of its arcs, but costs more than it saves."""
     return _two_phase(dag, tighten=False, trace_phase1=trace_phase1, trace_phase2=trace_phase2, deadline=deadline)
 
 

@@ -66,9 +66,15 @@ def test_validate_inverted_window(wclpp):
 
 
 def test_validate_dangling_arc(wclpp):
-    arcs = list(wclpp.arcs) + [Arc(0, 9, F(1), F(1))]
-    report = validate(WindowedDag(wclpp.windows, arcs, 0, 4, labels=wclpp.labels))
-    assert report.code == "DanglingArc"
+    # an end past either side of the range: the arc is in no out-arc list
+    # (a -1 would otherwise file it under the last vertex), and construction
+    # leaves the report to validate
+    for dangling in (Arc(0, 9, F(1), F(1)), Arc(-1, 2, F(1), F(1))):
+        arcs = list(wclpp.arcs) + [dangling]
+        dag = WindowedDag(wclpp.windows, arcs, 0, 4, labels=wclpp.labels)
+        assert dag.out_arcs == wclpp.out_arcs
+        report = validate(dag)
+        assert report.code == "DanglingArc"
 
 
 def test_validate_source_window_must_contain_zero(wclpp):

@@ -489,7 +489,9 @@ def test_solve_graph_matches_the_schedule_oracle(inst):
 def test_solve_graph_integers_are_the_ones_the_graph_derives(inst, dens):
     """Both compiles fill in the integer arcs while emitting; they equal
     what the graph derives from its Fraction arcs, also with fractional
-    powers, prices and water values."""
+    powers, prices and water values, and each arc's scaled value and
+    resource are the Fraction model's cumulative value and flow of the
+    state it enters."""
     power_den, price_den, water_den = dens
     inst = replace(
         inst,
@@ -497,13 +499,15 @@ def test_solve_graph_integers_are_the_ones_the_graph_derives(inst, dens):
         prices=tuple(q / price_den for q in inst.prices),
         water_value_upstream=inst.water_value_upstream / water_den,
     )
-    full, _ = build_graph(inst)
+    full, full_vmap = build_graph(inst)
     ints, ref = full.int_arcs(), IntArcs.of(full.arcs)
     assert (ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (ref.dst, ref.val, ref.res, ref.dv, ref.dr)
+    _assert_arcs_are_the_models(inst, full, full_vmap)
     compiled = huc._solve_graph(inst)
     if compiled is None:
         return
     dag, vmap = compiled
+    _assert_arcs_are_the_models(inst, dag, vmap)
     fresh = WindowedDag(dag.windows, dag.arcs, dag.source, dag.sink)
     ints, ref = dag.int_arcs(), IntArcs.of(dag.arcs)
     assert (ints.dst, ints.val, ints.res, ints.dv, ints.dr) == (ref.dst, ref.val, ref.res, ref.dv, ref.dr)
@@ -513,6 +517,33 @@ def test_solve_graph_integers_are_the_ones_the_graph_derives(inst, dens):
     for v, (t, _, _) in enumerate(vmap.states):
         if 1 <= t <= inst.periods:
             assert inst.win_lo[t - 1] <= dag.windows[v].lo <= dag.windows[v].hi <= inst.win_hi[t - 1]
+
+
+def _assert_arcs_are_the_models(inst, dag, vmap):
+    # an independent check of the emitted integers against the Fraction model
+    ints = dag.int_arcs()
+    cum_v, cum_f = cumulative_values(inst), cumulative_flows(inst)
+    for w, val, res in zip(ints.dst, ints.val, ints.res):
+        t, i, _ = vmap.state_of(w)
+        want = (F(0), F(0)) if w == dag.sink else (cum_v[t - 1][i], cum_f[i])
+        assert (F(val, ints.dv), F(res, ints.dr)) == want
+
+
+@given(windowed_hucs())
+@example(ROUNDED_HULL)
+@settings(max_examples=100, deadline=None)
+def test_solve_graph_arcs_join_integer_windows_that_meet(inst):
+    """``solve_tight``'s precondition: on the solve graph's integer
+    windows, every arc ``u -> w`` of resource ``r`` has
+    ``[lo[u] + r, hi[u] + r]`` meeting ``[lo[w], hi[w]]``."""
+    compiled = huc._solve_graph(inst)
+    if compiled is None:
+        return
+    dag, _ = compiled
+    ints = dag.int_arcs()
+    lo, hi = dag.int_windows()
+    for u, w, r in zip(ints.src, ints.dst, ints.res):
+        assert max(lo[u] + r, lo[w]) <= min(hi[u] + r, hi[w]), (u, w)
 
 
 COMPILES = [huc.reached_graph, huc.build_graph, huc._solve_graph]
@@ -566,8 +597,7 @@ def test_a_solve_makes_no_arc_and_one_window(monkeypatch):
         return compiled[-1]
 
     real_compile = huc._solve_graph
-    for namespace in (graph, huc):
-        monkeypatch.setattr(namespace, "Arc", refuse)
+    monkeypatch.setattr(graph, "Arc", refuse)
     monkeypatch.setattr(huc, "cumulative_values", refuse)
     monkeypatch.setattr(huc, "Window", window)
     monkeypatch.setattr(huc, "_solve_graph", compile_graph)

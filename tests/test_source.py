@@ -27,3 +27,32 @@ def test_library_never_compiles_the_full_grid():
                 if name == "build_graph":
                     found.append(f"{module.name}:{node.lineno}")
     assert found == []
+
+
+# names a module imports only so that perfbench's tracer finds them there;
+# test_layer_self_times_sum_to_the_traced_solve_span asserts none is absent
+HOOK_REEXPORTS = {("solver.py", "orient_dag"), ("huc.py", "prune_unreachable")}
+
+
+def test_library_imports_only_names_it_uses():
+    # __init__.py's imports are the package API
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{module.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and (module.name, name) not in HOOK_REEXPORTS
+        ]
+    assert found == []
