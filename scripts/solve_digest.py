@@ -18,8 +18,10 @@ Compare two digests:
     python3 scripts/solve_digest.py --diff OLD.jsonl NEW.jsonl
 
 prints the rows whose status or value changed (exit code 1 if any), the
-rows whose witness or schedule alone changed, and the rows whose
-phase-2 pops or created labels rose.
+rows whose witness or schedule alone changed, the rows whose phase-2
+pops or created labels rose, and, old -> new, the totals of phase-1
+iterations, pops, labels created and ``arcs_cut`` over the DAG rows and
+over the commitment rows.
 """
 
 import dataclasses
@@ -73,6 +75,7 @@ def _row(name, solve, obj) -> dict:
 
 
 WORK = ("phase2_iterations", "labels_created")
+TOTALS = ("phase1_iterations", "phase2_iterations", "labels_created", "arcs_cut")
 
 
 def diff(old_path: str, new_path: str) -> int:
@@ -95,6 +98,12 @@ def diff(old_path: str, new_path: str) -> int:
         print(f"{title}: {len(names)}")
         for name in sorted(names):
             print(f"  {name}")
+    for family, is_huc in (("dag", False), ("huc", True)):
+        # a commitment row is the one that carries a schedule
+        rows = [[r for r in side.values() if ("schedule" in r) == is_huc] for side in (old, new)]
+        for key in TOTALS:
+            a, b = (sum(r["stats"][key] for r in side) for side in rows)
+            print(f"{family} {key}: {a} -> {b}")
     return 1 if changed else 0
 
 

@@ -622,7 +622,8 @@ class TailMap:
 
 def _sweep(dag: WindowedDag, wv: int, wr: int, sign: int):
     """Reverse-topological DP maximizing ``wv * val + wr * res`` to the
-    sink over the instance's :class:`IntArcs`; ties prefer the larger
+    sink over the instance's :class:`IntArcs`, weighing only the arcs in
+    ``out_arcs`` whose head reaches the sink; ties prefer the larger
     ``sign * res``. Returns per-vertex lists of the aggregate, the chosen
     arc and the scaled tail value and resource; ``None`` aggregate means
     the vertex cannot reach the sink."""
@@ -630,7 +631,6 @@ def _sweep(dag: WindowedDag, wv: int, wr: int, sign: int):
         raise GraphError("instance is not acyclic")
     arcs = dag.int_arcs()
     dst, val, res = arcs.dst, arcs.val, arcs.res
-    weight = [wv * v + wr * r for v, r in zip(val, res)]
     n = dag.n
     mu: list[Optional[int]] = [None] * n
     nxt: list[Optional[int]] = [None] * n
@@ -645,7 +645,7 @@ def _sweep(dag: WindowedDag, wv: int, wr: int, sign: int):
             m = mu[dst[aidx]]
             if m is None:
                 continue
-            cand = weight[aidx] + m
+            cand = wv * val[aidx] + wr * res[aidx] + m
             if best < 0 or cand > best_mu:
                 best, best_mu = aidx, cand
             elif cand == best_mu and (val[aidx], sign * res[aidx], dst[best]) > (val[best], sign * res[best], dst[aidx]):
@@ -683,11 +683,11 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
     1988): two passes over :meth:`~WindowedDag.int_arcs` and
     :meth:`~WindowedDag.int_windows`, O(n + m) integer work each.
 
-    Forward, in topological order, each vertex gets ``F_v``: the hull of
-    ``F_u + r`` over its in-arcs, cut to its window; the source starts at
-    ``[0, 0]``. Backward from the sink, each vertex gets ``B_v``: within
-    ``F_v``, the hull of the points from which some out-arc ``v -> w``
-    reaches a non-empty ``B_w``. Every window-feasible s-p path visits
+    Forward, in topological order, each vertex gets ``F_v``: the hull,
+    over its in-arcs, of ``F_u + r`` cut to its window; the source starts
+    at ``[0, 0]`` cut to its window. Backward from the sink, each vertex
+    gets ``B_v``: within ``F_v``, the hull of the points from which some
+    out-arc ``v -> w`` reaches a non-empty ``B_w``. Every window-feasible s-p path visits
     each of its vertices with a cumulative resource in ``B_v``, so an arc
     ``u -> w`` can carry such a path only when ``B_u + r`` meets ``B_w``.
 
@@ -713,27 +713,29 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
     # forward: [flo[v], fhi[v]] is the hull of F_v; None is empty
     flo: list[Optional[int]] = [None] * dag.n
     fhi = [0] * dag.n
+    if lo[source] > 0 or hi[source] < 0:
+        return None
     flo[source] = 0
     for u in order:
         a = flo[u]
         if a is None:
             continue
         b = fhi[u]
-        a, b = a if a > lo[u] else lo[u], b if b < hi[u] else hi[u]
-        if a > b:
-            flo[u] = None
-            continue
-        flo[u], fhi[u] = a, b
         for aid in out_arcs[u]:
             w, r = dst[aid], res[aid]
+            # the part of [a + r, b + r] inside w's window
+            x, y = a + r, b + r
+            x, y = x if x > lo[w] else lo[w], y if y < hi[w] else hi[w]
+            if x > y:
+                continue
             c = flo[w]
             if c is None:
-                flo[w], fhi[w] = a + r, b + r
+                flo[w], fhi[w] = x, y
                 continue
-            if a + r < c:
-                flo[w] = a + r
-            if b + r > fhi[w]:
-                fhi[w] = b + r
+            if x < c:
+                flo[w] = x
+            if y > fhi[w]:
+                fhi[w] = y
     if flo[sink] is None:
         return None
     _presolve_on_time(deadline)

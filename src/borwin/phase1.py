@@ -35,7 +35,7 @@ from .graph import (
     WindowedDag,
     all_tails,
 )
-from .rational import PLUS_INF, floor_rat
+from .rational import PLUS_INF, Weight, floor_rat
 
 LID = "lid"  # relaxed optimum falls short of the sink lower bound
 LIE = "lie"  # relaxed optimum exceeds the sink upper bound
@@ -147,10 +147,28 @@ def _pareto_eq(x: _Point, y: _Point) -> bool:
     return x.value == y.value and x.resource == y.resource
 
 
+def _sweep(dag: WindowedDag, delta: Weight, sign: int, deadline: Optional[float]) -> TailMap:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutExceeded("bounding phase hit its deadline")
+    return all_tails(dag, delta, sign)
+
+
+def relaxed_optimum(dag: WindowedDag, deadline: Optional[float] = None) -> TailMap:
+    """The bounding phase's first sweep: the window-relaxed value optimum
+    of ``dag`` at ``delta = 0``. Raises :class:`SinkUnreachable` when the
+    source cannot reach the sink, and :class:`TimeoutExceeded` past
+    ``deadline``."""
+    tails = _sweep(dag, ZERO, 1, deadline)
+    if dag.source not in tails:
+        raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
+    return tails
+
+
 def run_phase1(
     dag: WindowedDag,
     trace: Optional[Callable[[Phase1TraceEvent], None]] = None,
     deadline: Optional[float] = None,
+    sp_tails: Optional[TailMap] = None,
 ) -> PhaseOneOutcome:
     """Dichotomic search for the straddling supported pair.
 
@@ -160,14 +178,11 @@ def run_phase1(
     optimum is Pareto-equal (componentwise equal image) to an endpoint.
     Rounds compare the sweeps' source images; the outcome keeps the
     sweeps of its points and builds their paths on first read.
-    ``deadline`` (a ``time.monotonic`` value) is checked before every
-    sweep; past it, :class:`TimeoutExceeded` is raised.
+    ``sp_tails`` may pass in :func:`relaxed_optimum` of ``dag`` when the
+    caller already made it. ``deadline`` (a ``time.monotonic`` value) is
+    checked before every sweep; past it, :class:`TimeoutExceeded` is
+    raised.
     """
-
-    def sweep(delta, sign: int) -> TailMap:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("bounding phase hit its deadline")
-        return all_tails(dag, delta, sign)
 
     def point(tails: TailMap) -> _Point:
         arcs = dag.int_arcs()
@@ -175,9 +190,10 @@ def run_phase1(
         resource = Fraction(tails.sign * tails.res[dag.source], arcs.dr)
         return _Point(value, resource, tails)
 
-    sp_tails = sweep(ZERO, 1)
-    if dag.source not in sp_tails:
-        raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
+    if sp_tails is None:
+        sp_tails = relaxed_optimum(dag, deadline)
+    elif sp_tails.dag is not dag or sp_tails.delta != 0 or sp_tails.sign != 1:
+        raise ValueError("sp_tails is not the delta = 0 sweep of this instance")
     # later sweeps run on the same arcs, so the source reaches the sink there too
     sp = point(sp_tails)
     sink_window = dag.window(dag.sink)
@@ -192,7 +208,7 @@ def run_phase1(
         raise GraphInvariantError("orientation left the sink without a finite lower bound")
 
     x_a = _Point(sp.value, sign * sp.resource, sp_tails)
-    x_b = point(sweep(PLUS_INF, sign))
+    x_b = point(_sweep(dag, PLUS_INF, sign, deadline))
     if x_b.resource < beta:
         return Infeasible(max_resource=x_b.resource)
 
@@ -210,7 +226,7 @@ def run_phase1(
                 "straddling pair lost its resource gap; endpoints are Pareto-comparable"
             )
         delta = (x_a.value - x_b.value) / (x_b.resource - x_a.resource)
-        x_c = point(sweep(delta, sign))
+        x_c = point(_sweep(dag, delta, sign, deadline))
         iterations += 1
         if trace is not None:
             trace(

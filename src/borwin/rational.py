@@ -10,6 +10,7 @@ used in arithmetic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -39,12 +40,21 @@ class NotDecimal(ValueError):
     """A rational with no finite decimal expansion, so no decimal text."""
 
 
+#: The exponent of a decimal string, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z").search
+
+# Most exponent digits rat accepts: Fraction("1e99999999") would build a
+# 10**8-digit integer.
+_MAX_EXPONENT_DIGITS = 4
+
+
 def rat(x: RatLike) -> Fraction:
     """Parse a rational from an int, a Fraction, a ``"num/den"`` string or a
     decimal string.
 
     Decimal strings are converted exactly ("0.15" -> 3/20); floats are
-    rejected on purpose, they are how exactness gets lost.
+    rejected on purpose, they are how exactness gets lost. So is a
+    decimal exponent of more than four digits.
     """
     if isinstance(x, bool):
         raise TypeError("booleans are not rationals")
@@ -53,6 +63,9 @@ def rat(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _EXPONENT(x)
+        if m is not None and len(m[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+            raise ValueError(f"not a rational: {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

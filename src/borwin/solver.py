@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import phase2
 from .bounds import ValueTailBound
-from .graph import Path, SinkUnreachable, WindowedDag, presolve
+from .graph import Path, SinkUnreachable, TailMap, WindowedDag, presolve
 from .phase1 import (
     GraphInvariantError,
     Infeasible,
@@ -17,6 +16,7 @@ from .phase1 import (
     PhaseOneOutcome,
     SolvedAtSp,
     orient_dag,  # noqa: F401  perfbench hooks solver.orient_dag; see test_layer_self_times_sum_to_the_traced_solve_span
+    relaxed_optimum,
     run_phase1,
 )
 from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, relaxed_violation, run_phase2
@@ -49,10 +49,13 @@ def solve_awclpp(
 ) -> AwclppSolution:
     """Solve a windowed instance exactly.
 
-    Between the phases, :func:`~borwin.graph.presolve` tightens the
-    windows to the exact resource hulls and cuts the arcs no feasible
-    path can use; it proves some instances infeasible with no label
-    made. Phase 2 then runs on that view, with the view's own sweeps.
+    Phase 1's first sweep runs on ``dag`` as given; a window-feasible
+    relaxed optimum is the answer. Otherwise, before the dichotomy,
+    :func:`~borwin.graph.presolve` tightens the windows to the exact
+    resource hulls and cuts the arcs no feasible path can use; it proves
+    some instances infeasible with no label made. Phase 1 then runs on
+    that view, and phase 2 on the same view with phase 1's sweeps, so
+    it sweeps nothing itself.
 
     ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
     complementary rule, called with the instance's own vertex ids and
@@ -98,42 +101,40 @@ def _two_phase(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
+    """Phase 1's first sweep on ``dag`` as given; with ``tighten``, if its
+    relaxed optimum breaks a window, the presolve. Then phase 1 on the
+    instance that leaves, and phase 2 on phase 1's sweeps."""
     try:
-        outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
+        sp_tails: Optional[TailMap] = relaxed_optimum(dag, deadline)
     except SinkUnreachable:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
 
-    if isinstance(outcome, Infeasible):
-        return AwclppSolution(INFEASIBLE, None, None, outcome, SolveStats())
+    stats = SolveStats()
+    if tighten and relaxed_violation(dag, sp_tails) is not None:
+        view = presolve(dag, deadline)
+        if view is None:
+            stats.arcs_cut = len(dag.arcs)
+            return AwclppSolution(INFEASIBLE, None, None, None, stats)
+        stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
+        # the view's windows are tighter, so phase 1 starts over on it
+        dag, sp_tails = view, None
+    try:
+        outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline, sp_tails=sp_tails)
+    except SinkUnreachable:
+        return AwclppSolution(INFEASIBLE, None, None, None, stats)
 
+    if isinstance(outcome, Infeasible):
+        return AwclppSolution(INFEASIBLE, None, None, outcome, stats)
     if isinstance(outcome, SolvedAtSp):
         if relaxed_violation(dag, outcome.tails) is None:
             # the window-relaxed optimum is feasible, hence optimal
-            return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
-        delta = ZERO
-        iterations = 0
-        value_tails = outcome.tails
+            return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, stats)
+        delta, tails, value_tails = ZERO, outcome.tails, outcome.tails
     elif isinstance(outcome, Pair):
-        # phase 1 already swept the instance at delta, in the pair's orientation
-        delta = outcome.delta
-        iterations = outcome.iterations
-        value_tails = outcome.sp_tails
+        delta, tails, value_tails = outcome.delta, outcome.tails, outcome.sp_tails
+        stats.phase1_iterations = outcome.iterations
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
-
-    tails = outcome.tails
-    arcs_cut = 0
-    if tighten:
-        view = presolve(dag, deadline)
-        if view is None:
-            stats = SolveStats(phase1_iterations=iterations, arcs_cut=len(dag.arcs))
-            return AwclppSolution(INFEASIBLE, None, None, outcome, stats)
-        arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
-        dag = view
-        # through phase2's binding, so a traced run counts these sweeps
-        tails = phase2.all_tails(dag, delta, tails.sign)
-        if ub_provider is None and use_ub_prune:
-            value_tails = tails if delta == 0 else phase2.all_tails(dag, ZERO)
 
     ub = ub_provider
     if ub is None and use_ub_prune:
@@ -151,12 +152,10 @@ def _two_phase(
             tails=tails,
         )
     except NoFeasiblePath as exc:
-        exc.stats.phase1_iterations = iterations
-        exc.stats.arcs_cut = arcs_cut
+        exc.stats.phase1_iterations, exc.stats.arcs_cut = stats.phase1_iterations, stats.arcs_cut
         return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
 
-    result.stats.phase1_iterations = iterations
-    result.stats.arcs_cut = arcs_cut
+    result.stats.phase1_iterations, result.stats.arcs_cut = stats.phase1_iterations, stats.arcs_cut
     best = result.best
     if best is None:
         raise GraphInvariantError("enumeration returned no incumbent")

@@ -546,6 +546,18 @@ def test_solve_graph_arcs_join_integer_windows_that_meet(inst):
         assert max(lo[u] + r, lo[w]) <= min(hi[u] + r, hi[w]), (u, w)
 
 
+@pytest.mark.parametrize("seed,points,hold", [(s, p, h) for s in range(3) for p in (3, 4) for h in (2, 3)])
+def test_presolve_of_the_reached_graph_keeps_the_solve_graph_arcs(seed, points, hold):
+    """The presolve cuts each in-arc's interval to the head's window before
+    it merges it, as the solve compile's hull passes do, so on the reached
+    graph it keeps exactly as many arcs as the solve graph has. A presolve
+    that merges first and cuts after keeps extra arcs on 4 of these 12."""
+    inst = random_huc(random.Random(seed), 24, points, hold)
+    dag, _ = huc._solve_graph(inst)
+    view = graph.presolve(reached_graph(inst)[0])
+    assert sum(map(len, view.out_arcs)) == len(dag.arcs)
+
+
 COMPILES = [huc.reached_graph, huc.build_graph, huc._solve_graph]
 
 

@@ -163,6 +163,17 @@ def test_rat_at_agrees_with_rat(value):
         assert got == want and type(got[0]) is int and type(got[1]) is int
 
 
+def test_dag_loader_rejects_a_long_exponent_promptly():
+    """One JSON value with a 10**8-digit power of ten is a format error at
+    its field, raised before any big integer is built."""
+    data = json.loads(WCLPP5.read_text())
+    data["arcs"][2]["resource"] = "1e99999999"
+    start = time.process_time()
+    with pytest.raises(InstanceFormatError, match=r"arcs\[2\]\.resource: not a rational: '1e99999999'"):
+        dag_from_dict(data)
+    assert time.process_time() - start < 1.0
+
+
 def _eager_dag(data):
     """The instance the Fraction constructor builds from a DAG's JSON
     data, parsed with ``rat``."""
@@ -495,8 +506,11 @@ def test_cli_rejects_invalid_huc_instances(tmp_path, capsys, key, value, message
 
 
 def test_cli_trace_env(tmp_path, capsys, monkeypatch):
+    # the presolved view of this instance still needs dichotomy rounds
+    path = tmp_path / "pair.json"
+    path.write_text(dump_json(dag_to_dict(random_dag(random.Random(117), 2 + 117 % 11))))
     monkeypatch.setenv("BORWIN_TRACE", "1")
-    assert main(["solve", str(WCLPP5)]) == 0
+    assert main(["solve", str(path)]) == 0
     out = capsys.readouterr().out
     assert "p1 iter=1" in out
     assert "p2 pop" in out

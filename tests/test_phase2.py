@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borwin import graph, huc, phase2
+from borwin import graph, huc, phase2, solver
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.bounds import NMCKP, UbProvider, ValueTailBound
 from borwin.generate import GeneratorConfig, generate, random_dag
@@ -23,7 +23,7 @@ from borwin.graph import (
 )
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
-from borwin.phase1 import Pair, run_phase1
+from borwin.phase1 import Infeasible, Pair, SolvedAtSp, run_phase1
 from borwin.phase2 import (
     Label,
     NoFeasiblePath,
@@ -161,15 +161,16 @@ def test_phase1_tails_serve_phase2(wclpp):
     assert (reused.value, reused.best.arc_ids, reused.stats) == (fresh.value, fresh.best.arc_ids, fresh.stats)
     with pytest.raises(ValueError):
         run_phase2(wclpp, F(0), tails=out.tails)
-    # LIE: the pair's tails are a sign = -1 sweep of the instance itself;
-    # the solve's search is phase 2 on the presolved view, swept at the
-    # pair's delta in the same sign
-    dag = random_dag(random.Random(9), 2 + 9 % 11)
-    out = run_phase1(dag)
-    assert out.orientation == "lie" and out.delta > 0
-    assert out.tails.dag is dag and out.tails.sign == -1
-    reused = run_phase2(dag, out.delta, tails=out.tails)
+    # LIE: the pair's tails are a sign = -1 sweep of the instance phase 1
+    # ran on. The solve runs phase 1 on the presolved view, whose relaxed
+    # optimum overshoots the sink here, and its search is phase 2 on the
+    # same view with the pair's own sweeps.
+    dag = random_dag(random.Random(492), 2 + 492 % 11)
     view = graph.presolve(dag)
+    out = run_phase1(view)
+    assert out.orientation == "lie" and out.delta > 0
+    assert out.tails.dag is view and out.tails.sign == -1
+    reused = run_phase2(view, out.delta, ValueTailBound(view, out.sp_tails), tails=out.tails)
     searched = run_phase2(view, out.delta, tails=all_tails(view, out.delta, out.tails.sign))
     searched.stats.phase1_iterations = out.iterations
     searched.stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
@@ -333,24 +334,25 @@ def test_mixed_sign_resources_match_oracle():
 # -- the enumeration's work on seeded instances ------------------------------------
 
 # SolveStats counters: (phase-1 iterations, pops, labels created, pruned
-# by the bound rule, by dominance, by the value bound). The presolve
-# between the phases proves n80-s0 infeasible before any label exists.
+# by the bound rule, by dominance, by the value bound). Phase 1 runs on
+# the presolved view; the presolve proves n80-s0 infeasible before any
+# dichotomy round or label exists.
 PINNED_STATS = [
-    (dict(family="dag", vertices=40, seed=3), "optimal", (4, 2, 18, 16, 0, 0)),
-    (dict(family="dag", vertices=80, seed=0), "infeasible", (3, 0, 0, 0, 0, 0)),
-    (dict(family="dag", vertices=80, seed=4), "optimal", (5, 18, 99, 469, 47, 13)),
-    (dict(family="huc", periods=24, points=3, min_updown=3, seed=2), "optimal", (5, 37, 48, 18, 36, 1)),
+    (dict(family="dag", vertices=40, seed=3), "optimal", (3, 2, 18, 16, 0, 0)),
+    (dict(family="dag", vertices=80, seed=0), "infeasible", (0, 0, 0, 0, 0, 0)),
+    (dict(family="dag", vertices=80, seed=4), "optimal", (4, 14, 201, 317, 67, 2)),
+    (dict(family="huc", periods=24, points=3, min_updown=3, seed=2), "optimal", (4, 13, 29, 17, 3, 1)),
 ]
 
 
-# LIE instances of gate c03's sweep (seeds 7, 87 and 167 end phase 1 at
-# delta = 0). Seed 167 needs the sweep's tie-break to prefer the larger
-# oriented resource.
+# Instances of gate c03's generator (seed k has 2 + k % 11 vertices) whose
+# presolved view ends phase 1 in a LIE pair: seeds 207 and 492 of the
+# sweep, and the first two past it. Seed 835 ends phase 1 at delta = 0.
 PINNED_LIE_STATS = [
-    (6, (2, 1, 1, 0, 0, 0)),
-    (7, (1, 1, 1, 2, 0, 0)),
-    (87, (2, 1, 1, 4, 0, 0)),
-    (167, (2, 1, 1, 0, 0, 0)),
+    (207, (2, 2, 3, 1, 0, 0)),
+    (492, (2, 3, 5, 1, 0, 2)),
+    (659, (3, 5, 14, 9, 0, 0)),
+    (835, (3, 2, 7, 7, 0, 0)),
 ]
 
 
@@ -428,20 +430,18 @@ def test_a_label_is_made_only_for_the_heap(config, monkeypatch):
 
 def test_a_lie_solve_makes_a_label_only_for_the_heap(monkeypatch):
     made = _count_labels(monkeypatch)
-    seed = PINNED_LIE_STATS[1][0]  # prunes candidates at birth by dominance and by the bound rule
+    seed = PINNED_LIE_STATS[1][0]  # prunes candidates at birth by the bound rule and by the value bound
     sol = solve_awclpp(random_dag(random.Random(seed), 2 + seed % 11))
     assert len(made) == sol.stats.labels_created
 
 
-# sha256 over the repr of every trace event, one per line. The phase-2
-# digests are of the enumeration on the presolved view. The phase-1
-# digest (a LIE instance) is as the solver gave it when it swept an
-# oriented copy of the instance: the presolve runs after phase 1 and
-# must leave it unchanged.
+# sha256 over the repr of every trace event, one per line. Both phases
+# run on the presolved view, so the digests are of its dichotomy (a LIE
+# pair) and its enumeration.
 PINNED_TRACES = [
-    (PINNED_STATS[0][0], "trace_phase2", "93125ef36e361f7a35bc049e989eade911064d40c8efd1cba12b0b7563a7b785"),
-    (PINNED_STATS[3][0], "trace_phase2", "ae0d1b135c5c41900b49517fe6b4ac4cffa2b2d3bf33800759e7a9e618efaee3"),
-    (PINNED_STATS[3][0], "trace_phase1", "ba7a3adfb7943002e333787da141109a795ce37426e915783edb37512ca443a0"),
+    (PINNED_STATS[0][0], "trace_phase2", "d260cf6c18ceef2f4b4308d514800eaf90522046047d8a6e3c848eeaddaf9f4f"),
+    (PINNED_STATS[3][0], "trace_phase2", "d45ee84a539ff2efa82aa0121fb95140d1f4a7d6f39baa24c02ed85cb831f08e"),
+    (PINNED_STATS[3][0], "trace_phase1", "6b69e14f4c474af6b6de338a06a5ec7abae203e980175a8d6c61f4afb48fd79a"),
 ]
 
 
@@ -460,11 +460,11 @@ def test_enumeration_trace_is_pinned(config, phase, digest):
 # is a sha256 over every call's "(vertex, prefix_resource, prefix_value)
 # -> bound" line.
 PINNED_BOUND_CALLS = [
-    (PINNED_STATS[3][0], 58, "40bd102529f67ce91854d3d56647aac214f56c990336b240333a074db90cd236"),
+    (PINNED_STATS[3][0], 8, "83f9232c1ffb6f1f80f6bc4bd1c783fca2f8f800553fd691f0876e464ec7f19d"),
     (
         dict(family="huc", periods=24, points=3, min_updown=2, seed=2),
-        227,
-        "4ded5e1895b7a6a36d44f6e0757488c51beb97d327c3ac507ebea1795ab81b1b",
+        130,
+        "637c8bfea017d3f4d75cd5960d8245fdea67d10325a4e7c2e4d136cc8bcb9ed0",
     ),
 ]
 
@@ -576,17 +576,20 @@ def _count_sweeps(monkeypatch):
     return sweeps
 
 
-def test_default_value_bound_reuses_the_phase1_sweep(wclpp, monkeypatch):
+def test_default_value_bound_reuses_the_phase1_sweep(monkeypatch):
     """A solve through a straddling pair sweeps the instance once at
-    delta = 0, once at +infinity and once per dichotomy round, then the
-    presolved view once at the pair's delta for the enumeration and once
-    at delta = 0 for the value bound; nothing more."""
+    delta = 0, then the presolved view once at delta = 0, once at
+    +infinity and once per dichotomy round. Phase 2 enumerates on the
+    view's sweep at the pair's delta and bounds values with its delta = 0
+    sweep, so it sweeps nothing itself."""
+    dag = random_dag(random.Random(117), 2 + 117 % 11)
     sweeps = _count_sweeps(monkeypatch)
-    sol = solve_awclpp(wclpp)
-    assert isinstance(sol.phase1, Pair) and sol.value == 29 and sol.phase1.delta > 0
-    assert len(sweeps) == sol.phase1.iterations + 4
-    assert sweeps[:-2] == [wclpp] * (sol.phase1.iterations + 2)
-    assert sweeps[-2] is sweeps[-1] is not wclpp
+    sol = solve_awclpp(dag)
+    assert isinstance(sol.phase1, Pair) and sol.value == brute_force(dag).value and sol.phase1.delta > 0
+    assert len(sweeps) == 1 + sol.phase1.iterations + 2
+    assert sweeps[0] is dag
+    view = sol.phase1.tails.dag
+    assert view is not dag and sweeps[1:] == [view] * (sol.phase1.iterations + 2)
 
 
 def _count_paths(monkeypatch):
@@ -602,32 +605,43 @@ def _count_paths(monkeypatch):
     return built
 
 
-def test_relaxed_optimum_fallback_sweeps_once(wclpp, monkeypatch):
-    """The relaxed optimum meets the sink window but breaks vertex 3's, so
-    the enumeration runs at delta = 0 after phase 1's only sweep, on one
-    sweep of the presolved view that also serves the value bound. The
-    integer root check rejects the relaxed optimum without building its
-    path, so the answer is the only path built."""
-    windows = list(wclpp.windows)
-    windows[wclpp.vertex("3")] = Window(F(11), F(15))
-    windows[wclpp.sink] = Window(F(10), F(45))
-    dag = WindowedDag(windows, wclpp.arcs, 0, 4, labels=wclpp.labels)
+def test_relaxed_optimum_fallback_sweeps_once(monkeypatch):
+    """The relaxed optimum s-b-v-w-p meets the sink window but breaks w's,
+    and the presolve keeps all of it: v's hull [0, 10] meets w's window
+    [0, 3]. So the solve sweeps the instance once, then the view once,
+    and the enumeration runs at delta = 0 on that sweep of the view, which
+    also serves the value bound. The integer root checks reject both
+    relaxed optima without building their paths, so the answer is the
+    only path built."""
+    labels = ["s", "a", "b", "v", "w", "p"]
+    windows = [Window(F(0), F(0)), Window(), Window(), Window(), Window(F(0), F(3)), Window(F(0), F(10))]
+    arcs = [
+        Arc(0, 1, F(0), F(0)),  # s->a
+        Arc(0, 2, F(5), F(10)),  # s->b
+        Arc(1, 3, F(0), F(0)),  # a->v
+        Arc(2, 3, F(0), F(0)),  # b->v
+        Arc(3, 4, F(4), F(0)),  # v->w
+        Arc(3, 5, F(0), F(0)),  # v->p
+        Arc(4, 5, F(0), F(0)),  # w->p
+    ]
+    dag = WindowedDag(windows, arcs, 0, 5, labels=labels)
     sweeps = _count_sweeps(monkeypatch)
     built = _count_paths(monkeypatch)
     sol = solve_awclpp(dag)
-    assert sol.status == "optimal" and sol.value == brute_force(dag).value
-    assert sol.stats.phase2_iterations > 0
+    assert sol.status == "optimal" and sol.value == brute_force(dag).value == 5
+    assert sol.stats.phase2_iterations > 0 and sol.stats.arcs_cut == 0
     assert len(sweeps) == 2 and sweeps[0] is dag and sweeps[1] is not dag
     assert built == [sol.path.arc_ids]
 
 
-def test_a_pair_solve_builds_only_the_paths_it_returns(wclpp, monkeypatch):
+def test_a_pair_solve_builds_only_the_paths_it_returns(monkeypatch):
     """Phase 1 compares sweep images and keeps its endpoint sweeps, and
     phase 2 rebuilds only its incumbent, so a solve through a pair builds
     one path, the answer, under either orientation. Reading ``x_a`` and
     ``x_b`` builds each once."""
     built = _count_paths(monkeypatch)
-    for dag, orientation in ((wclpp, "lid"), (random_dag(random.Random(9), 11), "lie")):
+    for seed, orientation in ((117, "lid"), (492, "lie")):
+        dag = random_dag(random.Random(seed), 2 + seed % 11)
         built.clear()
         sol = solve_awclpp(dag)
         assert sol.status == "optimal" and sol.phase1.orientation == orientation
@@ -724,7 +738,7 @@ def test_solver_agrees_with_the_oracles(dag):
         assert sol.path.value == sol.value
 
 
-# -- the presolve between the phases ---------------------------------------------
+# -- the presolve before the dichotomy ---------------------------------------------
 
 
 def _feasible_paths(dag):
@@ -767,6 +781,14 @@ def test_presolve_keeps_every_feasible_path(dag):
                 assert lo[v] <= r * dr <= hi[v]
     sol = solve_awclpp(dag)
     assert (sol.status, sol.value) == (oracle.status, oracle.value)
+    # the presolve runs when the relaxed optimum breaks a window, and every
+    # answer after it counts the arcs it cut
+    tails = all_tails(dag, F(0))
+    if dag.source in tails and relaxed_violation(dag, tails) is not None:
+        kept = 0 if view is None else sum(map(len, view.out_arcs))
+        assert sol.stats.arcs_cut == len(dag.arcs) - kept
+    else:
+        assert sol.stats.arcs_cut == 0
 
 
 def test_presolve_proves_the_infeasible_dag_mixed_instance():
@@ -776,9 +798,30 @@ def test_presolve_proves_the_infeasible_dag_mixed_instance():
     assert graph.presolve(dag) is None
     sol = solve_awclpp(dag)
     assert sol.status == "infeasible"
-    assert sol.stats.phase1_iterations == sol.phase1.iterations
+    assert sol.phase1 is None and sol.stats.phase1_iterations == 0
     assert sol.stats.phase2_iterations == sol.stats.labels_created == 0
     assert sol.stats.arcs_cut == len(dag.arcs)
+
+
+def test_every_answer_after_the_presolve_counts_the_cut_arcs(wclpp, monkeypatch):
+    """The worked example's relaxed optimum breaks the sink window; its
+    presolved view cuts 2 arcs and is solved at the view's relaxed
+    optimum, with no dichotomy round and no pop. A view that phase 1 finds
+    infeasible, or whose source cannot reach the sink, keeps the count
+    too."""
+    cut = len(wclpp.arcs) - sum(map(len, graph.presolve(wclpp).out_arcs))
+    sol = solve_awclpp(wclpp)
+    assert (sol.status, sol.value, cut) == ("optimal", 29, 2)
+    assert isinstance(sol.phase1, SolvedAtSp) and sol.phase1.tails.dag is not wclpp
+    assert (sol.stats.arcs_cut, sol.stats.phase1_iterations, sol.stats.phase2_iterations) == (cut, 0, 0)
+
+    def sink_unreachable(*args, **kwargs):
+        raise graph.SinkUnreachable("cut off")
+
+    for fake in (lambda *args, **kwargs: Infeasible(max_resource=F(0)), sink_unreachable):
+        monkeypatch.setattr(solver, "run_phase1", fake)
+        sol = solve_awclpp(wclpp)
+        assert sol.status == "infeasible" and sol.stats.arcs_cut == cut
 
 
 def test_presolve_honours_the_deadline(wclpp):

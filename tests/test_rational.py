@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,18 @@ def test_parse_rejections():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+
+
+def test_long_decimal_exponents_are_rejected_promptly():
+    """``Fraction("1e99999999")`` would build a 10**8-digit integer; ``rat``
+    refuses an exponent of more than four digits before it does."""
+    start = time.process_time()
+    for text in ("1e99999999", "1E+10000", "-2.5e-1_0000", " 3e123456\n"):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat(text)
+    assert time.process_time() - start < 1.0
+    assert rat("1e9999") == 10**9999
+    assert rat("1e-0009999") == F(1, 10**9999)
 
 
 def test_rat_str_roundtrip():
