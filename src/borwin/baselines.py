@@ -10,7 +10,6 @@ cumulative resource) state and reads nothing of the solver's phases.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,8 +17,8 @@ from typing import Optional
 from .graph import (
     GraphError,
     Path,
-    TimeoutExceeded,
     WindowedDag,
+    check_deadline,
     longest_path,
     path_metrics,
 )
@@ -70,8 +69,7 @@ def brute_force(
     # window-feasible so far, position of the next out-arc to try
     stack = [[dag.source, ZERO, ZERO, src_ok, 0]] if strict or src_ok else []
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("oracle enumeration hit its deadline")
+        check_deadline(deadline, "oracle enumeration")
         frame = stack[-1]
         u, resource, value, ok, k = frame
         if u == dag.sink:
@@ -138,8 +136,7 @@ def rcsp_label_setting(dag: WindowedDag, deadline: Optional[float] = None) -> Or
     out_arcs = dag.out_arcs
     for u in dag.topo_order:
         for r, (value, _, _) in states[u].items():
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutExceeded("label setting hit its deadline")
+            check_deadline(deadline, "label setting")
             for aid in out_arcs[u]:
                 v = dst[aid]
                 r_v = r + res[aid]

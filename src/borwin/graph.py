@@ -43,6 +43,13 @@ class TimeoutExceeded(GraphError, TimeoutError):
     """Cooperative deadline hit inside a solver loop or an oracle."""
 
 
+def check_deadline(deadline: Optional[float], layer: str) -> None:
+    """Raise :class:`TimeoutExceeded` naming ``layer`` once the
+    ``time.monotonic`` clock has passed ``deadline``; None never expires."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutExceeded(f"{layer} hit its deadline")
+
+
 class InvalidGraph(GraphError):
     """An input DAG fails :func:`validate`; the message is ``code: detail``."""
 
@@ -705,7 +712,7 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
     pass; past it, :class:`TimeoutExceeded` is raised."""
     if dag.topo_order is None:
         raise GraphError("instance is not acyclic")
-    _presolve_on_time(deadline)
+    check_deadline(deadline, "presolve")
     arcs = dag.int_arcs()
     dst, res = arcs.dst, arcs.res
     lo, hi = dag.int_windows()
@@ -738,7 +745,7 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
                 fhi[w] = y
     if flo[sink] is None:
         return None
-    _presolve_on_time(deadline)
+    check_deadline(deadline, "presolve")
     # backward: B_v within F_v, and the arcs that reach a non-empty B_w
     blo: list[Optional[int]] = [None] * dag.n
     bhi = [0] * dag.n
@@ -777,11 +784,6 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
         return dag.window(v) if x is None else Window(Fraction(x, arcs.dr), Fraction(bhi[v], arcs.dr))
 
     return WindowedDag.of_ints(arcs, (ilo, ihi), source, sink, window, dag.labels, out_arcs=kept, topo_order=order)
-
-
-def _presolve_on_time(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutExceeded("presolve hit its deadline")
 
 
 def prune_unreachable(dag: WindowedDag) -> tuple[WindowedDag, tuple[int, ...]]:

@@ -33,8 +33,7 @@ makes no ``Arc`` and reads only the sink's ``Window``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -45,11 +44,11 @@ from .graph import (
     IntArcs,
     LazyTuple,
     Path,
-    TimeoutExceeded,
     Window,
     WindowedDag,
     _ratio,
     _scaled_windows,
+    check_deadline,
     prune_unreachable,  # noqa: F401  perfbench hooks huc.prune_unreachable; see test_layer_self_times_sum_to_the_traced_solve_span
 )
 from .phase1 import GraphInvariantError
@@ -92,9 +91,6 @@ class HucInstance:
     win_hi: tuple[Fraction, ...]
     initial_point: int = 0
     initial_hold: int = 0
-    _cum_values: Optional[tuple[tuple[Fraction, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.periods < 1:
@@ -133,11 +129,8 @@ def value_table(inst: HucInstance) -> list[list[Fraction]]:
 
 
 def cumulative_values(inst: HucInstance) -> tuple[tuple[Fraction, ...], ...]:
-    """Revenue of running at level i in period t (points 1..i active).
-    Computed on the first call and kept on the instance."""
-    if inst._cum_values is None:
-        object.__setattr__(inst, "_cum_values", tuple(tuple(accumulate(row)) for row in value_table(inst)))
-    return inst._cum_values
+    """Revenue of running at level i in period t (points 1..i active)."""
+    return tuple(tuple(accumulate(row)) for row in value_table(inst))
 
 
 def cumulative_flows(inst: HucInstance) -> list[Fraction]:
@@ -219,11 +212,6 @@ def _state(code: int, span: int) -> tuple[int, int]:
     return level, h - span
 
 
-def _on_time(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutExceeded("HUC compile hit its deadline")
-
-
 def _flow_ints(inst: HucInstance) -> tuple[list[int], int]:
     """:func:`cumulative_flows` on the lcm ``scale`` of their
     denominators, and ``scale``."""
@@ -281,7 +269,7 @@ def _emit(
     base = 0
     layer = sorted(layers[0])
     for t in range(T):
-        _on_time(deadline)
+        check_deadline(deadline, "HUC compile")
         period += [t] * len(layer)
         code += layer
         following = sorted(layers[t + 1])
@@ -373,10 +361,10 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     moves = _Moves(inst)
     layers = [{moves.code(inst.initial_point, inst.initial_hold)}]
     for _ in range(T):
-        _on_time(deadline)
+        check_deadline(deadline, "HUC compile")
         layers.append({m for s in layers[-1] for m, _ in moves[s]})
     ints, out, period, code = _emit(inst, layers, [moves] * T, deadline)
-    _on_time(deadline)
+    check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     if grid:
         for t in range(1, T + 1):
@@ -390,9 +378,9 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     periods = list(zip(map(_ratio, inst.win_lo), map(_ratio, inst.win_hi)))
     plo, phi = _scaled_windows([((0, 1), None), *periods, periods[-1]], ints.dr, sum(ints.res) + 1)
     ilo = list(map(plo.__getitem__, period))
-    _on_time(deadline)
+    check_deadline(deadline, "HUC compile")
     ihi = list(map(phi.__getitem__, period))
-    _on_time(deadline)
+    check_deadline(deadline, "HUC compile")
 
     def period_window(t: int) -> Window:
         return Window(ZERO, None) if t == 0 else Window(inst.win_lo[t - 1], inst.win_hi[t - 1])
@@ -431,7 +419,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     lo: list[dict[int, int]] = [{start: 0}]
     hi: list[dict[int, int]] = [{start: 0}]
     for t in range(T):
-        _on_time(deadline)
+        check_deadline(deadline, "HUC compile")
         w_lo, w_hi = wlo[t], whi[t]
         nlo: dict[int, int] = {}
         nhi: dict[int, int] = {}
@@ -458,7 +446,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     # meets hull(m), so the moves that do are the arcs.
     kept: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(T)]
     for t in range(T - 1, -1, -1):
-        _on_time(deadline)
+        check_deadline(deadline, "HUC compile")
         nlo, nhi = lo[t + 1], hi[t + 1]
         klo: dict[int, int] = {}
         khi: dict[int, int] = {}
@@ -488,7 +476,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         hi[t] = khi
 
     ints, out, period, code = _emit(inst, lo, kept, deadline)
-    _on_time(deadline)
+    check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     hlo = [lo[t][s] for t, s in zip(period, code[:sink])]
     hhi = [hi[t][s] for t, s in zip(period, code[:sink])]
@@ -497,7 +485,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     # the arcs' resource scale dr divides ``scale``
     k = scale // ints.dr
     windows = (hlo, hhi) if k == 1 else ([-(-a // k) for a in hlo], [b // k for b in hhi])
-    _on_time(deadline)
+    check_deadline(deadline, "HUC compile")
     sink_window = Window(Fraction(hlo[sink], scale), Fraction(hhi[sink], scale))
 
     def window(v: int) -> Window:
@@ -666,8 +654,7 @@ def best_schedule_bruteforce(
     # cumulative flow, revenue, next level to try after it
     stack = [[inst.initial_point, last_up, last_down, ZERO, ZERO, 0]]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("schedule oracle hit its deadline")
+        check_deadline(deadline, "schedule oracle")
         frame = stack[-1]
         level, last_up, last_down, cum, value, lvl = frame
         t = len(stack) - 1  # periods decided

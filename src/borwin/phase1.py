@@ -19,7 +19,6 @@ every path is a path of the instance itself.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,9 +30,9 @@ from .graph import (
     Path,
     SinkUnreachable,
     TailMap,
-    TimeoutExceeded,
     WindowedDag,
     all_tails,
+    check_deadline,
 )
 from .rational import PLUS_INF, Weight, floor_rat
 
@@ -148,16 +147,16 @@ def _pareto_eq(x: _Point, y: _Point) -> bool:
 
 
 def _sweep(dag: WindowedDag, delta: Weight, sign: int, deadline: Optional[float]) -> TailMap:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutExceeded("bounding phase hit its deadline")
+    check_deadline(deadline, "bounding phase")
     return all_tails(dag, delta, sign)
 
 
 def relaxed_optimum(dag: WindowedDag, deadline: Optional[float] = None) -> TailMap:
     """The bounding phase's first sweep: the window-relaxed value optimum
-    of ``dag`` at ``delta = 0``. Raises :class:`SinkUnreachable` when the
-    source cannot reach the sink, and :class:`TimeoutExceeded` past
-    ``deadline``."""
+    of ``dag`` at ``delta = 0``. :func:`run_phase1` starts from it, and
+    ``solver.solve_awclpp`` reads it before its presolve. Raises
+    :class:`SinkUnreachable` when the source cannot reach the sink, and
+    :class:`TimeoutExceeded` past ``deadline``."""
     tails = _sweep(dag, ZERO, 1, deadline)
     if dag.source not in tails:
         raise SinkUnreachable(f"vertex {dag.labels[dag.source]} cannot reach the sink")
@@ -168,20 +167,18 @@ def run_phase1(
     dag: WindowedDag,
     trace: Optional[Callable[[Phase1TraceEvent], None]] = None,
     deadline: Optional[float] = None,
-    sp_tails: Optional[TailMap] = None,
 ) -> PhaseOneOutcome:
     """Dichotomic search for the straddling supported pair.
 
-    Starts from the value optimum and the resource optimum of the
-    window-relaxed instance; each round aggregates with the slope of the
-    current pair, re-optimizes, and replaces one endpoint until the new
-    optimum is Pareto-equal (componentwise equal image) to an endpoint.
-    Rounds compare the sweeps' source images; the outcome keeps the
-    sweeps of its points and builds their paths on first read.
-    ``sp_tails`` may pass in :func:`relaxed_optimum` of ``dag`` when the
-    caller already made it. ``deadline`` (a ``time.monotonic`` value) is
-    checked before every sweep; past it, :class:`TimeoutExceeded` is
-    raised.
+    Starts from the value optimum (its own :func:`relaxed_optimum`
+    sweep) and the resource optimum of the window-relaxed instance; each
+    round aggregates with the slope of the current pair, re-optimizes,
+    and replaces one endpoint until the new optimum is Pareto-equal
+    (componentwise equal image) to an endpoint. Rounds compare the
+    sweeps' source images; the outcome keeps the sweeps of its points and
+    builds their paths on first read. ``deadline`` (a ``time.monotonic``
+    value) is checked before every sweep; past it,
+    :class:`TimeoutExceeded` is raised.
     """
 
     def point(tails: TailMap) -> _Point:
@@ -190,10 +187,7 @@ def run_phase1(
         resource = Fraction(tails.sign * tails.res[dag.source], arcs.dr)
         return _Point(value, resource, tails)
 
-    if sp_tails is None:
-        sp_tails = relaxed_optimum(dag, deadline)
-    elif sp_tails.dag is not dag or sp_tails.delta != 0 or sp_tails.sign != 1:
-        raise ValueError("sp_tails is not the delta = 0 sweep of this instance")
+    sp_tails = relaxed_optimum(dag, deadline)
     # later sweeps run on the same arcs, so the source reaches the sink there too
     sp = point(sp_tails)
     sink_window = dag.window(dag.sink)

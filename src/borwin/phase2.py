@@ -48,7 +48,6 @@ calls to the value-bound provider, trace events and the result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -60,10 +59,10 @@ from .graph import (
     GraphError,
     Path,
     TailMap,
-    TimeoutExceeded,
     WindowViolation,
     WindowedDag,
     all_tails,
+    check_deadline,
     path_metrics,
 )
 
@@ -327,9 +326,7 @@ def run_phase2(
     created = 1
 
     while heap:
-        if deadline is not None:
-            if time.monotonic() > deadline:
-                raise TimeoutExceeded("enumeration phase hit its deadline")
+        check_deadline(deadline, "enumeration phase")
         label = heappop(heap)[2]
         pops += 1
         violation, adopted = _walk(label.anchor, label.res, nxt, lo, hi, dst, res, sink)

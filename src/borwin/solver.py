@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bounds import ValueTailBound
-from .graph import Path, SinkUnreachable, TailMap, WindowedDag, presolve
+from .graph import Path, SinkUnreachable, WindowedDag, presolve
 from .phase1 import (
     GraphInvariantError,
     Infeasible,
@@ -47,24 +47,33 @@ def solve_awclpp(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """Solve a windowed instance exactly.
+    """Solve a windowed instance exactly: the presolve prelude, then
+    :func:`_two_phase`.
 
-    Phase 1's first sweep runs on ``dag`` as given; a window-feasible
-    relaxed optimum is the answer. Otherwise, before the dichotomy,
+    The prelude makes phase 1's first sweep on ``dag`` as given; a
+    window-feasible relaxed optimum is the answer. Otherwise
     :func:`~borwin.graph.presolve` tightens the windows to the exact
     resource hulls and cuts the arcs no feasible path can use; it proves
-    some instances infeasible with no label made. Phase 1 then runs on
-    that view, and phase 2 on the same view with phase 1's sweeps, so
-    it sweeps nothing itself.
+    some instances infeasible with no label made. The two phases then run
+    on that view, and ``stats.arcs_cut`` counts the arcs it cut.
 
     ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
     complementary rule, called with the instance's own vertex ids and
     resources; None means the window-relaxed value tails.
     ``use_ub_prune=False`` switches the rule off.
     """
-    return _two_phase(
-        dag,
-        tighten=True,
+    try:
+        sp_tails = relaxed_optimum(dag, deadline)
+    except SinkUnreachable:
+        return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
+    if relaxed_violation(dag, sp_tails) is None:
+        outcome = SolvedAtSp(tails=sp_tails)
+        return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
+    view = presolve(dag, deadline)
+    if view is None:
+        return AwclppSolution(INFEASIBLE, None, None, None, SolveStats(arcs_cut=len(dag.arcs)))
+    sol = _two_phase(
+        view,
         ub_provider=ub_provider,
         use_dominance=use_dominance,
         use_bound_prune=use_bound_prune,
@@ -73,6 +82,8 @@ def solve_awclpp(
         trace_phase2=trace_phase2,
         deadline=deadline,
     )
+    sol.stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
+    return sol
 
 
 def solve_tight(
@@ -82,17 +93,16 @@ def solve_tight(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """:func:`solve_awclpp` with its default rules and no presolve, for the
+    """The two phases with their default rules, no presolve, for the
     commitment solve graph of ``huc._solve_graph``, where every arc ``u -> w``
     has ``[lo[u] + r, hi[u] + r]`` meeting ``[lo[w], hi[w]]``: a presolve still
     cuts a few of its arcs, but costs more than it saves."""
-    return _two_phase(dag, tighten=False, trace_phase1=trace_phase1, trace_phase2=trace_phase2, deadline=deadline)
+    return _two_phase(dag, trace_phase1=trace_phase1, trace_phase2=trace_phase2, deadline=deadline)
 
 
 def _two_phase(
     dag: WindowedDag,
     *,
-    tighten: bool,
     ub_provider: Optional[ValueBound] = None,
     use_dominance: bool = True,
     use_bound_prune: bool = True,
@@ -101,38 +111,24 @@ def _two_phase(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """Phase 1's first sweep on ``dag`` as given; with ``tighten``, if its
-    relaxed optimum breaks a window, the presolve. Then phase 1 on the
-    instance that leaves, and phase 2 on phase 1's sweeps."""
+    """The paper's two phases on ``dag`` as given: phase 1 from its own
+    ``delta = 0`` sweep, then phase 2 on phase 1's sweeps."""
     try:
-        sp_tails: Optional[TailMap] = relaxed_optimum(dag, deadline)
+        outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
     except SinkUnreachable:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
 
-    stats = SolveStats()
-    if tighten and relaxed_violation(dag, sp_tails) is not None:
-        view = presolve(dag, deadline)
-        if view is None:
-            stats.arcs_cut = len(dag.arcs)
-            return AwclppSolution(INFEASIBLE, None, None, None, stats)
-        stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
-        # the view's windows are tighter, so phase 1 starts over on it
-        dag, sp_tails = view, None
-    try:
-        outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline, sp_tails=sp_tails)
-    except SinkUnreachable:
-        return AwclppSolution(INFEASIBLE, None, None, None, stats)
-
+    iterations = 0
     if isinstance(outcome, Infeasible):
-        return AwclppSolution(INFEASIBLE, None, None, outcome, stats)
+        return AwclppSolution(INFEASIBLE, None, None, outcome, SolveStats())
     if isinstance(outcome, SolvedAtSp):
         if relaxed_violation(dag, outcome.tails) is None:
             # the window-relaxed optimum is feasible, hence optimal
-            return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, stats)
+            return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
         delta, tails, value_tails = ZERO, outcome.tails, outcome.tails
     elif isinstance(outcome, Pair):
         delta, tails, value_tails = outcome.delta, outcome.tails, outcome.sp_tails
-        stats.phase1_iterations = outcome.iterations
+        iterations = outcome.iterations
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
@@ -152,10 +148,10 @@ def _two_phase(
             tails=tails,
         )
     except NoFeasiblePath as exc:
-        exc.stats.phase1_iterations, exc.stats.arcs_cut = stats.phase1_iterations, stats.arcs_cut
+        exc.stats.phase1_iterations = iterations
         return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
 
-    result.stats.phase1_iterations, result.stats.arcs_cut = stats.phase1_iterations, stats.arcs_cut
+    result.stats.phase1_iterations = iterations
     best = result.best
     if best is None:
         raise GraphInvariantError("enumeration returned no incumbent")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borwin import graph, huc
+from borwin import graph, huc, solver
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.generate import random_huc
 from borwin.graph import (
@@ -40,6 +40,7 @@ from borwin.huc import (
     solve_huc,
     value_table,
 )
+from borwin.phase1 import Pair, SolvedAtSp
 from borwin.rational import rat
 
 F = Fraction
@@ -68,10 +69,10 @@ def test_cumulative_arc_values(huc5):
         assert cum[t - 1][i] == rat(text), (t, i)
 
 
-def test_cumulative_values_are_computed_once_per_instance(monkeypatch):
-    """The knapsack bound, the schedule oracle and the compiled graphs'
-    Fraction arcs share one table, kept on the instance and left out of
-    its equality. A solve, which runs on integers, computes none."""
+def test_a_solve_computes_no_cumulative_values(monkeypatch):
+    """A solve runs on integers and computes no value table; the knapsack
+    bound and the schedule oracle, its only readers, compute one per call
+    and agree with the solve's Fraction arcs and revenue."""
     inst = random_huc(random.Random(2), 24, 3, 2)
     calls = []
     monkeypatch.setattr(huc, "value_table", lambda i: calls.append(i) or value_table(i))
@@ -80,9 +81,7 @@ def test_cumulative_values_are_computed_once_per_instance(monkeypatch):
     huc.nmckp_of_instance(inst)
     assert best_schedule_bruteforce(inst)[0] == sol.revenue
     assert sol.graph_solution.path.arcs[0].value in cumulative_values(inst)[0]
-    assert len(calls) == 1
-    fresh = replace(inst)
-    assert fresh == inst and fresh._cum_values is None
+    assert len(calls) == 3
 
 
 def test_cumulative_flows(huc5):
@@ -675,13 +674,37 @@ def test_compile_checks_the_deadline_after_the_arcs(compile_graph, monkeypatch):
         raise AssertionError("the compile built the instance after the deadline")
 
     monkeypatch.setattr(huc, "_emit", emit_then_expire)
-    monkeypatch.setattr(huc, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(graph, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(huc, "WindowedDag", SimpleNamespace(of_ints=refuse))
     monkeypatch.setattr(huc, "VertexMap", refuse)
     inst = random_huc(random.Random(0), 40, 3, 2)
     with pytest.raises(TimeoutExceeded, match="HUC compile"):
         compile_graph(inst, deadline=5.0)
     assert now[0] == 10.0
+
+
+@pytest.mark.parametrize("seed, rounds", [(0, None), (1, 3), (2, 5)])
+def test_a_huc_solve_sweeps_only_in_the_bounding_phase(seed, rounds, monkeypatch):
+    """A commitment solve runs no presolve: it sweeps the solve graph once
+    at delta = 0, and for a pair once at +infinity and once per dichotomy
+    round. Phase 2 reads those sweeps and makes none."""
+    sweeps, before_phase2 = [], []
+    real_sweep, real_run_phase2 = graph._sweep, solver.run_phase2
+    monkeypatch.setattr(graph, "_sweep", lambda *args: sweeps.append(args[0]) or real_sweep(*args))
+
+    def marking_phase2(*args, **kwargs):
+        before_phase2.append(len(sweeps))
+        return real_run_phase2(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "run_phase2", marking_phase2)
+    sol = solve_huc(random_huc(random.Random(seed), 24, 3, 2))
+    outcome = sol.graph_solution.phase1
+    if rounds is None:
+        assert isinstance(outcome, SolvedAtSp) and len(sweeps) == 1
+    else:
+        assert isinstance(outcome, Pair) and outcome.iterations == rounds
+        assert before_phase2 == [len(sweeps)] == [2 + rounds]
+    assert all(dag is outcome.tails.dag for dag in sweeps)
 
 
 def test_graph_ids_are_the_smallest_id_first_topological_order():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from borwin import phase1
+from borwin import graph, phase1
 from borwin.baselines import brute_force
 from borwin.generate import random_dag
 from borwin.graph import Arc, TimeoutExceeded, Window, WindowedDag, check_windows, path_by_vertices
@@ -296,7 +296,7 @@ def test_deadline_is_checked_before_every_dichotomy_sweep(wclpp, monkeypatch):
 
     monkeypatch.setattr(phase1, "all_tails", counting)
     clock = SimpleNamespace(monotonic=lambda: 10.0 if len(sweeps) >= 3 else 0.0)
-    monkeypatch.setattr(phase1, "time", clock)
+    monkeypatch.setattr(graph, "time", clock)
     assert run_phase1(wclpp).iterations >= 2
     sweeps.clear()
     with pytest.raises(TimeoutExceeded):

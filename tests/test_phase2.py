@@ -592,6 +592,25 @@ def test_default_value_bound_reuses_the_phase1_sweep(monkeypatch):
     assert view is not dag and sweeps[1:] == [view] * (sol.phase1.iterations + 2)
 
 
+def test_a_window_feasible_relaxed_optimum_skips_the_presolve(monkeypatch):
+    """Gate c03's seed 30: the relaxed optimum of the instance as given
+    meets every window, so it is the answer after one sweep, with no
+    presolve, no cut arc and no pop."""
+    dag = random_dag(random.Random(30), 10)
+    assert len(dag.arcs) == 25
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the presolve ran on a relaxed-feasible instance")
+
+    monkeypatch.setattr(solver, "presolve", refuse)
+    sweeps = _count_sweeps(monkeypatch)
+    sol = solve_awclpp(dag)
+    assert (sol.status, sol.value) == ("optimal", 30) and sol.value == brute_force(dag).value
+    assert isinstance(sol.phase1, SolvedAtSp) and sol.phase1.tails.dag is dag
+    assert sweeps == [dag]
+    assert sol.stats.arcs_cut == 0 and sol.stats.phase2_iterations == 0
+
+
 def _count_paths(monkeypatch):
     built = []
     real_path_metrics = graph.path_metrics

@@ -29,6 +29,26 @@ def test_library_never_compiles_the_full_grid():
     assert found == []
 
 
+def test_library_raises_deadline_errors_only_in_the_deadline_helper():
+    # every solver loop and oracle calls graph.check_deadline, so the clock
+    # and the message format live in one place
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        helpers = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and module.name == "graph.py" and node.name == "check_deadline"
+        ]
+        allowed = {id(node) for helper in helpers for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "TimeoutExceeded":
+                    found.append(f"{module.name}:{node.lineno}")
+    assert found == []
+
+
 # names a module imports only so that perfbench's tracer finds them there;
 # test_layer_self_times_sum_to_the_traced_solve_span asserts none is absent
 HOOK_REEXPORTS = {("solver.py", "orient_dag"), ("huc.py", "prune_unreachable")}
