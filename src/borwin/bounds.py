@@ -1,6 +1,6 @@
 """Complementary value bounds for the enumeration phase.
 
-Two providers implement the :class:`~borwin.phase2.ValueBound` protocol:
+Two providers implement the integer :class:`~borwin.phase2.ValueBound`:
 
 * :class:`ValueTailBound` is the structure-free default: prefix value
   plus the window-relaxed best completion value from the anchor.
@@ -12,7 +12,8 @@ Two providers implement the :class:`~borwin.phase2.ValueBound` protocol:
 
 Stage lower bounds are dropped from the relaxation; dropping constraints
 can only raise the bound, so admissibility is preserved. Both modes work
-in exact Fractions and recompute what they read on every call.
+in exact Fractions (:func:`ub_for_prefix`) and recompute what they read
+on every call; ``UbProvider.bound`` converts at its boundary.
 """
 
 from __future__ import annotations
@@ -136,13 +137,13 @@ class UbProvider:
         if self.mode not in (TRIVIAL, NMCKP):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def bound(
-        self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction
-    ) -> Optional[Fraction]:
+    def bound(self, vertex: int, prefix_resource: int, prefix_value: int, dr: int, dv: int) -> Optional[int]:
         if self.stage_of_vertex is None:
             raise ValueError("provider has no vertex-to-stage map")
         stage = self.stage_of_vertex[vertex]
-        return ub_for_prefix(self, (stage, prefix_resource, prefix_value))
+        cap = ub_for_prefix(self, (stage, Fraction(prefix_resource, dr), Fraction(prefix_value, dv)))
+        # ceil(dv * cap): for an integer V, ceil(dv * cap) <= V exactly when cap <= V / dv
+        return None if cap is None else -(-cap.numerator * dv // cap.denominator)
 
 
 def ub_for_prefix(
@@ -185,11 +186,8 @@ class ValueTailBound:
         elif tails.delta != 0 or tails.dag is not dag:
             raise ValueError("value tails must be a delta = 0 sweep of the same instance")
         self._tails = tails
-        self._dv = dag.int_arcs().dv
 
-    def bound(
-        self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction
-    ) -> Optional[Fraction]:
+    def bound(self, vertex: int, prefix_resource: int, prefix_value: int, dr: int, dv: int) -> Optional[int]:
         if vertex not in self._tails:
             return None
-        return prefix_value + Fraction(self._tails.val[vertex], self._dv)
+        return prefix_value + self._tails.val[vertex]

@@ -707,7 +707,7 @@ def presolve(dag: WindowedDag, deadline: Optional[float] = None) -> Optional[Win
     has it as its integer window and as its Fraction window, which a
     :class:`LazyTuple` makes on first read. The view has the
     same window-feasible s-p paths as ``dag``, so paths, values and
-    value-bound providers carry over unchanged.
+    value bounds carry over unchanged.
     ``deadline`` (a ``time.monotonic`` value) is checked before each
     pass; past it, :class:`TimeoutExceeded` is raised."""
     if dag.topo_order is None:

@@ -42,8 +42,9 @@ windows and the sweep's own arrays and weight factors
 (:class:`~borwin.graph.TailMap`), whose resource weight already carries
 the orientation. Every aggregate is the exact Fraction aggregate times
 the sweep's positive scale, so pops, prunes and ties are those of the
-rational arithmetic. Fractions appear only where numbers leave the loop:
-calls to the value-bound provider, trace events and the result.
+rational arithmetic. The value bound takes and returns integers on the
+instance's scales too, so Fractions appear only where numbers leave the
+loop: trace events and the result.
 """
 
 from __future__ import annotations
@@ -70,17 +71,16 @@ ZERO = Fraction(0)
 
 
 class ValueBound(Protocol):
-    """Admissible value bound on completions of a prefix.
+    """Admissible value bound on completions of a prefix, in integers.
 
-    ``bound(vertex, prefix_resource, prefix_value)`` returns an upper
-    bound on the total value of any window-feasible path extending a
-    prefix that reaches ``vertex`` with the given totals, or ``None``
-    when no completion exists at all.
+    ``bound(vertex, prefix_resource, prefix_value, dr, dv)`` is a cap for
+    a prefix reaching ``vertex`` with totals ``prefix_resource / dr`` and
+    ``prefix_value / dv`` on the :class:`~borwin.graph.IntArcs` scales:
+    every window-feasible extension has value at most ``cap / dv``.
+    ``None`` means no completion exists at all.
     """
 
-    def bound(
-        self, vertex: int, prefix_resource: Fraction, prefix_value: Fraction
-    ) -> Optional[Fraction]: ...
+    def bound(self, vertex: int, prefix_resource: int, prefix_value: int, dr: int, dv: int) -> Optional[int]: ...
 
 
 class Label:
@@ -255,11 +255,10 @@ def lower_bound_mu(incumbent_value: Fraction, delta: Fraction, beta: Optional[Fr
 def run_phase2(
     dag: WindowedDag,
     delta: Fraction,
-    ub: Optional[ValueBound] = None,
+    value_bound: Optional[ValueBound] = None,
     *,
     use_dominance: bool = True,
     use_bound_prune: bool = True,
-    use_ub_prune: bool = True,
     trace: Optional[Trace] = None,
     deadline: Optional[float] = None,
     tails: Optional[TailMap] = None,
@@ -269,17 +268,15 @@ def run_phase2(
     at ``delta`` when the bounding phase already made it. Its ``sign``
     orients the resource: the sweep's weight ``wr`` carries it into every
     aggregate, and with ``sign = -1`` the bound rule's sink lower bound
-    is minus the window's upper bound. Labels, windows, dominance and provider calls stay in the
-    instance's own resource. Raises :class:`NoFeasiblePath` when no
-    window-feasible path exists, and ValueError for a positive ``delta``
-    on a sink without a lower bound in that orientation.
+    is minus the window's upper bound. Labels, windows, dominance and
+    calls to ``value_bound``, the complementary rule's bound (None: no
+    rule), stay in the instance's own resource. Raises
+    :class:`NoFeasiblePath` when no window-feasible path exists, and
+    ValueError for a positive ``delta`` on a sink without a lower bound
+    in that orientation.
     """
     if not isinstance(delta, Fraction) or delta < 0:
         raise ValueError("delta must be a nonnegative rational")
-    if ub is None and use_ub_prune:
-        from .bounds import ValueTailBound
-
-        ub = ValueTailBound(dag)
     if tails is None:
         tails = all_tails(dag, delta)
     elif tails.dag is not dag or tails.delta != delta:
@@ -293,7 +290,6 @@ def run_phase2(
     source, sink = dag.source, dag.sink
     # the bound rule's floor for incumbent value V (scaled) is wv * V + beta_floor
     beta_floor = floor(scale * lower_bound_mu(ZERO, delta, dag.window(sink).oriented(tails.sign).lo))
-    ub_on = use_ub_prune and ub is not None
     stats = SolveStats()
     if tmu[source] is None:
         raise NoFeasiblePath("sink unreachable from source", stats)
@@ -307,9 +303,9 @@ def run_phase2(
         # the rule that prunes a prefix against the incumbent's floors, or None
         if use_bound_prune and mu <= mu_floor:
             return "bound"
-        if ub_on:
-            cap = ub.bound(v, Fraction(r, dr), Fraction(value, dv))
-            if cap is None or cap <= value_floor:
+        if value_bound is not None:
+            cap = value_bound.bound(v, r, value, dr, dv)
+            if cap is None or cap <= incumbent_val:
                 return "ub"
         return None
 
@@ -320,7 +316,6 @@ def run_phase2(
     incumbent: Optional[Label] = None
     incumbent_val = 0
     mu_floor: Optional[int] = None  # set with the incumbent
-    value_floor = ZERO
     pruned = {"bound": 0, "ub": 0}
     pops = pruned_dom = 0
     created = 1
@@ -335,7 +330,7 @@ def run_phase2(
             value = label.val + tval[label.anchor]
             if incumbent is None or value > incumbent_val:
                 incumbent, incumbent_val = label, value
-                mu_floor, value_floor = wv * value + beta_floor, Fraction(value, dv)
+                mu_floor = wv * value + beta_floor
                 # purge the waiting labels against the new incumbent, in
                 # creation order so that prune events keep their order
                 kept = []

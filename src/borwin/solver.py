@@ -39,7 +39,7 @@ class AwclppSolution:
 def solve_awclpp(
     dag: WindowedDag,
     *,
-    ub_provider: Optional[ValueBound] = None,
+    value_bound: Optional[ValueBound] = None,
     use_dominance: bool = True,
     use_bound_prune: bool = True,
     use_ub_prune: bool = True,
@@ -57,10 +57,10 @@ def solve_awclpp(
     some instances infeasible with no label made. The two phases then run
     on that view, and ``stats.arcs_cut`` counts the arcs it cut.
 
-    ``ub_provider`` is the :class:`~borwin.phase2.ValueBound` of the
+    ``value_bound`` is the :class:`~borwin.phase2.ValueBound` of the
     complementary rule, called with the instance's own vertex ids and
-    resources; None means the window-relaxed value tails.
-    ``use_ub_prune=False`` switches the rule off.
+    integer totals; None means the default, the window-relaxed value
+    tails. ``use_ub_prune=False`` switches the rule off.
     """
     try:
         sp_tails = relaxed_optimum(dag, deadline)
@@ -74,7 +74,7 @@ def solve_awclpp(
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats(arcs_cut=len(dag.arcs)))
     sol = _two_phase(
         view,
-        ub_provider=ub_provider,
+        value_bound=value_bound,
         use_dominance=use_dominance,
         use_bound_prune=use_bound_prune,
         use_ub_prune=use_ub_prune,
@@ -103,7 +103,7 @@ def solve_tight(
 def _two_phase(
     dag: WindowedDag,
     *,
-    ub_provider: Optional[ValueBound] = None,
+    value_bound: Optional[ValueBound] = None,
     use_dominance: bool = True,
     use_bound_prune: bool = True,
     use_ub_prune: bool = True,
@@ -112,7 +112,8 @@ def _two_phase(
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
     """The paper's two phases on ``dag`` as given: phase 1 from its own
-    ``delta = 0`` sweep, then phase 2 on phase 1's sweeps."""
+    ``delta = 0`` sweep, then phase 2 on phase 1's sweeps, with the
+    default value bound built on the first of them."""
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
     except SinkUnreachable:
@@ -132,17 +133,15 @@ def _two_phase(
     else:
         raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
 
-    ub = ub_provider
-    if ub is None and use_ub_prune:
-        ub = ValueTailBound(dag, value_tails)
+    if use_ub_prune and value_bound is None:
+        value_bound = ValueTailBound(dag, value_tails)
     try:
         result = run_phase2(
             dag,
             delta,
-            ub,
+            value_bound if use_ub_prune else None,  # positional: perfbench's tracer proxies args[2]
             use_dominance=use_dominance,
             use_bound_prune=use_bound_prune,
-            use_ub_prune=use_ub_prune,
             trace=trace_phase2,
             deadline=deadline,
             tails=tails,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -17,6 +18,8 @@ from borwin.bounds import (
     ValueTailBound,
     ub_for_prefix,
 )
+from borwin.generate import random_dag
+from borwin.graph import Arc, WindowedDag, all_tails
 from borwin.huc import nmckp_of_instance
 
 F = Fraction
@@ -157,9 +160,28 @@ def test_admissibility_hypothesis(seed):
 
 def test_value_tail_bound(wclpp):
     bound = ValueTailBound(wclpp)
+    assert (wclpp.int_arcs().dr, wclpp.int_arcs().dv) == (1, 1)
     # from vertex 2 the only completion is the final arc (value 5)
-    assert bound.bound(wclpp.vertex("2"), F(15), F(24)) == 29
-    assert bound.bound(wclpp.vertex("s"), F(0), F(0)) == 33
+    assert bound.bound(wclpp.vertex("2"), 15, 24, 1, 1) == 29
+    assert bound.bound(wclpp.vertex("s"), 0, 0, 1, 1) == 33
+
+
+def test_value_tail_bound_on_a_fine_value_scale():
+    # a random DAG whose values are rescaled to thirds, quarters and
+    # fifths, so the bound is on a value scale dv > 1
+    base = random_dag(random.Random(7), 12)
+    arcs = [Arc(a.src, a.dst, a.value / (3 + k % 3), a.resource) for k, a in enumerate(base.arcs)]
+    dag = WindowedDag(base.windows, arcs, base.source, base.sink, labels=base.labels)
+    ints = dag.int_arcs()
+    assert ints.dv > 1
+    bound, tails = ValueTailBound(dag), all_tails(dag, F(0))
+    for v in range(dag.n):
+        for prefix_value in (-7, 0, 11):
+            cap = bound.bound(v, 3, prefix_value, ints.dr, ints.dv)
+            if v not in tails:
+                assert cap is None
+            else:
+                assert F(cap, ints.dv) == F(prefix_value, ints.dv) + tails.path(v).value
 
 
 # -- reference: the greedy in Fractions, rebuilt on every call ----------
@@ -277,6 +299,28 @@ def test_bound_table_equals_the_fraction_greedy(case):
             got = ub_for_prefix(provider, state)
             want = ref_ub(mode, mckp, state)
             assert got == want and type(got) is type(want), (mode, state)
+
+
+@given(mckp_queries(), st.integers(1, 12), st.integers(1, 12), st.integers(-3000, 3000))
+@settings(max_examples=100, deadline=None)
+def test_the_integer_bound_decides_as_the_fraction_bound(case, dr, dv, value):
+    """``UbProvider.bound`` on a prefix given in integers on the ``dr``
+    and ``dv`` scales is the Fraction bound rounded up on the ``dv``
+    scale, so comparing it with an integer incumbent value ``V`` prunes
+    exactly when the Fraction bound is at most ``V / dv``."""
+    mckp, queries = case
+    for mode in (NMCKP, TRIVIAL):
+        provider = UbProvider(mode=mode, mckp=mckp, stage_of_vertex=range(len(mckp.stages) + 1))
+        for stage, cum, acc in queries:
+            r, v = math.floor(cum * dr), math.floor(acc * dv)
+            cap = ub_for_prefix(provider, (stage, F(r, dr), F(v, dv)))
+            int_cap = provider.bound(stage, r, v, dr, dv)
+            if cap is None:
+                assert int_cap is None
+                continue
+            assert int_cap == math.ceil(dv * cap)
+            for incumbent in (value, int_cap - 1, int_cap):
+                assert (int_cap <= incumbent) == (cap <= F(incumbent, dv))
 
 
 def test_bound_table_off_grid_and_over_cap():

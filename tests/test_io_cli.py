@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import json
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -880,3 +883,70 @@ def test_worked_example_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "bounding phase: delta=1/19 " in done.stdout
+
+
+# -- CLI fuzz ----------------------------------------------------------------
+
+FUZZ_LEAVES = [None, True, False, 2**70, float("inf"), "1/0", "NaN", [], {}]
+
+
+def _json_nodes(doc, at=()):
+    """Every node below the root of a JSON document, as (path, node)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield at + (key,), child
+        yield from _json_nodes(child, at + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    """A shipped instance with one to three mutations: a deleted key, a
+    dropped or duplicated list element, or a leaf swapped for an odd value."""
+    doc = json.loads(draw(st.sampled_from([WCLPP5, HUC5])).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_json_nodes(doc))
+        if not nodes:
+            break
+        path, node = draw(st.sampled_from(nodes))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        ops = ["delete"] if isinstance(parent, dict) else ["drop", "duplicate"]
+        if not isinstance(node, (dict, list)):
+            ops.append("swap")
+        op = draw(st.sampled_from(ops))
+        if op in ("delete", "drop"):
+            del parent[key]
+        elif op == "duplicate":
+            parent.insert(key, json.loads(json.dumps(node)))
+        else:
+            parent[key] = draw(st.sampled_from(FUZZ_LEAVES))
+    return doc
+
+
+def _run_cli(argv):
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(mutated_instances())
+@settings(max_examples=200, deadline=None)
+def test_cli_survives_mutated_instances(doc):
+    """No mutation of a shipped instance makes a command raise or exit
+    with a code other than 0, 1 or 2, and the three solve algorithms
+    agree on the exit code, the status and the value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        answers = set()
+        for algo in ("borwin", "rcsp", "oracle"):
+            code, out = _run_cli(["solve", str(path), "--algo", algo, "--json"])
+            assert code in (0, 1, 2), algo
+            payload = json.loads(out.splitlines()[-1]) if code != 1 else {}
+            answers.add((code, payload.get("status"), payload.get("value")))
+        assert len(answers) == 1, answers
+        assert _run_cli(["validate", str(path)])[0] in (0, 1, 2)
+        assert _run_cli(["export-lp", str(path), "--out", str(Path(tmp) / "model.lp")])[0] in (0, 1, 2)

@@ -171,7 +171,9 @@ def test_phase1_tails_serve_phase2(wclpp):
     assert out.orientation == "lie" and out.delta > 0
     assert out.tails.dag is view and out.tails.sign == -1
     reused = run_phase2(view, out.delta, ValueTailBound(view, out.sp_tails), tails=out.tails)
-    searched = run_phase2(view, out.delta, tails=all_tails(view, out.delta, out.tails.sign))
+    searched = run_phase2(
+        view, out.delta, ValueTailBound(view, out.sp_tails), tails=all_tails(view, out.delta, out.tails.sign)
+    )
     searched.stats.phase1_iterations = out.iterations
     searched.stats.arcs_cut = len(dag.arcs) - sum(map(len, view.out_arcs))
     sol = solve_awclpp(dag)
@@ -380,7 +382,7 @@ def _solve_on_full_grid(inst, **kwargs):
     dag, vmap = build_graph(inst)
     stage_of_vertex = [min(t, inst.periods) for t, _, _ in vmap.states]
     provider = UbProvider(mode=NMCKP, mckp=nmckp_of_instance(inst), stage_of_vertex=stage_of_vertex)
-    return solve_awclpp(dag, ub_provider=provider, **kwargs)
+    return solve_awclpp(dag, value_bound=provider, **kwargs)
 
 
 def _solve_generated(config, **kwargs):
@@ -457,14 +459,14 @@ def test_enumeration_trace_is_pinned(config, phase, digest):
 # Value-bound calls of two commitment solves on the presolved full grid.
 # New labels are scored at birth and waiting ones only when the incumbent
 # improves, so a pop that keeps the incumbent makes no call. The digest
-# is a sha256 over every call's "(vertex, prefix_resource, prefix_value)
-# -> bound" line.
+# is a sha256 over every call's "(vertex, prefix_resource, prefix_value,
+# dr, dv) -> cap" line, all integers.
 PINNED_BOUND_CALLS = [
-    (PINNED_STATS[3][0], 8, "83f9232c1ffb6f1f80f6bc4bd1c783fca2f8f800553fd691f0876e464ec7f19d"),
+    (PINNED_STATS[3][0], 8, "044f61a433cc06c8157029ff0fa9f053535d0e9a73e64aeebf2c15e6003baa01"),
     (
         dict(family="huc", periods=24, points=3, min_updown=2, seed=2),
         130,
-        "637c8bfea017d3f4d75cd5960d8245fdea67d10325a4e7c2e4d136cc8bcb9ed0",
+        "331eddea89006cc5980006cb821ad6d18f60e5c95454a5306bfd5aa01f670855",
     ),
 ]
 
@@ -501,14 +503,14 @@ PINNED_HUC_SOLVES = [
         PINNED_BOUND_CALLS[0][0],
         (4, 13, 29, 17, 3, 1),
         8,
-        "a30bb907311443d5a0d1510bac221b1b1c980bfa5be60ac4f6b388cf9d873181",
+        "ff1d64578a2a1878cdd4b926caf098562d8d5653617f772abe6df19745ea8af5",
         "884b53142a37993e9586b773df2690ee74b314b8b9b0ae2fe94b4e1d712cbbb9",
     ),
     (
         PINNED_BOUND_CALLS[1][0],
         (5, 81, 94, 66, 204, 38),
         133,
-        "ef11b66d858d83a2b90bf2bcdc9b7e3571cda69301c33ffd053fec279ce25a2b",
+        "7bf7bc9213b4a3db05fb07105559d7835aff555ee9673922be91ae7701214b1f",
         "1b7a9460245fa735ca9f0ad7b3e96e220c007d9e33ceb0069c2fe9b3583437cb",
     ),
 ]
@@ -555,12 +557,12 @@ def test_commitment_solve_builds_no_knapsack_bound(monkeypatch):
 
 
 def test_no_ub_provider_means_the_default_value_bound():
-    """``ub_provider=None`` is the window-relaxed value tails, not an off
+    """``value_bound=None`` is the window-relaxed value tails, not an off
     switch; ``use_ub_prune=False`` is."""
     config = dict(family="dag", vertices=80, seed=4)
     default = _solve_generated(config)
     assert default.stats.labels_pruned_ub > 0
-    assert _solve_generated(config, ub_provider=None).stats == default.stats
+    assert _solve_generated(config, value_bound=None).stats == default.stats
     assert _solve_generated(config, use_ub_prune=False).stats.labels_pruned_ub == 0
 
 

@@ -49,6 +49,24 @@ def test_library_raises_deadline_errors_only_in_the_deadline_helper():
     assert found == []
 
 
+def test_only_the_solver_builds_the_default_value_bound():
+    # phase 2 takes its value bound as an argument, and the one default is
+    # built in solver._two_phase on phase 1's sweep
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        for node in ast.walk(tree):
+            if module.name == "phase2.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(name.split(".")[-1] == "bounds" for name in names):
+                    found.append(f"{module.name}:{node.lineno} imports bounds")
+            if isinstance(node, ast.Call) and module.name != "solver.py":
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "ValueTailBound":
+                    found.append(f"{module.name}:{node.lineno}")
+    assert found == []
+
+
 # names a module imports only so that perfbench's tracer finds them there;
 # test_layer_self_times_sum_to_the_traced_solve_span asserts none is absent
 HOOK_REEXPORTS = {("solver.py", "orient_dag"), ("huc.py", "prune_unreachable")}
