@@ -41,8 +41,8 @@ def main() -> int:
           f" rounded={integer_round_ub(out, True)}")
     # The paper's enumeration runs on the instance as given. solve_awclpp
     # presolves first, and on this instance the view's relaxed optimum is
-    # already feasible, so it makes no pop; solve_tight, the same pipeline
-    # without the presolve, shows the paper's walk.
+    # already feasible, so it makes no pop; solve_tight, the two phases
+    # that solve_awclpp runs after its presolve, shows the paper's walk.
     sol = solve_tight(dag, trace_phase2=print_p2)
     oracle = brute_force(dag)
     print(f"optimum: value={sol.value} path={','.join(sol.path.labelled(dag))}"

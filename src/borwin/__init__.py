@@ -41,7 +41,6 @@ from .phase1 import (
     NotAPair,
     Pair,
     PhaseOneOutcome,
-    SearchSpace,
     SolvedAtSp,
     integer_round_ub,
     lagrangian_theta,

@@ -399,11 +399,10 @@ class Path:
 
     ``prefix_resources[k]`` is the cumulative resource after the first k
     arcs, so it aligns with ``vertices()`` and starts at 0 at the path's
-    own start vertex. A path that :func:`path_metrics` builds keeps its
-    ``arc_ids``, its vertices, read off the instance's integer arcs, and
-    the instance; its ``arcs``, the :class:`Arc` objects, are read from
-    the instance on first use and kept. A path made with explicit
-    ``arcs`` takes its vertices from them.
+    own start vertex. A path keeps its ``arc_ids``, its vertices and the
+    instance (:func:`path_metrics` reads the vertices off the instance's
+    integer arcs); its ``arcs``, the :class:`Arc` objects, are read from
+    the instance on first use and kept.
     """
 
     __slots__ = ("start", "value", "resource", "prefix_resources", "arc_ids", "_arcs", "_vertices", "_dag")
@@ -411,22 +410,21 @@ class Path:
     def __init__(
         self,
         start: int,
-        arcs: Optional[tuple[Arc, ...]],
         value: Fraction,
         resource: Fraction,
         prefix_resources: tuple[Fraction, ...],
-        arc_ids: Optional[tuple[int, ...]] = None,
-        dag: Optional[WindowedDag] = None,
-        vertices: Optional[tuple[int, ...]] = None,
+        arc_ids: tuple[int, ...],
+        dag: WindowedDag,
+        vertices: tuple[int, ...],
     ):
         self.start = start
         self.value = value
         self.resource = resource
         self.prefix_resources = prefix_resources
         self.arc_ids = arc_ids
-        self._arcs = arcs
+        self._arcs: Optional[tuple[Arc, ...]] = None
         self._dag = dag
-        self._vertices = (start, *(a.dst for a in arcs)) if vertices is None else vertices
+        self._vertices = vertices
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -473,7 +471,7 @@ def path_metrics(dag: WindowedDag, arc_ids: Sequence[int], start: Optional[int] 
         prefixes.append(resource)
         vertices.append(dst[aid])
     prefixes = tuple(Fraction(r, ints.dr) for r in prefixes)
-    return Path(at, None, Fraction(value, ints.dv), prefixes[-1], prefixes, arc_ids, dag, tuple(vertices))
+    return Path(at, Fraction(value, ints.dv), prefixes[-1], prefixes, arc_ids, dag, tuple(vertices))
 
 
 def path_by_vertices(dag: WindowedDag, vertices: Sequence[Union[int, str]]) -> Path:

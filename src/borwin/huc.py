@@ -244,6 +244,7 @@ def _emit(
     inst: HucInstance,
     layers: Sequence[Iterable[int]],
     moves: Sequence[dict[int, list[tuple[int, int]]]],
+    flows: tuple[list[int], int],
     deadline: Optional[float] = None,
 ) -> tuple[IntArcs, list[range], list[int], list[int]]:
     """Number the states of ``layers`` (period 0 to T, each a collection
@@ -253,12 +254,13 @@ def _emit(
     lies in the next period's layer), plus an arc from every period-T
     state to the sink. Returns the arcs' :class:`IntArcs`, grouped by
     source in id order, with values from :func:`_value_ints` and
-    resources from :func:`_flow_ints`; each vertex's range of out-arc
-    ids; and each vertex's period and state code. All per-vertex work
-    runs inside the per-period deadline checks."""
+    resources from ``flows``, the compile's own :func:`_flow_ints`; each
+    vertex's range of out-arc ids; and each vertex's period and state
+    code. All per-vertex work runs inside the per-period deadline
+    checks."""
     T = inst.periods
     values, dv = _value_ints(inst)
-    flow, df = _flow_ints(inst)
+    flow, df = flows
     src: list[int] = []
     dst: list[int] = []
     val: list[int] = []
@@ -363,7 +365,7 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     for _ in range(T):
         check_deadline(deadline, "HUC compile")
         layers.append({m for s in layers[-1] for m, _ in moves[s]})
-    ints, out, period, code = _emit(inst, layers, [moves] * T, deadline)
+    ints, out, period, code = _emit(inst, layers, [moves] * T, _flow_ints(inst), deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     if grid:
@@ -475,7 +477,7 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         lo[t] = klo
         hi[t] = khi
 
-    ints, out, period, code = _emit(inst, lo, kept, deadline)
+    ints, out, period, code = _emit(inst, lo, kept, (flow, scale), deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     hlo = [lo[t][s] for t, s in zip(period, code[:sink])]

@@ -56,11 +56,16 @@ class SolvedAtSp:
     """The window-relaxed optimum already satisfies the sink window.
 
     ``tails`` is the ``delta = 0`` sweep of the instance that found it;
-    :attr:`path`, its tail from the source, is built on first read.
+    :attr:`path`, its tail from the source, is built on first read. When
+    a window inside the graph still cuts that path, the enumeration phase
+    starts from this outcome as from a :class:`Pair`: it reads ``delta``,
+    ``tails``, ``sp_tails`` (``tails`` itself) and ``iterations`` (0).
     """
 
     tails: TailMap = field(compare=False, repr=False)
     delta: Fraction = ZERO
+    iterations = 0
+    sp_tails = property(lambda self: self.tails)
     path = cached_property(lambda self: self.tails.path(self.tails.dag.source))
 
 
@@ -86,6 +91,11 @@ class Pair:
     ``tails`` is the instance's sweep at the final ``delta`` in the
     pair's orientation (``tails.sign``) and ``sp_tails`` its unoriented
     ``delta = 0`` sweep; the enumeration phase reuses both.
+
+    The pair is also the search space: the region that holds every
+    optimal path, with oriented resource in ``[beta, alpha]``, value at
+    most ``ub_v1`` and aggregated value at most ``ub_mu``
+    (:meth:`contains`).
     """
 
     a_tails: TailMap = field(compare=False, repr=False)
@@ -102,6 +112,18 @@ class Pair:
 
     x_a = cached_property(lambda self: self.a_tails.path(self.a_tails.dag.source))
     x_b = cached_property(lambda self: self.b_tails.path(self.b_tails.dag.source))
+
+    def contains_values(self, value: Fraction, oriented_resource: Fraction) -> bool:
+        if oriented_resource < self.beta:
+            return False
+        if self.alpha is not None and oriented_resource > self.alpha:
+            return False
+        if value > self.ub_v1:
+            return False
+        return value + self.delta * oriented_resource <= self.ub_mu
+
+    def contains(self, path: Path) -> bool:
+        return self.contains_values(path.value, oriented_resource(self, path))
 
 
 PhaseOneOutcome = Union[SolvedAtSp, Infeasible, Pair]
@@ -265,42 +287,11 @@ def integer_round_ub(outcome: PhaseOneOutcome, values_integral: bool) -> Fractio
     return outcome.ub_v1
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Region guaranteed to contain every optimal solution: the sink window
-    on (oriented) resource, the value bound, and the aggregate bound."""
-
-    beta: Fraction
-    alpha: Optional[Fraction]
-    ub_v1: Fraction
-    ub_mu: Fraction
-    delta: Fraction
-    orientation: str
-
-    def contains_values(self, value: Fraction, oriented_resource: Fraction) -> bool:
-        if oriented_resource < self.beta:
-            return False
-        if self.alpha is not None and oriented_resource > self.alpha:
-            return False
-        if value > self.ub_v1:
-            return False
-        return value + self.delta * oriented_resource <= self.ub_mu
-
-    def contains(self, path: Path) -> bool:
-        return self.contains_values(path.value, orientation_sign(self.orientation) * path.resource)
-
-
-def search_space(outcome: PhaseOneOutcome) -> SearchSpace:
+def search_space(outcome: PhaseOneOutcome) -> Pair:
+    """The region that holds every optimal path: the pair itself."""
     if not isinstance(outcome, Pair):
         raise NotAPair("the search space is defined by a straddling-pair outcome")
-    return SearchSpace(
-        beta=outcome.beta,
-        alpha=outcome.alpha,
-        ub_v1=outcome.ub_v1,
-        ub_mu=outcome.ub_mu,
-        delta=outcome.delta,
-        orientation=outcome.orientation,
-    )
+    return outcome
 
 
 def lagrangian_theta(dag: WindowedDag, lam: Fraction, beta: Fraction) -> Fraction:

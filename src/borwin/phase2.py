@@ -162,8 +162,8 @@ class NoFeasiblePath(GraphError):
 
 @dataclass
 class SolveResult:
-    best: Optional[Path]
-    value: Optional[Fraction]
+    best: Path
+    value: Fraction
     stats: SolveStats
 
 

@@ -9,9 +9,7 @@ from typing import Callable, Optional
 from .bounds import ValueTailBound
 from .graph import Path, SinkUnreachable, WindowedDag, presolve
 from .phase1 import (
-    GraphInvariantError,
     Infeasible,
-    Pair,
     Phase1TraceEvent,
     PhaseOneOutcome,
     SolvedAtSp,
@@ -20,8 +18,6 @@ from .phase1 import (
     run_phase1,
 )
 from .phase2 import NoFeasiblePath, SolveStats, Trace, ValueBound, relaxed_violation, run_phase2
-
-ZERO = Fraction(0)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -47,32 +43,26 @@ def solve_awclpp(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """Solve a windowed instance exactly: the presolve prelude, then
-    :func:`_two_phase`.
+    """Solve a windowed instance exactly: a prelude, then
+    :func:`solve_tight` on the view it makes.
 
     The prelude makes phase 1's first sweep on ``dag`` as given; a
     window-feasible relaxed optimum is the answer. Otherwise
     :func:`~borwin.graph.presolve` tightens the windows to the exact
     resource hulls and cuts the arcs no feasible path can use; it proves
-    some instances infeasible with no label made. The two phases then run
-    on that view, and ``stats.arcs_cut`` counts the arcs it cut.
-
-    ``value_bound`` is the :class:`~borwin.phase2.ValueBound` of the
-    complementary rule, called with the instance's own vertex ids and
-    integer totals; None means the default, the window-relaxed value
-    tails. ``use_ub_prune=False`` switches the rule off.
+    some instances infeasible with no label made. ``stats.arcs_cut``
+    counts the arcs it cut. The keywords are :func:`solve_tight`'s.
     """
     try:
         sp_tails = relaxed_optimum(dag, deadline)
     except SinkUnreachable:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
     if relaxed_violation(dag, sp_tails) is None:
-        outcome = SolvedAtSp(tails=sp_tails)
-        return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
+        return _at_sp(SolvedAtSp(tails=sp_tails))
     view = presolve(dag, deadline)
     if view is None:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats(arcs_cut=len(dag.arcs)))
-    sol = _two_phase(
+    sol = solve_tight(
         view,
         value_bound=value_bound,
         use_dominance=use_dominance,
@@ -86,21 +76,12 @@ def solve_awclpp(
     return sol
 
 
+def _at_sp(outcome: SolvedAtSp) -> AwclppSolution:
+    # the window-relaxed optimum is feasible, hence optimal
+    return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
+
+
 def solve_tight(
-    dag: WindowedDag,
-    *,
-    trace_phase1: Optional[Callable[[Phase1TraceEvent], None]] = None,
-    trace_phase2: Optional[Trace] = None,
-    deadline: Optional[float] = None,
-) -> AwclppSolution:
-    """The two phases with their default rules, no presolve, for the
-    commitment solve graph of ``huc._solve_graph``, where every arc ``u -> w``
-    has ``[lo[u] + r, hi[u] + r]`` meeting ``[lo[w], hi[w]]``: a presolve still
-    cuts a few of its arcs, but costs more than it saves."""
-    return _two_phase(dag, trace_phase1=trace_phase1, trace_phase2=trace_phase2, deadline=deadline)
-
-
-def _two_phase(
     dag: WindowedDag,
     *,
     value_bound: Optional[ValueBound] = None,
@@ -111,47 +92,43 @@ def _two_phase(
     trace_phase2: Optional[Trace] = None,
     deadline: Optional[float] = None,
 ) -> AwclppSolution:
-    """The paper's two phases on ``dag`` as given: phase 1 from its own
-    ``delta = 0`` sweep, then phase 2 on phase 1's sweeps, with the
-    default value bound built on the first of them."""
+    """The paper's two phases on a graph whose windows are already tight:
+    phase 1 from its own ``delta = 0`` sweep, then phase 2 on phase 1's
+    sweeps. A :class:`SolvedAtSp` whose path a window inside the graph
+    still cuts feeds phase 2 as a pair does, at ``delta = 0``.
+    ``huc.solve_huc`` calls it with no presolve, since on its solve graph
+    a presolve costs more than it saves.
+
+    ``value_bound`` is the :class:`~borwin.phase2.ValueBound` of the
+    complementary rule, called with the instance's own vertex ids and
+    integer totals; None means the default, the window-relaxed value
+    tails of phase 1's first sweep. ``use_ub_prune=False`` switches the
+    rule off.
+    """
     try:
         outcome = run_phase1(dag, trace=trace_phase1, deadline=deadline)
     except SinkUnreachable:
         return AwclppSolution(INFEASIBLE, None, None, None, SolveStats())
-
-    iterations = 0
     if isinstance(outcome, Infeasible):
         return AwclppSolution(INFEASIBLE, None, None, outcome, SolveStats())
-    if isinstance(outcome, SolvedAtSp):
-        if relaxed_violation(dag, outcome.tails) is None:
-            # the window-relaxed optimum is feasible, hence optimal
-            return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
-        delta, tails, value_tails = ZERO, outcome.tails, outcome.tails
-    elif isinstance(outcome, Pair):
-        delta, tails, value_tails = outcome.delta, outcome.tails, outcome.sp_tails
-        iterations = outcome.iterations
-    else:
-        raise GraphInvariantError(f"unexpected bounding-phase outcome {type(outcome).__name__}")
+    if isinstance(outcome, SolvedAtSp) and relaxed_violation(dag, outcome.tails) is None:
+        return _at_sp(outcome)
 
     if use_ub_prune and value_bound is None:
-        value_bound = ValueTailBound(dag, value_tails)
+        value_bound = ValueTailBound(dag, outcome.sp_tails)
     try:
         result = run_phase2(
             dag,
-            delta,
+            outcome.delta,
             value_bound if use_ub_prune else None,  # positional: perfbench's tracer proxies args[2]
             use_dominance=use_dominance,
             use_bound_prune=use_bound_prune,
             trace=trace_phase2,
             deadline=deadline,
-            tails=tails,
+            tails=outcome.tails,
         )
     except NoFeasiblePath as exc:
-        exc.stats.phase1_iterations = iterations
+        exc.stats.phase1_iterations = outcome.iterations
         return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
-
-    result.stats.phase1_iterations = iterations
-    best = result.best
-    if best is None:
-        raise GraphInvariantError("enumeration returned no incumbent")
-    return AwclppSolution(OPTIMAL, best, best.value, outcome, result.stats)
+    result.stats.phase1_iterations = outcome.iterations
+    return AwclppSolution(OPTIMAL, result.best, result.best.value, outcome, result.stats)

@@ -71,6 +71,26 @@ def test_stage_out_of_range():
         ub_for_prefix(provider, (4, F(0), F(0)))
 
 
+def test_nested_mckp_and_provider_reject_bad_input():
+    item = MckpItem(F(1), F(1))
+    bad = [
+        (dict(stages=((item,),), lo=(None, None), hi=(None,)), "stage and window lists must align"),
+        (dict(stages=((item,),), lo=(F(2),), hi=(F(1),)), "stage 0 window is inverted"),
+        (dict(stages=((item,), ()), lo=(None, None), hi=(None, None)), "stage 1 has no items"),
+        (dict(stages=((MckpItem(F(1), F(-1)),),), lo=(None,), hi=(None,)), "stage 0 has a negative weight"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(ValueError) as exc:
+            NestedMckp(**kwargs)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        UbProvider(mode="exact", mckp=toy_mckp())
+    assert str(exc.value) == "unknown mode 'exact'"
+    with pytest.raises(ValueError) as exc:
+        UbProvider(mode=NMCKP, mckp=toy_mckp()).bound(0, 0, 0, 1, 1)
+    assert str(exc.value) == "provider has no vertex-to-stage map"
+
+
 def test_trivial_mode_on_commitment_fixture(huc5):
     mckp = nmckp_of_instance(huc5)
     provider = UbProvider(mode=TRIVIAL, mckp=mckp)

@@ -77,6 +77,24 @@ def test_validate_dangling_arc(wclpp):
         assert report.code == "DanglingArc"
 
 
+def test_validate_reports_each_structural_error_by_class_and_text(wclpp):
+    windows, labels = wclpp.windows, wclpp.labels
+    loop = WindowedDag(windows, [Arc(2, 2, F(1), F(1)), *wclpp.arcs], 0, 4, labels=labels, topo_order=wclpp.topo_order)
+    out_of_range = [
+        WindowedDag(windows, wclpp.arcs, source, sink, labels=labels, topo_order=wclpp.topo_order)
+        for source, sink in ((5, 4), (0, -1))
+    ]
+    not_a_permutation = WindowedDag(windows, wclpp.arcs, 0, 4, labels=labels, topo_order=[0, 1, 1, 3, 4])
+    cases = [
+        (loop, "CycleDetected", "arc 0 is a self-loop"),
+        *((dag, "DanglingArc", "source or sink out of range") for dag in out_of_range),
+        (not_a_permutation, "BadTopoOrder", "stored order is not a permutation of the vertices"),
+    ]
+    for dag, code, detail in cases:
+        report = validate(dag)
+        assert (report.ok, report.code, report.detail) == (False, code, detail)
+
+
 def test_validate_source_window_must_contain_zero(wclpp):
     windows = list(wclpp.windows)
     windows[0] = Window(F(1), F(2))

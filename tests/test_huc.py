@@ -247,14 +247,14 @@ def test_legality_rejects_ramp_jump(huc5):
 
 def test_legality_checker_names_rules(huc5):
     dag, vmap = build_graph(huc5)
-    # fabricate vertex sequences and check the reported rule names
-    from borwin.graph import Arc, Path
+    # fabricate vertex sequences and check the reported rule names; the
+    # checker reads only the vertices
+    from borwin.graph import Path
 
     def fake_path(states):
-        verts = [vmap.id_of(*s) for s in states]
-        arcs = tuple(Arc(u, v, F(0), F(0)) for u, v in zip(verts, verts[1:]))
-        return Path(start=verts[0], arcs=arcs, value=F(0), resource=F(0),
-                    prefix_resources=tuple(F(0) for _ in verts))
+        verts = tuple(vmap.id_of(*s) for s in states)
+        return Path(start=verts[0], value=F(0), resource=F(0), prefix_resources=tuple(F(0) for _ in verts),
+                    arc_ids=(), dag=dag, vertices=verts)
 
     up_then_down = fake_path([(0, 0, 0), (1, 1, 2), (2, 0, -2)])
     assert check_path_legality(huc5, up_then_down, vmap) == "min_down"

@@ -556,6 +556,37 @@ def test_cli_validate_rejects_cycle(tmp_path, capsys):
     assert "CycleDetected" in capsys.readouterr().out
 
 
+def test_cli_validate_names_a_self_loop(tmp_path, capsys):
+    data = {"vertices": [{"id": "s"}, {"id": "p"}], "source": "s", "sink": "p",
+            "arcs": [{"from": "s", "to": "s", "value": 1, "resource": 1},
+                     {"from": "s", "to": "p", "value": 1, "resource": 1}]}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "CycleDetected: arc 0 is a self-loop\n"
+
+
+def test_cli_rejects_a_top_level_array(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(InstanceFormatError) as exc:
+        load_instance(path)
+    assert str(exc.value) == "$: top level must be an object"
+    for command in ("validate", "solve"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == "error: $: top level must be an object\n"
+
+
+def test_cli_solves_an_unreachable_sink_as_infeasible(tmp_path, capsys):
+    data = {"vertices": [{"id": "s"}, {"id": "a"}, {"id": "p"}], "source": "s", "sink": "p",
+            "arcs": [{"from": "s", "to": "a", "value": 1, "resource": 1}]}
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps(data))
+    for algo in ("borwin", "rcsp", "oracle"):
+        assert main(["solve", str(path), "--json", "--algo", algo]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+
+
 def test_cli_solve_rejects_a_cyclic_instance(tmp_path, capsys):
     data = generate(GeneratorConfig(seed=1, family="dag", vertices=6))
     back = data["arcs"][-1]

@@ -23,7 +23,7 @@ from borwin.graph import (
 )
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
-from borwin.phase1 import Infeasible, Pair, SolvedAtSp, run_phase1
+from borwin.phase1 import Infeasible, Pair, SolvedAtSp, relaxed_optimum, run_phase1
 from borwin.phase2 import (
     Label,
     NoFeasiblePath,
@@ -843,6 +843,29 @@ def test_every_answer_after_the_presolve_counts_the_cut_arcs(wclpp, monkeypatch)
         monkeypatch.setattr(solver, "run_phase1", fake)
         sol = solve_awclpp(wclpp)
         assert sol.status == "infeasible" and sol.stats.arcs_cut == cut
+
+
+def _unreachable_sink() -> WindowedDag:
+    # s -> a is the only arc, and nothing reaches p
+    return WindowedDag([Window(None, None)] * 3, [Arc(0, 1, F(1), F(1))], 0, 2, labels=["s", "a", "p"])
+
+
+def test_an_unreachable_sink_is_infeasible_before_any_search():
+    """The prelude's first sweep finds that the source cannot reach the
+    sink: no presolve, no cut arc and no pop. ``solve_tight`` answers the
+    same from phase 1's own first sweep."""
+    dag = _unreachable_sink()
+    with pytest.raises(graph.SinkUnreachable, match="^vertex s cannot reach the sink$"):
+        relaxed_optimum(dag)
+    for solve in (solve_awclpp, solver.solve_tight):
+        sol = solve(dag)
+        assert (sol.status, sol.path, sol.value, sol.phase1) == ("infeasible", None, None, None)
+        assert sol.stats.arcs_cut == 0 and sol.stats.phase2_iterations == sol.stats.labels_created == 0
+
+
+def test_run_phase2_rejects_a_negative_delta(wclpp):
+    with pytest.raises(ValueError, match="^delta must be a nonnegative rational$"):
+        run_phase2(wclpp, F(-1))
 
 
 def test_presolve_honours_the_deadline(wclpp):

@@ -51,7 +51,7 @@ def test_library_raises_deadline_errors_only_in_the_deadline_helper():
 
 def test_only_the_solver_builds_the_default_value_bound():
     # phase 2 takes its value bound as an argument, and the one default is
-    # built in solver._two_phase on phase 1's sweep
+    # built in solver.solve_tight on phase 1's sweep
     found = []
     for module in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
@@ -64,6 +64,25 @@ def test_only_the_solver_builds_the_default_value_bound():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name == "ValueTailBound":
                     found.append(f"{module.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_phases_run_only_in_solve_tight_and_the_presolve_only_in_solve_awclpp():
+    # the hand-off between the phases, and the prelude in front of them,
+    # each live in one function
+    home = {"run_phase1": "solver.solve_tight", "run_phase2": "solver.solve_tight", "presolve": "solver.solve_awclpp"}
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        owner = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), f"{module.stem}.{fn.name}") for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in home and owner.get(id(node)) != home[name]:
+                    found.append(f"{module.name}:{node.lineno} {name}")
     assert found == []
 
 
