@@ -9,7 +9,9 @@ instances also the schedule and volumes), every ``SolveStats`` counter,
 the bounding-phase outcome (for a pair: ``x_a``/``x_b`` arc ids,
 ``delta``, ``ub_mu``, ``ub_v1``, ``beta``, ``alpha``, ``iterations`` and
 the orientation) and a sha256 over the repr of each phase's trace
-events.
+events. A commitment row also holds, for the solve graph and for
+``reached_graph``, a sha256 over the graph's integer arcs and integer
+windows, so the compiles' window rounding is compared byte for byte.
 
 Usage, from the root of each checkout:
     python3 scripts/solve_digest.py > digest.jsonl
@@ -35,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from borwin.generate import random_dag  # noqa: E402
-from borwin.huc import solve_huc  # noqa: E402
+from borwin.huc import _solve_graph, reached_graph, solve_huc  # noqa: E402
 from borwin.phase1 import Infeasible, Pair, SolvedAtSp  # noqa: E402
 from borwin.solver import solve_awclpp  # noqa: E402
 from perfbench import corpus  # noqa: E402
@@ -47,6 +49,15 @@ def _ids(path):
 
 def _digest(events) -> str:
     return hashlib.sha256("".join(repr(e) + "\n" for e in events).encode()).hexdigest()
+
+
+def _graph_digest(compiled):
+    if compiled is None:
+        return None
+    dag = compiled[0]
+    ints, (lo, hi) = dag.int_arcs(), dag.int_windows()
+    data = [ints.src, ints.dst, ints.val, ints.res, ints.dv, ints.dr, lo, hi]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
 def _row(name, solve, obj) -> dict:
@@ -69,6 +80,7 @@ def _row(name, solve, obj) -> dict:
     if sol is not graph_sol:
         row["schedule"] = sol.schedule
         row["volumes"] = None if sol.volumes is None else [str(v) for v in sol.volumes]
+        row["graphs_sha256"] = [_graph_digest(_solve_graph(obj)), _graph_digest(reached_graph(obj))]
     row["phase1_sha256"] = _digest(p1)
     row["phase2_sha256"] = _digest(p2)
     return row

@@ -9,8 +9,9 @@ DAGs are drawn, enveloped and built on integers; their Fraction arcs
 and windows are views made on first read, and the JSON writer reads the
 integer arcs.
 Commitment instances are built around a randomly walked legal schedule,
-re-checked by the legality oracle, so at least one feasible schedule is
-guaranteed by construction.
+walked on the compiles' integer moves table (:class:`borwin.huc._Moves`)
+and re-checked by the Fraction legality oracle, so at least one feasible
+schedule is guaranteed by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .graph import WindowedDag
-from .huc import HucInstance, OperatingPoint, cumulative_flows, legal_moves, schedule_is_legal
+from .huc import HucInstance, OperatingPoint, _Moves, schedule_is_legal
 from .io import dag_to_dict, huc_to_dict
 from .phase1 import GraphInvariantError
 from .rational import Ratio
@@ -174,24 +175,24 @@ def random_huc(
         win_lo=tuple(ZERO for _ in range(periods)),
         win_hi=tuple(Fraction(10**9) for _ in range(periods)),
     )
-    # walk a random legal schedule and window its cumulative flows
-    cum_f = cumulative_flows(probe)
-    level, hold = 0, 0
-    cum = ZERO
-    cums: list[Fraction] = []
+    # walk a random legal schedule on the integer moves; window its
+    # cumulative flows, read on the moves' flow scale
+    moves = _Moves(probe)
+    state, cum = moves.code(0, 0), 0
+    cums: list[int] = []
     walked: list[int] = []
     for _ in range(periods):
-        level, hold = rng.choice(legal_moves(probe, cum_f, level, hold))
+        state, level = rng.choice(moves[state])
         walked.append(level)
-        cum += cum_f[level]
+        cum += moves.flow[level]
         cums.append(cum)
     win_lo = []
     win_hi = []
     for c in cums:
         slack_lo = Fraction(rng.randint(0, 6))
         slack_hi = Fraction(rng.randint(0, 6))
-        win_lo.append(max(ZERO, c - slack_lo))
-        win_hi.append(c + slack_hi)
+        win_lo.append(max(ZERO, Fraction(c, moves.df) - slack_lo))
+        win_hi.append(Fraction(c, moves.df) + slack_hi)
     inst = replace(probe, win_lo=tuple(win_lo), win_hi=tuple(win_hi))
     if not schedule_is_legal(inst, walked):
         raise GraphInvariantError("generator walked an illegal schedule")

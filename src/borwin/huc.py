@@ -11,9 +11,11 @@ the target-volume constraint that makes instances hard.
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
 reversal (positive after a move up, negative after a move down). Two
-compiles share one lazily filled moves table on integer state codes and
-one numbering-and-arc emitter, so neither grows with ``min_updown`` past
-the horizon. Both are integer-native: the emitter writes the arcs'
+compiles share one numbering-and-arc emitter and one integer rule
+table, :class:`_Moves`: the cumulative flows, ramp caps and windows on
+the flow scale, and the moves by integer state code, filled lazily so
+that no compile grows with ``min_updown`` past the horizon; the
+generator walks the same table. The emitter writes the arcs'
 :class:`~borwin.graph.IntArcs` from integer tables of the cumulative
 values and flows, the graph's Fraction arcs are a view of them, and a
 ``Window`` or label is made only when one is read (see
@@ -46,8 +48,6 @@ from .graph import (
     Path,
     Window,
     WindowedDag,
-    _ratio,
-    _scaled_windows,
     check_deadline,
     prune_unreachable,  # noqa: F401  perfbench hooks huc.prune_unreachable; see test_layer_self_times_sum_to_the_traced_solve_span
 )
@@ -137,22 +137,6 @@ def cumulative_flows(inst: HucInstance) -> list[Fraction]:
     return list(accumulate(p.flow for p in inst.points))
 
 
-def legal_moves(inst: HucInstance, flows: Sequence[Fraction], level: int, hold: int) -> list[tuple[int, int]]:
-    """Successor (level, hold) states for one period step, given the
-    instance's ``cumulative_flows``."""
-    span = inst.min_updown - 1
-    out = [(level, hold - 1 if hold > 0 else hold + 1 if hold < 0 else 0)]
-    if hold >= 0:
-        for lvl in range(level + 1, inst.levels):
-            if flows[lvl] - flows[level] <= inst.ramp_up:
-                out.append((lvl, span))
-    if hold <= 0:
-        for lvl in range(level - 1, -1, -1):
-            if flows[level] - flows[lvl] <= inst.ramp_down:
-                out.append((lvl, -span))
-    return out
-
-
 class VertexMap:
     """A compiled graph's vertices by id: :meth:`state_of` gives the
     (period, level, hold) state of a vertex, from the period and state
@@ -187,22 +171,41 @@ class VertexMap:
 
 
 class _Moves(dict):
-    """:func:`legal_moves` by state code, filled on first lookup: moves
-    do not depend on the period, and schedules reach few of the holds.
-    State ``(level, hold)`` has code ``level * (2L - 1) + hold + L - 1``
-    for ``L = min_updown``, so codes sort as the states do. An entry is
-    a list of ``(code, level)`` pairs, one per successor."""
+    """The instance's ramp and hold rules on integers, its one integer
+    model of flows and windows, built once per compile with no Fraction
+    arithmetic: ``flow`` is :func:`cumulative_flows` on the lcm ``df`` of
+    the flow denominators, ``up`` and ``down`` the ramp caps ``floor(ramp
+    * df)``, and ``lo`` and ``hi`` each period's window ``ceil(lo * df)``
+    and ``floor(hi * df)``, all exact for integer flows. As a dict it maps
+    a state code to its successors, filled on first lookup: moves do not
+    depend on the period, and schedules reach few of the holds. State
+    ``(level, hold)`` has code ``level * (2L - 1) + hold + L - 1`` for
+    ``L = min_updown``, so codes sort as the states do. An entry lists
+    ``(code, level)`` pairs: the level held, then the levels up in
+    ascending order, then the levels down in descending order."""
 
     def __init__(self, inst: HucInstance):
-        self.inst, self.flows = inst, cumulative_flows(inst)
-        self.span = inst.min_updown - 1
+        self.inst, self.span = inst, inst.min_updown - 1
+        self.df = df = lcm(*(p.flow.denominator for p in inst.points))
+        self.flow = list(accumulate(p.flow.numerator * (df // p.flow.denominator) for p in inst.points))
+        self.up, self.down = (q.numerator * df // q.denominator for q in (inst.ramp_up, inst.ramp_down))
+        self.lo = [-(-q.numerator * df // q.denominator) for q in inst.win_lo]
+        self.hi = [q.numerator * df // q.denominator for q in inst.win_hi]
 
     def code(self, level: int, hold: int) -> int:
         return level * (2 * self.span + 1) + hold + self.span
 
     def __missing__(self, s: int) -> list[tuple[int, int]]:
-        moves = legal_moves(self.inst, self.flows, *_state(s, self.span))
-        out = self[s] = [(self.code(lvl, hold), lvl) for lvl, hold in moves]
+        flow, span = self.flow, self.span
+        level, hold = _state(s, span)
+        # the entry itself, extended in place by the moves up and down
+        out = self[s] = [(self.code(level, hold - 1 if hold > 0 else hold + 1 if hold < 0 else 0), level)]
+        if hold >= 0:
+            cap = flow[level] + self.up
+            out += [(self.code(lvl, span), lvl) for lvl in range(level + 1, len(flow)) if flow[lvl] <= cap]
+        if hold <= 0:
+            low = flow[level] - self.down
+            out += [(self.code(lvl, -span), lvl) for lvl in range(level - 1, -1, -1) if flow[lvl] >= low]
         return out
 
 
@@ -212,28 +215,19 @@ def _state(code: int, span: int) -> tuple[int, int]:
     return level, h - span
 
 
-def _flow_ints(inst: HucInstance) -> tuple[list[int], int]:
-    """:func:`cumulative_flows` on the lcm ``scale`` of their
-    denominators, and ``scale``."""
-    cum_f = cumulative_flows(inst)
-    scale = lcm(*(f.denominator for f in cum_f))
-    return [f.numerator * (scale // f.denominator) for f in cum_f], scale
-
-
-def _value_ints(inst: HucInstance) -> tuple[list[tuple[int, ...]], int]:
+def _value_ints(moves: _Moves) -> tuple[list[tuple[int, ...]], int]:
     """:func:`cumulative_values` on a common multiple ``dv`` of their
     denominators, and ``dv``, with no Fraction arithmetic: the value of
     level ``i`` in period ``t`` is price ``t`` times the cumulative power
     of points 1..i plus the water-value shift times their cumulative
-    flow (see :func:`value_table`), each factor an integer on its own
-    lcm."""
+    flow (see :func:`value_table`), the flow read from ``moves`` and the
+    other factors each an integer on its own lcm."""
+    inst, flow, df = moves.inst, moves.flow, moves.df
     shift = inst.water_value_downstream - inst.water_value_upstream
     dp = lcm(*(q.denominator for q in inst.prices))
     dw = lcm(*(p.power.denominator for p in inst.points))
-    df = lcm(*(p.flow.denominator for p in inst.points))
     dv = lcm(dp * dw, shift.denominator * df)
     power = accumulate(p.power.numerator * (dw // p.power.denominator) for p in inst.points)
-    flow = accumulate(p.flow.numerator * (df // p.flow.denominator) for p in inst.points)
     a, b = dv // (dp * dw), dv // (shift.denominator * df) * shift.numerator
     prices = [q.numerator * (dp // q.denominator) for q in inst.prices]
     levels = [[q * a * w + b * f for q in prices] for w, f in zip(power, flow)]
@@ -241,10 +235,9 @@ def _value_ints(inst: HucInstance) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _emit(
-    inst: HucInstance,
+    table: _Moves,
     layers: Sequence[Iterable[int]],
     moves: Sequence[dict[int, list[tuple[int, int]]]],
-    flows: tuple[list[int], int],
     deadline: Optional[float] = None,
 ) -> tuple[IntArcs, list[range], list[int], list[int]]:
     """Number the states of ``layers`` (period 0 to T, each a collection
@@ -254,13 +247,14 @@ def _emit(
     lies in the next period's layer), plus an arc from every period-T
     state to the sink. Returns the arcs' :class:`IntArcs`, grouped by
     source in id order, with values from :func:`_value_ints` and
-    resources from ``flows``, the compile's own :func:`_flow_ints`; each
-    vertex's range of out-arc ids; and each vertex's period and state
-    code. All per-vertex work runs inside the per-period deadline
-    checks."""
+    resources from ``table``'s cumulative flows, the compile's own
+    :class:`_Moves`; each vertex's range of out-arc ids; and each
+    vertex's period and state code. All per-vertex work runs inside the
+    per-period deadline checks."""
+    inst = table.inst
     T = inst.periods
-    values, dv = _value_ints(inst)
-    flow, df = flows
+    values, dv = _value_ints(table)
+    flow, df = table.flow, table.df
     src: list[int] = []
     dst: list[int] = []
     val: list[int] = []
@@ -290,7 +284,7 @@ def _emit(
     sink = base + len(layer)
     m = len(dst)
     period += [T] * len(layer) + [T + 1]
-    code += [*layer, inst.min_updown - 1]  # the sink, (0, 0)
+    code += [*layer, table.code(0, 0)]  # the sink
     out += [range(k, k + 1) for k in range(m, m + len(layer))]
     out.append(range(0))  # the sink's
     src += range(base, sink)
@@ -308,6 +302,14 @@ def _lowest(ints: list[int], scale: int) -> tuple[list[int], int]:
     and the gcd of those is ``scale`` over that lcm."""
     g = gcd(scale, *ints)
     return (ints if g == 1 else [x // g for x in ints]), scale // g
+
+
+def _rescaled(lo: list[int], hi: list[int], table: _Moves, ints: IntArcs) -> tuple[list[int], list[int]]:
+    """Integer windows on ``table``'s flow scale ``df``, on the arcs' scale
+    ``dr`` instead: exact, as ``ceil(ceil(x * df) / k) = ceil(x * dr)``
+    (and likewise floor) for ``k = df / dr``, an integer."""
+    k = table.df // ints.dr
+    return (lo, hi) if k == 1 else ([-(-a // k) for a in lo], [b // k for b in hi])
 
 
 def _graph(
@@ -357,15 +359,16 @@ def build_graph(inst: HucInstance) -> tuple[WindowedDag, VertexMap]:
 
 
 def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> tuple[WindowedDag, VertexMap]:
-    # reached_graph, plus the unreached grid states when ``grid``; every
-    # arc goes from a smaller id to a larger one, so ids are the topo order
+    """:func:`reached_graph`, plus the unreached grid states when ``grid``,
+    on one :class:`_Moves` table; every arc goes from a smaller id to a
+    larger one, so ids are the topo order."""
     T = inst.periods
     moves = _Moves(inst)
     layers = [{moves.code(inst.initial_point, inst.initial_hold)}]
     for _ in range(T):
         check_deadline(deadline, "HUC compile")
         layers.append({m for s in layers[-1] for m, _ in moves[s]})
-    ints, out, period, code = _emit(inst, layers, [moves] * T, _flow_ints(inst), deadline)
+    ints, out, period, code = _emit(moves, layers, [moves] * T, deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     if grid:
@@ -377,8 +380,8 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     # each period's window on the arcs' resource scale; the source's is
     # [0, inf), with a bound past the total of the (nonnegative) resources
     # for inf, and the sink's the last period's
-    periods = list(zip(map(_ratio, inst.win_lo), map(_ratio, inst.win_hi)))
-    plo, phi = _scaled_windows([((0, 1), None), *periods, periods[-1]], ints.dr, sum(ints.res) + 1)
+    wlo, whi = _rescaled(moves.lo, moves.hi, moves, ints)
+    plo, phi = [0, *wlo, wlo[-1]], [sum(ints.res) + 1, *whi, whi[-1]]
     ilo = list(map(plo.__getitem__, period))
     check_deadline(deadline, "HUC compile")
     ihi = list(map(phi.__getitem__, period))
@@ -396,8 +399,8 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     """Compile only the window-feasible part of the grid, or return None
     when no schedule can meet the windows.
 
-    Cumulative flows are scaled to integers by the lcm ``scale`` of their
-    denominators, and each period's window to the integers it admits. A
+    The compile's :class:`_Moves` table gives the moves, the cumulative
+    flows on their scale ``df`` and each period's window on ``df``. A
     forward pass gives each state the hull of the scaled cumulative flow
     that window-feasible prefixes reach; a backward pass from the last
     period keeps, within it, the hull from which the last period is still
@@ -405,17 +408,14 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     (see :class:`_Moves`). The graph keeps the states with a non-empty
     hull, numbered as in :func:`reached_graph`, and the moves ``(s, m)``
     along which ``hull(s) + flow`` meets ``hull(m)``; each vertex's
-    window is its hull, on the arcs' integer scale for the solver and as
-    a Fraction :class:`Window` made when read. Every window-feasible
-    schedule stays inside the hulls, and the hulls lie inside the
-    windows, so the graph has the same feasible schedules, values and
-    optimum as the full grid."""
+    window is its hull, rescaled to the arcs' integer scale for the solver
+    and as a Fraction :class:`Window` made when read. Every
+    window-feasible schedule stays inside the hulls, and the hulls lie
+    inside the windows, so the graph has the same feasible schedules,
+    values and optimum as the full grid."""
     T = inst.periods
-    flow, scale = _flow_ints(inst)
     moves = _Moves(inst)
-    # each period's window on the flows' scale; no side is unbounded
-    wlo, whi = _scaled_windows(list(zip(map(_ratio, inst.win_lo), map(_ratio, inst.win_hi))), scale, 0)
-
+    flow, scale, wlo, whi = moves.flow, moves.df, moves.lo, moves.hi
     # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
     start = moves.code(inst.initial_point, inst.initial_hold)
     lo: list[dict[int, int]] = [{start: 0}]
@@ -477,16 +477,14 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
         lo[t] = klo
         hi[t] = khi
 
-    ints, out, period, code = _emit(inst, lo, kept, (flow, scale), deadline)
+    ints, out, period, code = _emit(moves, lo, kept, deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     hlo = [lo[t][s] for t, s in zip(period, code[:sink])]
     hhi = [hi[t][s] for t, s in zip(period, code[:sink])]
     hlo.append(min(lo[T].values()))  # the sink's hull
     hhi.append(max(hi[T].values()))
-    # the arcs' resource scale dr divides ``scale``
-    k = scale // ints.dr
-    windows = (hlo, hhi) if k == 1 else ([-(-a // k) for a in hlo], [b // k for b in hhi])
+    windows = _rescaled(hlo, hhi, moves, ints)
     check_deadline(deadline, "HUC compile")
     sink_window = Window(Fraction(hlo[sink], scale), Fraction(hhi[sink], scale))
 

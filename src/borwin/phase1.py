@@ -107,8 +107,8 @@ class Pair:
     beta: Fraction
     alpha: Optional[Fraction]
     iterations: int
-    tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
-    sp_tails: Optional[TailMap] = field(default=None, compare=False, repr=False)
+    tails: TailMap = field(compare=False, repr=False)
+    sp_tails: TailMap = field(compare=False, repr=False)
 
     x_a = cached_property(lambda self: self.a_tails.path(self.a_tails.dag.source))
     x_b = cached_property(lambda self: self.b_tails.path(self.b_tails.dag.source))

@@ -34,7 +34,6 @@ from borwin.huc import (
     cumulative_flows,
     cumulative_values,
     export_milp,
-    legal_moves,
     reached_graph,
     schedule_is_legal,
     solve_huc,
@@ -82,6 +81,26 @@ def test_a_solve_computes_no_cumulative_values(monkeypatch):
     assert best_schedule_bruteforce(inst)[0] == sol.revenue
     assert sol.graph_solution.path.arcs[0].value in cumulative_values(inst)[0]
     assert len(calls) == 3
+
+
+def test_each_compile_builds_one_integer_rule_table(monkeypatch):
+    """A compile builds its instance's flows, ramp caps and windows once,
+    as one :class:`huc._Moves`, and no Fraction flow table: one table
+    per :func:`solve_huc` and one per :func:`reached_graph`."""
+    inst = random_huc(random.Random(2), 24, 3, 2)
+    tables, flows = [], []
+
+    class Counted(huc._Moves):
+        def __init__(self, inst):
+            tables.append(inst)
+            super().__init__(inst)
+
+    monkeypatch.setattr(huc, "_Moves", Counted)
+    monkeypatch.setattr(huc, "cumulative_flows", lambda i: flows.append(i) or cumulative_flows(i))
+    assert solve_huc(inst).status == "optimal"
+    assert (len(tables), len(flows)) == (1, 0)
+    reached_graph(inst)
+    assert (len(tables), len(flows)) == (2, 0)
 
 
 def test_cumulative_flows(huc5):
@@ -420,21 +439,30 @@ def test_a_fresh_first_move_is_legal_under_any_hold(huc5):
 
 @st.composite
 def windowed_hucs(draw):
-    """Small instances with fractional flows, a random inherited state and
-    point, narrow, loose or shifted windows around a walked schedule."""
+    """Small instances with fractional flows, fractional ramps off the
+    flow scale, a random inherited state and point, narrow, loose or
+    shifted windows around a schedule walked on the Fraction rules."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     inst = random_huc(rng, draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(1, 3)))
     points = (inst.points[0],) + tuple(
         OperatingPoint(p.flow / draw(st.sampled_from([1, 1, 2, 3])), p.power) for p in inst.points[1:]
     )
+    ramp_up, ramp_down = (
+        ramp / draw(st.sampled_from([1, 2, 3])) + draw(st.sampled_from([F(0), F(1, 5)]))
+        for ramp in (inst.ramp_up, inst.ramp_down)
+    )
     level = draw(st.integers(0, inst.levels - 1))
     hold = draw(st.integers(-(inst.min_updown - 1), inst.min_updown - 1))
-    inst = replace(inst, points=points, initial_point=level, initial_hold=hold)
+    inst = replace(
+        inst, points=points, ramp_up=ramp_up, ramp_down=ramp_down, initial_point=level, initial_hold=hold
+    )
     flows = cumulative_flows(inst)
+    last_up, last_down = huc._hold_clock(inst)
     cum = F(0)
     lo, hi = [], []
-    for _ in range(inst.periods):
-        level, hold = rng.choice(legal_moves(inst, flows, level, hold))
+    for t in range(1, inst.periods + 1):
+        steps = [(lvl, *huc._step(inst, flows, t, level, lvl, last_up, last_down)) for lvl in range(inst.levels)]
+        level, _, last_up, last_down = rng.choice([step for step in steps if step[1] is None])
         cum += flows[level]
         kind = draw(st.sampled_from(["point", "narrow", "loose", "shifted"]))
         below, above = (F(rng.randrange(3), 2), F(rng.randrange(3), 2)) if kind == "narrow" else (F(0), F(0))
@@ -444,6 +472,25 @@ def windowed_hucs(draw):
         lo.append(cum - below + shift)
         hi.append(cum + above + shift)
     return replace(inst, win_lo=tuple(lo), win_hi=tuple(hi))
+
+
+# The flow step 5/2 equals ramp_up, so the move up is legal, and exceeds
+# ramp_down = 23/10, whose cap on the flow scale 2 is floor(4.6) = 4, so
+# the move down is not: the best schedule, [0, 0, 1] or [1, 1, 1] for 5,
+# goes up and never down. A cap of ceil or round(4.6) = 5 would allow
+# [1, 0, 1] for 15, and a strict ramp comparison no move up at all.
+EXACT_RAMP = HucInstance(
+    periods=3,
+    points=(OperatingPoint(F(0), F(0)), OperatingPoint(F(5, 2), F(1))),
+    ramp_up=F(5, 2),
+    ramp_down=F(23, 10),
+    min_updown=1,
+    prices=(F(10), F(-10), F(5)),
+    water_value_upstream=F(0),
+    water_value_downstream=F(0),
+    win_lo=(F(0), F(0), F(0)),
+    win_hi=(F(100), F(100), F(100)),
+)
 
 
 # Flows scale by 6, but the arcs use levels 0 and 1 only and scale by 2;
@@ -465,6 +512,7 @@ ROUNDED_HULL = HucInstance(
 
 @given(windowed_hucs())
 @example(ROUNDED_HULL)
+@example(EXACT_RAMP)
 @settings(max_examples=150, deadline=None)
 def test_solve_graph_matches_the_schedule_oracle(inst):
     """The hull compile's solve and rcsp on the reached graph, two

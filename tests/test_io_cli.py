@@ -332,6 +332,20 @@ PINNED_GENERATED = [
         dict(family="huc", periods=24, points=4, min_updown=3, seed=2, price_mode="near-flat"),
         "6264c10ff9848a24ae23dce2415e64c70748c75d88ab3bfc7e77fc0e60a7b5c4",
     ),
+    # a long walk, no hold (min_updown=1, so moves set no hold) and the
+    # widest ladder, hashed before the walk moved to integer moves
+    (
+        dict(family="huc", periods=1200, points=4, min_updown=3, seed=1),
+        "678ca9367724199267897f0400b472ffb9006ff19f5c17bcec6e6c587a595d98",
+    ),
+    (
+        dict(family="huc", periods=24, points=3, min_updown=1, seed=3),
+        "9d65d577e6ee5bbcbce5e3d677c3b03ddaebc58c0458e8e0575f51e1b816f99c",
+    ),
+    (
+        dict(family="huc", periods=24, points=10, min_updown=2, seed=5),
+        "605efef75b3df0a8588b8174f0acd700b456837da550fc6505a20cb037646471",
+    ),
 ]
 
 

@@ -75,6 +75,8 @@ def test_integer_rounding_integral_bound(wclpp):
         beta=F(3),
         alpha=None,
         iterations=1,
+        tails=out_ref(wclpp).tails,
+        sp_tails=out_ref(wclpp).sp_tails,
     )
     assert integer_round_ub(out, True) == 17
     assert integer_round_ub(out, False) == 17

@@ -86,6 +86,16 @@ def test_the_phases_run_only_in_solve_tight_and_the_presolve_only_in_solve_awclp
     assert found == []
 
 
+def test_the_generator_walks_the_integer_moves():
+    # random_huc walks huc._Moves, the compiles' one integer model of the
+    # ramp and hold rules; the Fraction rules are the legality oracle's
+    tree = ast.parse((SOURCE / "generate.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_Moves" in names
+    assert names.isdisjoint({"cumulative_flows", "_step", "_broken_rule", "legal_moves"})
+
+
 # names a module imports only so that perfbench's tracer finds them there;
 # test_layer_self_times_sum_to_the_traced_solve_span asserts none is absent
 HOOK_REEXPORTS = {("solver.py", "orient_dag"), ("huc.py", "prune_unreachable")}
