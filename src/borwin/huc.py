@@ -23,10 +23,11 @@ values and flows, the graph's Fraction arcs are a view of them, and a
 :func:`reached_graph` is the instance's s-p graph, which the reference
 algorithms read; :func:`build_graph`, the model view gate c07 pins,
 appends the unreached grid states to it. :func:`solve_huc` compiles only
-the window-feasible states: exact integer hulls of the cumulative flow,
-propagated forward from the initial state and backward from the last
-period, drop every state and move no window-feasible schedule uses and
-prove some instances infeasible before any arc is emitted.
+the window-feasible states: one exact integer hull record of the
+cumulative flow per state, propagated forward from the initial state and
+narrowed backward from the last period, drops every state and move no
+window-feasible schedule uses and proves some instances infeasible before
+any arc is emitted.
 :func:`~borwin.solver.solve_tight` solves that graph with the same
 default value bound as any windowed DAG and without the presolve, which
 would still cut a few arcs but costs more than it saves there; a solve
@@ -400,69 +401,59 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     when no schedule can meet the windows.
 
     The compile's :class:`_Moves` table gives the moves, the cumulative
-    flows on their scale ``df`` and each period's window on ``df``. A
-    forward pass gives each state the hull of the scaled cumulative flow
-    that window-feasible prefixes reach; a backward pass from the last
-    period keeps, within it, the hull from which the last period is still
-    reached inside the windows. Both passes key states by their codes
-    (see :class:`_Moves`). The graph keeps the states with a non-empty
-    hull, numbered as in :func:`reached_graph`, and the moves ``(s, m)``
-    along which ``hull(s) + flow`` meets ``hull(m)``; each vertex's
-    window is its hull, rescaled to the arcs' integer scale for the solver
-    and as a Fraction :class:`Window` made when read. Every
-    window-feasible schedule stays inside the hulls, and the hulls lie
-    inside the windows, so the graph has the same feasible schedules,
-    values and optimum as the full grid."""
+    flows on their scale ``df`` and each period's window on ``df``. Each
+    period keeps one dict from a state's code to its hull record ``[lo,
+    hi]`` of the scaled cumulative flow: a forward pass records what
+    window-feasible prefixes reach, joining each further move into the
+    state in place, and a backward pass from the last period replaces
+    each record with the part of it from which the last period is still
+    reached inside the windows. The graph keeps the states with a record,
+    numbered as in :func:`reached_graph`, and the moves ``(s, m)`` along
+    which ``hull(s) + flow`` meets ``hull(m)``; each vertex's window is
+    its record, rescaled to the arcs' integer scale for the solver and as
+    a Fraction :class:`Window` made when read. Every window-feasible
+    schedule stays inside the hulls, and the hulls lie inside the
+    windows, so the graph has the same feasible schedules, values and
+    optimum as the full grid."""
     T = inst.periods
     moves = _Moves(inst)
-    flow, scale, wlo, whi = moves.flow, moves.df, moves.lo, moves.hi
-    # forward: [lo[t][s], hi[t][s]] is what window-feasible prefixes reach
-    start = moves.code(inst.initial_point, inst.initial_hold)
-    lo: list[dict[int, int]] = [{start: 0}]
-    hi: list[dict[int, int]] = [{start: 0}]
-    for t in range(T):
+    flow, scale = moves.flow, moves.df
+    # forward: hull[t][s] is what window-feasible prefixes reach
+    hull: list[dict[int, list[int]]] = [{moves.code(inst.initial_point, inst.initial_hold): [0, 0]}]
+    for w_lo, w_hi in zip(moves.lo, moves.hi):
         check_deadline(deadline, "HUC compile")
-        w_lo, w_hi = wlo[t], whi[t]
-        nlo: dict[int, int] = {}
-        nhi: dict[int, int] = {}
-        his = hi[t]
-        for s, a in lo[t].items():
-            b = his[s]
+        reached: dict[int, list[int]] = {}
+        for s, (a, b) in hull[-1].items():
             for m, i in moves[s]:
                 f = flow[i]
                 x, y = a + f, b + f
                 x, y = x if x > w_lo else w_lo, y if y < w_hi else w_hi
                 if x <= y:
-                    c = nlo.get(m)
-                    if c is None or x < c:
-                        nlo[m] = x
-                    if c is None or y > nhi[m]:
-                        nhi[m] = y
-        if not nlo:
+                    r = reached.get(m)
+                    if r is None:
+                        reached[m] = [x, y]
+                    else:
+                        if x < r[0]:
+                            r[0] = x
+                        if y > r[1]:
+                            r[1] = y
+        if not reached:
             return None
-        lo.append(nlo)
-        hi.append(nhi)
-    # backward: within each forward hull, what still reaches period T
-    # inside the windows (period T's hulls already lie in the sink window).
-    # A move (s, m) keeps a piece of hull(s) exactly when hull(s) + flow
-    # meets hull(m), so the moves that do are the arcs.
+        hull.append(reached)
+    # backward: within each record, what still reaches period T inside the
+    # windows (period T's records lie in the sink window); a move (s, m)
+    # keeps a piece of hull(s) exactly when hull(s) + flow meets hull(m)
     kept: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(T)]
     for t in range(T - 1, -1, -1):
         check_deadline(deadline, "HUC compile")
-        nlo, nhi = lo[t + 1], hi[t + 1]
-        klo: dict[int, int] = {}
-        khi: dict[int, int] = {}
-        his = hi[t]
-        arcs_out = kept[t]
-        for s, a in lo[t].items():
-            b = his[s]
+        after, arcs_out, keep = hull[t + 1], kept[t], {}
+        for s, (a, b) in hull[t].items():
             out = []
             for move in moves[s]:
-                m, i = move
-                c = nlo.get(m)
-                if c is not None:
-                    f = flow[i]
-                    x, y = c - f, nhi[m] - f
+                r = after.get(move[0])
+                if r is not None:
+                    f = flow[move[1]]
+                    x, y = r[0] - f, r[1] - f
                     x, y = x if x > a else a, y if y < b else b
                     if x <= y:
                         if not out or x < x0:
@@ -471,27 +462,25 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
                             y0 = y
                         out.append(move)
             if out:
-                klo[s], khi[s], arcs_out[s] = x0, y0, out
-        if not klo:
+                keep[s], arcs_out[s] = (x0, y0), out
+        if not keep:
             return None
-        lo[t] = klo
-        hi[t] = khi
+        hull[t] = keep
 
-    ints, out, period, code = _emit(moves, lo, kept, deadline)
+    ints, out, period, code = _emit(moves, hull, kept, deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
-    hlo = [lo[t][s] for t, s in zip(period, code[:sink])]
-    hhi = [hi[t][s] for t, s in zip(period, code[:sink])]
-    hlo.append(min(lo[T].values()))  # the sink's hull
-    hhi.append(max(hi[T].values()))
-    windows = _rescaled(hlo, hhi, moves, ints)
+    last = hull[T].values()
+    records = [hull[t][s] for t, s in zip(period, code[:sink])]
+    records.append((min(r[0] for r in last), max(r[1] for r in last)))  # the sink's hull
+    windows = _rescaled([r[0] for r in records], [r[1] for r in records], moves, ints)
     check_deadline(deadline, "HUC compile")
-    sink_window = Window(Fraction(hlo[sink], scale), Fraction(hhi[sink], scale))
 
     def window(v: int) -> Window:
-        return sink_window if v == sink else Window(Fraction(hlo[v], scale), Fraction(hhi[v], scale))
+        return Window(*(Fraction(x, scale) for x in records[v]))
 
-    return _graph(inst, ints, windows, out, sink, period, code, window)
+    sink_window = window(sink)
+    return _graph(inst, ints, windows, out, sink, period, code, lambda v: sink_window if v == sink else window(v))
 
 
 def _hold_clock(inst: HucInstance) -> tuple[int, int]:

@@ -5,13 +5,14 @@ import re
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borwin import graph, huc, solver
+from borwin import bench, graph, huc, solver
 from borwin.baselines import brute_force, rcsp_label_setting
 from borwin.generate import random_huc
 from borwin.graph import (
@@ -439,16 +440,21 @@ def test_a_fresh_first_move_is_legal_under_any_hold(huc5):
 
 @st.composite
 def windowed_hucs(draw):
-    """Small instances with fractional flows, fractional ramps off the
-    flow scale, a random inherited state and point, narrow, loose or
-    shifted windows around a schedule walked on the Fraction rules."""
+    """Small instances with fractional flows; ramps that in 3 of 4 draws
+    equal a flow step ``cum[j] - cum[i]`` or lie 1/7 below it, so that
+    the caps' rounding decides a move, and otherwise lie off the flow
+    scale; a random inherited state and point; narrow, loose or shifted
+    windows around a schedule walked on the Fraction rules."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     inst = random_huc(rng, draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(1, 3)))
     points = (inst.points[0],) + tuple(
         OperatingPoint(p.flow / draw(st.sampled_from([1, 1, 2, 3])), p.power) for p in inst.points[1:]
     )
+    gaps = [b - a for a, b in combinations(accumulate(p.flow for p in points), 2)]
     ramp_up, ramp_down = (
-        ramp / draw(st.sampled_from([1, 2, 3])) + draw(st.sampled_from([F(0), F(1, 5)]))
+        draw(st.sampled_from(gaps)) - draw(st.sampled_from([F(0), F(1, 7)]))
+        if draw(st.integers(0, 3))
+        else ramp / draw(st.sampled_from([1, 2, 3])) + draw(st.sampled_from([F(0), F(1, 5)]))
         for ramp in (inst.ramp_up, inst.ramp_down)
     )
     level = draw(st.integers(0, inst.levels - 1))
@@ -694,6 +700,33 @@ def test_window_hulls_prove_infeasibility_before_any_sweep(monkeypatch):
     sol = solve_huc(inst)
     assert sol.status == "infeasible" and sol.graph_solution is None
     assert sweeps == []
+
+
+def test_a_parity_gap_the_hulls_miss_is_infeasible_after_the_search():
+    """Cumulative flows are even, so period 4 never meets its window
+    [3, 3]. Hulls are intervals and cannot see parity: the compile keeps
+    a graph, phase 1 returns a pair, and phase 2 empties its store."""
+    inst = HucInstance(
+        periods=4,
+        points=(OperatingPoint(F(0), F(0)), OperatingPoint(F(2), F(3))),
+        ramp_up=F(2),
+        ramp_down=F(2),
+        min_updown=1,
+        prices=(F(1), F(2), F(3), F(4)),
+        water_value_upstream=F(0),
+        water_value_downstream=F(0),
+        win_lo=(F(0), F(0), F(0), F(3)),
+        win_hi=(F(2), F(4), F(6), F(3)),
+    )
+    assert huc._solve_graph(inst) is not None
+    assert best_schedule_bruteforce(inst) is None
+    sol = solve_huc(inst)
+    assert (sol.status, sol.schedule, sol.revenue) == ("infeasible", None, None)
+    assert isinstance(sol.graph_solution.phase1, Pair) and sol.graph_solution.path is None
+    stats = sol.stats
+    assert (stats.phase1_iterations, stats.phase2_iterations, stats.labels_created) == (2, 2, 2)
+    for algo in ("borwin", "rcsp", "oracle"):
+        assert bench.run("huc", inst, algo).status == "infeasible", algo
 
 
 def test_solve_compile_honours_the_deadline(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import time
@@ -866,6 +867,22 @@ def test_an_unreachable_sink_is_infeasible_before_any_search():
 def test_run_phase2_rejects_a_negative_delta(wclpp):
     with pytest.raises(ValueError, match="^delta must be a nonnegative rational$"):
         run_phase2(wclpp, F(-1))
+
+
+def test_run_phase2_gives_up_before_its_first_pop():
+    """Both early exits raise with no work counted: a source that cannot
+    reach the sink, and a source window that the empty prefix breaks."""
+    cases = [
+        ("sink unreachable from source", _unreachable_sink()),
+        (
+            "source window excludes the empty prefix",
+            WindowedDag([Window(F(1), F(2)), Window(None, None)], [Arc(0, 1, F(1), F(1))], 0, 1),
+        ),
+    ]
+    for message, dag in cases:
+        with pytest.raises(NoFeasiblePath, match=f"^{message}$") as raised:
+            run_phase2(dag, F(0))
+        assert not any(dataclasses.astuple(raised.value.stats))
 
 
 def test_presolve_honours_the_deadline(wclpp):
