@@ -14,6 +14,13 @@ every error. A DAG is built from those integers with
 integer arcs and windows are computed at load, and a Fraction ``Arc`` or
 ``Window`` is made only when one is read. A commitment instance keeps
 Fraction fields, made from the pairs.
+
+A valid DAG is read column by column, each distinct ratio string parsed
+once; on any fault the field-by-field loop runs instead, and it alone
+decides what is accepted and words each error with its field path.
+Instances are written by :func:`dump_json`, whose bytes are those of
+``json.dumps(data, indent=2, sort_keys=True)`` and which renders lists
+of like objects a column at a time.
 """
 
 from __future__ import annotations
@@ -102,7 +109,9 @@ def detect_format(data: dict) -> str:
     raise InstanceFormatError("$", "neither a dag instance (vertices/arcs) nor a huc instance (T/points)")
 
 
-def dag_from_dict(data: dict) -> WindowedDag:
+def _dag_checked(data: dict) -> WindowedDag:
+    """The DAG in ``data``, checked field by field: this loop defines which
+    inputs are accepted and words each fault with its field path."""
     verts = _need(data, "vertices", "")
     if not isinstance(verts, list) or not verts:
         raise InstanceFormatError("vertices", "must be a non-empty list")
@@ -142,6 +151,65 @@ def dag_from_dict(data: dict) -> WindowedDag:
     return WindowedDag.of_ratios(src, dst, values, resources, bounds, index[source], index[sink], tuple(ids))
 
 
+def _parse_once(values: list, optional: bool = False) -> Optional[list[Ratio]]:
+    """:func:`_rat_at` of each value, each distinct string parsed once;
+    None when a value is not a JSON integer, a string that ``_rat_at``
+    accepts or, if ``optional``, null. Only strings are cached: ``True ==
+    1`` and ``1.0 == 1``, so a cache keyed on any value would take a JSON
+    true or 1.0 for the integer 1."""
+    parsed: dict[str, Ratio] = {}
+    out: list[Optional[Ratio]] = []
+    for x in values:
+        if type(x) is str:
+            r = parsed.get(x)
+            if r is None:
+                try:
+                    r = parsed[x] = _rat_at(x, "")
+                except InstanceFormatError:
+                    return None
+        elif type(x) is int:
+            r = (x, 1)
+        elif x is None and optional:
+            r = None
+        else:
+            return None
+        out.append(r)
+    return out
+
+
+def _dag_columns(data: dict) -> Optional[WindowedDag]:
+    """The DAG in ``data`` read column by column, or None on any fault."""
+    verts, arcs = data.get("vertices"), data.get("arcs")
+    if type(verts) is not list or not verts or type(arcs) is not list:
+        return None
+    if set(map(type, verts)) | set(map(type, arcs)) != {dict}:
+        return None
+    try:
+        ids = [v["id"] for v in verts]
+        index = {vid: k for k, vid in enumerate(ids)}
+        src = [index[a["from"]] for a in arcs]
+        dst = [index[a["to"]] for a in arcs]
+        source, sink = index[data["source"]], index[data["sink"]]
+        values = _parse_once([a["value"] for a in arcs])
+        resources = _parse_once([a["resource"] for a in arcs])
+    except (KeyError, TypeError):  # a missing field, an unknown or unhashable id
+        return None
+    los = _parse_once([v.get("lo") for v in verts], optional=True)
+    his = _parse_once([v.get("hi") for v in verts], optional=True)
+    if {str} != set(map(type, ids)) or len(index) < len(ids) or None in (values, resources, los, his):
+        return None
+    return WindowedDag.of_ratios(src, dst, values, resources, list(zip(los, his)), source, sink, tuple(ids))
+
+
+def dag_from_dict(data: dict) -> WindowedDag:
+    """The DAG in ``data``. A valid instance is read column by column, each
+    distinct ratio string parsed once; on any fault :func:`_dag_checked`
+    runs, so which inputs are accepted and how each fault is worded (with
+    its field path) is defined in one place."""
+    dag = _dag_columns(data)
+    return _dag_checked(data) if dag is None else dag
+
+
 def _scaled_str(x: int, scale: int) -> str:
     """``x / scale`` in the ``num/den`` form of :func:`~borwin.rational.rat_str`."""
     g = gcd(x, scale)
@@ -176,6 +244,17 @@ def dag_to_dict(dag: WindowedDag) -> dict:
     }
 
 
+def _fraction_list(data: dict, key: str) -> tuple[Fraction, ...]:
+    """The list ``data[key]`` as Fractions, one per distinct value, parsed
+    by :func:`_parse_once`; on a fault the checked loop words it."""
+    values = _need(data, key, "", list)
+    ratios = _parse_once(values)
+    if ratios is None:
+        return tuple(_fraction_at(x, f"{key}[{k}]") for k, x in enumerate(values))
+    made = {r: Fraction(*r) for r in set(ratios)}
+    return tuple(map(made.__getitem__, ratios))
+
+
 def huc_from_dict(data: dict) -> HucInstance:
     points = []
     for k, p in enumerate(_need(data, "points", "", list)):
@@ -195,11 +274,11 @@ def huc_from_dict(data: dict) -> HucInstance:
         ramp_up=_fraction_at(_need(data, "ramp_up", ""), "ramp_up"),
         ramp_down=_fraction_at(_need(data, "ramp_down", ""), "ramp_down"),
         min_updown=_need(data, "min_updown", "", int),
-        prices=tuple(_fraction_at(x, f"prices[{k}]") for k, x in enumerate(_need(data, "prices", "", list))),
+        prices=_fraction_list(data, "prices"),
         water_value_upstream=_fraction_at(_need(data, "phi1", ""), "phi1"),
         water_value_downstream=_fraction_at(_need(data, "phi2", ""), "phi2"),
-        win_lo=tuple(_fraction_at(x, f"win_lo[{k}]") for k, x in enumerate(_need(data, "win_lo", "", list))),
-        win_hi=tuple(_fraction_at(x, f"win_hi[{k}]") for k, x in enumerate(_need(data, "win_hi", "", list))),
+        win_lo=_fraction_list(data, "win_lo"),
+        win_hi=_fraction_list(data, "win_hi"),
         initial_point=_typed(initial.get("i", 0), int, "initial.i"),
         initial_hold=_typed(initial.get("l", 0), int, "initial.l"),
     )
@@ -270,6 +349,77 @@ def load_instance(path: Union[str, FsPath]) -> LoadedInstance:
     return kind, huc_from_dict(data)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(x: Any) -> str:
+    return _SCALARS[type(x)](x)
+
+
+class _Unhandled(Exception):
+    """A value that the writer leaves to :func:`json.dumps`."""
+
+
+def _rows(items: list, indent: str) -> Optional[list[str]]:
+    """``items`` rendered at ``indent`` when they are non-empty dicts with
+    one key set and scalar values: each column is encoded at once, by one
+    encoder when it holds one type, and the rows fill one template. None
+    for any other list."""
+    first = items[0]
+    if type(first) is not dict or not first or any(type(k) is not str for k in first):
+        return None
+    if set(map(type, items)) != {dict} or not all(map(first.keys().__eq__, map(dict.keys, items))):
+        return None
+    keys = sorted(first)
+    columns = []
+    for key in keys:
+        column = [d[key] for d in items]
+        kinds = set(map(type, column))
+        if not kinds <= _SCALARS.keys():
+            return None
+        columns.append(map(_SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar, column))
+    inner = indent + "  "
+    fields = (f"{_encode_str(key).replace('%', '%%')}: %s" for key in keys)
+    template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _render(x: Any, indent: str) -> str:
+    """``x`` as ``json.dumps(x, indent=2, sort_keys=True)`` renders it at
+    ``indent``; :class:`_Unhandled` for a float, a non-str key or any other
+    type the writer leaves to ``json.dumps``."""
+    encode = _SCALARS.get(type(x))
+    if encode is not None:
+        return encode(x)
+    inner = indent + "  "
+    if type(x) is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        items = [f"{_encode_str(k)}: {_render(x[k], inner)}" for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(x) is list:
+        if not x:
+            return "[]"
+        items = _rows(x, inner)
+        if items is None:
+            items = [_render(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise _Unhandled
+
+
 def dump_json(data: dict) -> str:
-    """Deterministic rendering used everywhere an instance is written."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Deterministic rendering used everywhere an instance is written. Its
+    bytes are the contract: always those of ``json.dumps(data, indent=2,
+    sort_keys=True) + "\\n"``, which renders any input the writer leaves
+    out (and raises what it raises). Strings, ints, null, true, false,
+    dicts and lists are rendered here, a list of like dicts by column."""
+    try:
+        return _render(data, "") + "\n"
+    except (_Unhandled, RecursionError):
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -263,6 +263,123 @@ def test_integer_loader_equals_the_eager_instance(data, monkeypatch):
     assert dag_to_dict(loaded) == dag_to_dict(ref)
 
 
+def _differs_from_the_checked_loop(data):
+    """How ``dag_from_dict`` differs on ``data`` from the per-field loop,
+    which defines what is accepted and words each fault; None if it gives
+    the same instance or raises the same text."""
+    try:
+        want = io_module._dag_checked(data)
+    except InstanceFormatError as exc:
+        try:
+            dag_from_dict(data)
+        except InstanceFormatError as err:
+            return None if str(err) == str(exc) else f"raised {err}, want {exc}"
+        return f"accepted, want {exc}"
+    _assert_same_instance(dag_from_dict(data), want)
+    return None
+
+
+_ODD_RATIOS = [True, False, 1.0, None, [], {}, "1e99999999", "1/0", "x", 1, "1", " 2/4 "]
+_ODD_IDS = [None, 0, True, [], "nowhere", "S", "s "]
+
+
+@st.composite
+def mutated_dags(draw):
+    """WCLPP5 or a small generated DAG with one to three mutations: a
+    missing key, a vertex or arc that is not an object, a duplicate or
+    unknown id, or an odd value for a ratio."""
+    if draw(st.booleans()):
+        doc = json.loads(WCLPP5.read_text())
+    else:
+        doc = generate(GeneratorConfig(seed=draw(st.integers(0, 99)), family="dag", vertices=draw(st.integers(2, 12))))
+    for _ in range(draw(st.integers(1, 3))):
+        verts, arcs = doc.get("vertices"), doc.get("arcs")
+        lists = [items for items in (verts, arcs) if isinstance(items, list) and items]
+        objects = [doc] + [obj for items in lists for obj in items if isinstance(obj, dict)]
+        obj = draw(st.sampled_from(objects))
+        kind = "doc" if obj is doc else "vertex" if "id" in obj or "lo" in obj else "arc"
+        op = draw(st.sampled_from(["delete", "not an object", "ratio", "id"]))
+        if op == "delete" and obj:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif op == "not an object" and lists:
+            items = draw(st.sampled_from(lists))
+            items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(_ODD_IDS))
+        elif op == "ratio" and kind != "doc":
+            obj[draw(st.sampled_from(["lo", "hi"] if kind == "vertex" else ["value", "resource"]))] = draw(
+                st.sampled_from(_ODD_RATIOS)
+            )
+        else:
+            ids = [v["id"] for v in verts if isinstance(v, dict) and "id" in v] if isinstance(verts, list) else []
+            key = {"doc": ["source", "sink"], "vertex": ["id"], "arc": ["from", "to"]}[kind]
+            obj[draw(st.sampled_from(key))] = draw(st.sampled_from(_ODD_IDS) | st.sampled_from(ids or ["s"]))
+    return doc
+
+
+def _cache_trap(kind, odd):
+    """WCLPP5 with the integer 1 as arc 0's ratio and ``odd``, equal to 1
+    as a dict key, as arc 1's."""
+    data = json.loads(WCLPP5.read_text())
+    data["arcs"][0][kind] = 1
+    data["arcs"][1][kind] = odd
+    return data
+
+
+CACHE_TRAPS = [_cache_trap(kind, odd) for kind in ("value", "resource") for odd in (True, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_dags())
+def test_dag_loader_agrees_with_the_checked_loop_on_mutated_dags(data):
+    """Whatever the mutation, the column reader gives the checked loop's
+    instance or raises its error text."""
+    assert _differs_from_the_checked_loop(data) is None
+
+
+@pytest.mark.parametrize("data", CACHE_TRAPS + [json.loads(WCLPP5.read_text()), HAND_WRITTEN])
+def test_dag_loader_agrees_with_the_checked_loop(data):
+    assert _differs_from_the_checked_loop(data) is None
+
+
+def test_a_cache_keyed_on_values_fails_the_differential_check(monkeypatch):
+    """A parse-once cache keyed on any value takes true or 1.0 for a cached
+    integer 1; the differential check sees it."""
+
+    def value_keyed(values, optional=False):
+        parsed = {}
+        for x in values:
+            if x not in parsed:
+                try:
+                    parsed[x] = None if x is None and optional else io_module._rat_at(x, "")
+                except InstanceFormatError:
+                    return None
+        return [parsed[x] for x in values]
+
+    monkeypatch.setattr(io_module, "_parse_once", value_keyed)
+    assert all(_differs_from_the_checked_loop(data) for data in CACHE_TRAPS)
+
+
+def test_a_valid_dag_is_read_by_columns():
+    """The checked loop runs only on a fault."""
+    for data in (json.loads(WCLPP5.read_text()), HAND_WRITTEN, generate(GeneratorConfig(seed=1, family="dag"))):
+        _assert_same_instance(io_module._dag_columns(data), io_module._dag_checked(data))
+
+
+@pytest.mark.parametrize("key", ["prices", "win_lo", "win_hi"])
+@pytest.mark.parametrize(
+    "odd,message",
+    [(True, "booleans are not rationals"), (1.0, "floats are not accepted; use a decimal string"),
+     (None, "cannot interpret NoneType as a rational")],
+)
+def test_huc_lists_refuse_what_equals_a_parsed_integer(key, odd, message):
+    """A commitment list parses each string once; true, 1.0 and null next
+    to the integer 1 are still the checked loop's errors."""
+    data = json.loads(HUC5.read_text())
+    data[key][:2] = [1, odd]
+    with pytest.raises(InstanceFormatError) as err:
+        huc_from_dict(data)
+    assert str(err.value) == f"{key}[1]: {message}"
+
+
 def test_hand_written_instance_loads_on_its_reduced_scales():
     """The reduced denominators give the scales 140 (values) and 20
     (resources); each window side rounds inwards onto the resource
@@ -353,6 +470,90 @@ PINNED_GENERATED = [
 def test_generated_instances_are_pinned(config, digest):
     text = dump_json(generate(GeneratorConfig(**config)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _dumps_reference(data):
+    """What ``dump_json`` must produce: the bytes of the standard encoder,
+    or the exception it raises."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _dumps(data):
+    try:
+        return dump_json(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_ODD_TEXT = ["", "%", "%s", "a%%b", '"', "\\", '\\"%', "\x00\x1f\x7f", "\u2028é", "\U0001f600", "\ud800"]
+_JSON_KEYS = st.one_of(st.text(max_size=5), st.sampled_from(_ODD_TEXT))
+_JSON_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(_ODD_TEXT))
+# past the int digit limit, where both writers raise the same ValueError
+_HUGE_INTS = st.builds(pow, st.sampled_from([10, -10]), st.just(4401))
+_JSON_INTS = st.one_of(st.integers(), st.integers(-(10**40), 10**40), _HUGE_INTS)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT)
+# the columns a list of like dicts can hold: one scalar type, two mixed
+# ones, a float or a nested list
+_COLUMNS = [_JSON_TEXT, _JSON_INTS, st.none(), st.booleans(), st.one_of(_JSON_TEXT, st.none()),
+            st.one_of(_JSON_INTS, st.booleans()), st.floats(), st.lists(_JSON_INTS, max_size=2)]
+
+
+@st.composite
+def _like_dicts(draw):
+    """A list of dicts that share one key set, each key drawn from one
+    column strategy."""
+    columns = draw(st.dictionaries(_JSON_KEYS, st.sampled_from(_COLUMNS), min_size=1, max_size=4))
+    return [{key: draw(column) for key, column in columns.items()} for _ in range(draw(st.integers(1, 4)))]
+
+
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, _like_dicts()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+        # the fallback's inputs: floats and keys that are not strings
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), children, max_size=3),
+        st.lists(st.one_of(st.floats(), children), max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example([{"%": "%s", '"': 1, "\\": None}] * 2)
+@example([{"k": 1}, {"k": True}, {"k": None}])
+@example([{"k": 1}, {"j": 1}])
+@example({"a": [{}], "b": {}, "c": []})
+@example({1: "x", "1": "y"})
+@given(_JSON_TREES)
+def test_dump_json_renders_the_standard_encoders_bytes(data):
+    """The writer's bytes are ``json.dumps(indent=2, sort_keys=True)``'s on
+    any JSON tree, and an input it cannot render raises what that does."""
+    assert _dumps(data) == _dumps_reference(data)
+
+
+@pytest.mark.parametrize("data", [10**4400, [{"a": 1, "b": "x"}, {"a": -(10**4400), "b": "y"}]], ids=["scalar", "column"])
+def test_dump_json_raises_the_standard_encoders_error_past_the_digit_limit(data):
+    with pytest.raises(ValueError) as want:
+        json.dumps(data, indent=2, sort_keys=True)
+    with pytest.raises(ValueError) as got:
+        dump_json(data)
+    assert str(got.value) == str(want.value)
+
+
+def test_dump_json_renders_an_instance_without_the_standard_encoder(monkeypatch):
+    """Every value of a generated instance is one the writer renders
+    itself; the standard encoder is only the fallback."""
+    texts = [dump_json(generate(GeneratorConfig(seed=2, family=family))) for family in ("dag", "huc")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dump_json fell back to json.dumps")
+
+    monkeypatch.setattr(io_module.json, "dumps", refuse)
+    assert [dump_json(generate(GeneratorConfig(seed=2, family=family))) for family in ("dag", "huc")] == texts
 
 
 def test_gen_dag_validates():

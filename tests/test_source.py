@@ -86,6 +86,24 @@ def test_the_phases_run_only_in_solve_tight_and_the_presolve_only_in_solve_awclp
     assert found == []
 
 
+def test_only_dump_json_renders_indented_json():
+    # io.dump_json writes every instance; json.dumps with an indent is
+    # its fallback, so the bytes have one definition
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        owner = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), f"{module.stem}.{fn.name}") for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("dumps", "dump"):
+                    found.append(owner.get(id(node), f"{module.name}:{node.lineno}"))
+    assert found == ["io.dump_json"]
+
+
 def test_the_generator_walks_the_integer_moves():
     # random_huc walks huc._Moves, the compiles' one integer model of the
     # ramp and hold rules; the Fraction rules are the legality oracle's
