@@ -16,16 +16,17 @@ usable immediately:
 
 A candidate child is judged once, on its integers (vertex, resource,
 value and aggregate): dominance first, then the first two rules against
-the incumbent of that moment. Only a candidate that passes becomes a
-label, so every label is a heap entry. The same judgment of the first
-two rules purges the waiting labels whenever the incumbent improves. A
-pop that leaves the incumbent unchanged purges nothing: every waiting
-label already passed the incumbent's floors, which are at least as
-strong as the popped path's own.
+the incumbent of that moment. A child that passes waits on the heap as
+a tuple of integers and its parent label, and becomes a label only when
+it reaches the top (partial expansion), so only pops make labels. A new
+incumbent cuts the waiting children on or below its bound floor; the
+value bound is asked again about a child made before it when that child
+reaches the top. A pop that keeps the incumbent cuts nothing: every
+waiting child passed floors at least as strong as the popped path's own.
 
 Extensions are generalized: from a popped label, any prefix obtained by
 adopting a window-feasible slice of its tail and then deviating by one
-arc becomes a new label. Extensions run on every pop, feasible or not:
+arc becomes a new child. Extensions run on every pop, feasible or not:
 a feasible pop's tail maximizes the aggregate, not the value, so a
 better-value completion through the same anchor may still be pending.
 
@@ -190,9 +191,9 @@ def make_label(
     cut: int,
     arc: Optional[int],
 ) -> Label:
-    """A new label: the root, or a child of ``parent`` that passed the
-    pruning rules and goes on the heap. Every label is made here once, so
-    the calls equal ``SolveStats.labels_created``."""
+    """A new label: the root, or an accepted child of ``parent`` that has
+    reached the top of the heap. Every label is made here once, when it
+    pops, so the calls equal ``SolveStats.phase2_iterations``."""
     return Label(mu, anchor, val, res, parent, cut, arc)
 
 
@@ -309,9 +310,12 @@ def run_phase2(
                 return "ub"
         return None
 
-    # waiting labels as (-mu, creation number, label): largest aggregate
-    # first, creation order on ties
-    heap = [(-tmu[source], 0, make_label(tmu[source], source, 0, 0, None, 0, None))]
+    def child_prefix(kid: tuple) -> tuple[int, ...]:
+        return Label(-kid[0], *kid[2:]).prefix_vertices(dag, nxt)
+
+    # waiting children as (-mu, creation number, v, val, res, parent, cut,
+    # arc): largest aggregate first, creation order on ties
+    heap = [(-tmu[source], 0, source, 0, 0, None, 0, None)]
     frontier: dict[tuple[int, int], int] = {}
     incumbent: Optional[Label] = None
     incumbent_val = 0
@@ -319,42 +323,48 @@ def run_phase2(
     pruned = {"bound": 0, "ub": 0}
     pops = pruned_dom = 0
     created = 1
+    fresh = 0  # children numbered from here on met the value bound against the incumbent
 
     while heap:
         check_deadline(deadline, "enumeration phase")
-        label = heappop(heap)[2]
+        neg_mu, made, anchor, prefix_v, prefix_r, parent, cut, arc = kid = heappop(heap)
+        # an older child is above the floor (the cut kept it) but meets the value bound again
+        if made < fresh and (rule := floor_rule(-neg_mu, anchor, prefix_r, prefix_v)) is not None:
+            pruned[rule] += 1
+            if trace is not None:
+                trace(prune_event(-neg_mu, anchor, rule, child_prefix(kid)))
+            continue
+        label = make_label(-neg_mu, anchor, prefix_v, prefix_r, parent, cut, arc)
         pops += 1
-        violation, adopted = _walk(label.anchor, label.res, nxt, lo, hi, dst, res, sink)
+        violation, adopted = _walk(anchor, prefix_r, nxt, lo, hi, dst, res, sink)
         feasible = violation is None
         if feasible:
-            value = label.val + tval[label.anchor]
+            value = prefix_v + tval[anchor]
             if incumbent is None or value > incumbent_val:
                 incumbent, incumbent_val = label, value
                 mu_floor = wv * value + beta_floor
-                # purge the waiting labels against the new incumbent, in
-                # creation order so that prune events keep their order
-                kept = []
-                for entry in sorted(heap, key=itemgetter(1)):
-                    waiting = entry[2]
-                    rule = floor_rule(waiting.mu, waiting.anchor, waiting.res, waiting.val)
-                    if rule is None:
-                        kept.append(entry)
-                        continue
-                    pruned[rule] += 1
+                if value_bound is not None:
+                    fresh = created
+                if use_bound_prune:
+                    # cut the waiting children on or below the new floor,
+                    # with their events in creation order
+                    kept = [waiting for waiting in heap if waiting[0] < -mu_floor]
+                    pruned["bound"] += len(heap) - len(kept)
                     if trace is not None:
-                        trace(prune_event(waiting.mu, waiting.anchor, rule, waiting.prefix_vertices(dag, nxt)))
-                heapify(kept)
-                heap = kept
+                        for waiting in sorted((w for w in heap if w[0] >= -mu_floor), key=itemgetter(1)):
+                            trace(prune_event(-waiting[0], waiting[2], "bound", child_prefix(waiting)))
+                    heapify(kept)
+                    heap = kept
         if trace is not None:
             action = "incumbent" if incumbent is label else "kept" if feasible else "extended"
             mu = Fraction(label.mu, scale)
-            trace(TraceEvent(kind="pop", mu=mu, anchor=label.anchor, feasible=feasible, action=action))
+            trace(TraceEvent(kind="pop", mu=mu, anchor=anchor, feasible=feasible, action=action))
 
         # Generalized extension: from the anchor and every adopted tail
         # vertex (the sink excluded), branch on every non-tail arc. A
         # candidate child is judged on its integers, dominance first, and
-        # becomes a label only when it goes on the heap.
-        u, cum_v, cum_r = label.anchor, label.val, label.res
+        # waits on the heap as integers when it passes.
+        u, cum_v, cum_r = anchor, prefix_v, prefix_r
         if trace is not None:
             stop_prefix = list(label.prefix_vertices(dag, nxt))  # vertices up to u, for events
         for cut in range(len(adopted) + 1):
@@ -395,7 +405,7 @@ def run_phase2(
                         if trace is not None:
                             trace(prune_event(child_mu, v, rule, (*stop_prefix, v)))
                         continue
-                heappush(heap, (-child_mu, created, make_label(child_mu, v, new_v, new_r, label, cut, aid)))
+                heappush(heap, (-child_mu, created, v, new_v, new_r, label, cut, aid))
                 created += 1
                 if use_dominance:
                     frontier[key] = new_v

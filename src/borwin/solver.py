@@ -9,6 +9,7 @@ from typing import Callable, Optional
 from .bounds import ValueTailBound
 from .graph import Path, SinkUnreachable, WindowedDag, presolve
 from .phase1 import (
+    GraphInvariantError,
     Infeasible,
     Phase1TraceEvent,
     PhaseOneOutcome,
@@ -78,7 +79,24 @@ def solve_awclpp(
 
 def _at_sp(outcome: SolvedAtSp) -> AwclppSolution:
     # the window-relaxed optimum is feasible, hence optimal
+    _check_witness(outcome.tails.dag, outcome.path)
     return AwclppSolution(OPTIMAL, outcome.path, outcome.path.value, outcome, SolveStats())
+
+
+def _check_witness(dag: WindowedDag, path: Path) -> None:
+    """Walk ``path``'s arc ids on ``dag``'s integers, apart from phase 2's
+    own walk: each arc must start where the last one ended, each
+    cumulative resource must lie in its vertex's window, and the walk must
+    end at the sink. Raises :class:`~borwin.phase1.GraphInvariantError` at
+    the first break."""
+    arcs, (lo, hi) = dag.int_arcs(), dag.int_windows()
+    u, r = dag.source, 0
+    for aid in path.arc_ids:
+        if arcs.src[aid] != u or not lo[u] <= r <= hi[u]:
+            raise GraphInvariantError(f"the witness breaks at vertex {u}: resource {r}, next arc from {arcs.src[aid]}")
+        u, r = arcs.dst[aid], r + arcs.res[aid]
+    if u != dag.sink or not lo[u] <= r <= hi[u]:
+        raise GraphInvariantError(f"the witness ends at vertex {u} with resource {r}, not in the sink's window")
 
 
 def solve_tight(
@@ -131,4 +149,5 @@ def solve_tight(
         exc.stats.phase1_iterations = outcome.iterations
         return AwclppSolution(INFEASIBLE, None, None, outcome, exc.stats)
     result.stats.phase1_iterations = outcome.iterations
+    _check_witness(dag, result.best)
     return AwclppSolution(OPTIMAL, result.best, result.best.value, outcome, result.stats)

@@ -24,7 +24,7 @@ from borwin.graph import (
 )
 from borwin.huc import build_graph, nmckp_of_instance, solve_huc
 from borwin.io import dag_from_dict, huc_from_dict
-from borwin.phase1 import Infeasible, Pair, SolvedAtSp, relaxed_optimum, run_phase1
+from borwin.phase1 import GraphInvariantError, Infeasible, Pair, SolvedAtSp, relaxed_optimum, run_phase1
 from borwin.phase2 import (
     Label,
     NoFeasiblePath,
@@ -353,7 +353,7 @@ PINNED_STATS = [
 # sweep, and the first two past it. Seed 835 ends phase 1 at delta = 0.
 PINNED_LIE_STATS = [
     (207, (2, 2, 3, 1, 0, 0)),
-    (492, (2, 3, 5, 1, 0, 2)),
+    (492, (2, 3, 5, 2, 0, 1)),
     (659, (3, 5, 14, 9, 0, 0)),
     (835, (3, 2, 7, 7, 0, 0)),
 ]
@@ -408,6 +408,37 @@ def test_enumeration_counters_are_pinned(config, status, counters):
     ) == counters
 
 
+# The PINNED_STATS configs under each rule set: status, value, pops and
+# labels created (the root and every accepted child). When the waiting
+# children are held and turned into labels decides no pop, so these stay
+# fixed whatever the queue looks like.
+RULE_SETS = [
+    {},
+    dict(use_dominance=False),
+    dict(use_bound_prune=False, use_ub_prune=False),
+    dict(use_bound_prune=False),
+]
+PINNED_POPS = [
+    ("optimal", F(42), [(2, 18), (2, 18), (53, 53), (2, 18)]),
+    ("infeasible", None, [(0, 0)] * 4),
+    ("optimal", F(83), [(14, 201), (14, 208), (1262, 1262), (101, 263)]),
+    ("optimal", F(15409, 10), [(13, 29), (14, 31), (55, 55), (49, 49)]),
+]
+
+
+@pytest.mark.parametrize(
+    "config,pinned",
+    [(c, p) for (c, _, _), p in zip(PINNED_STATS, PINNED_POPS)],
+    ids=["dag-n40-s3", "dag-n80-s0", "dag-n80-s4", "huc-T24-P3-L3-s2"],
+)
+def test_pops_and_labels_are_pinned_under_every_rule_set(config, pinned):
+    status, value, work = pinned
+    for rules, (pops, labels) in zip(RULE_SETS, work):
+        sol = _solve_generated(config, **rules)
+        s = sol.stats
+        assert (sol.status, sol.value, s.phase2_iterations, s.labels_created) == (status, value, pops, labels), rules
+
+
 def _count_labels(monkeypatch):
     made = []
     real = phase2.make_label
@@ -423,19 +454,20 @@ def _count_labels(monkeypatch):
 @pytest.mark.parametrize(
     "config", [c for c, _, _ in PINNED_STATS], ids=["dag-n40-s3", "dag-n80-s0", "dag-n80-s4", "huc-T24-P3-L3-s2"]
 )
-def test_a_label_is_made_only_for_the_heap(config, monkeypatch):
-    """A candidate that a rule prunes at birth never becomes a label, so
-    the root and the heap entries are every label made."""
+def test_a_label_is_made_only_when_it_pops(config, monkeypatch):
+    """An accepted child waits as integers and becomes a label only when
+    it reaches the top of the heap, so the labels made are the pops; a
+    child that a later incumbent prunes is never made."""
     made = _count_labels(monkeypatch)
     sol = _solve_generated(config)
-    assert len(made) == sol.stats.labels_created
+    assert len(made) == sol.stats.phase2_iterations <= sol.stats.labels_created
 
 
-def test_a_lie_solve_makes_a_label_only_for_the_heap(monkeypatch):
+def test_a_lie_solve_makes_a_label_only_when_it_pops(monkeypatch):
     made = _count_labels(monkeypatch)
-    seed = PINNED_LIE_STATS[1][0]  # prunes candidates at birth by the bound rule and by the value bound
+    seed = PINNED_LIE_STATS[1][0]  # prunes children by the bound rule and by the value bound
     sol = solve_awclpp(random_dag(random.Random(seed), 2 + seed % 11))
-    assert len(made) == sol.stats.labels_created
+    assert len(made) == sol.stats.phase2_iterations < sol.stats.labels_created
 
 
 # sha256 over the repr of every trace event, one per line. Both phases
@@ -458,16 +490,17 @@ def test_enumeration_trace_is_pinned(config, phase, digest):
 
 
 # Value-bound calls of two commitment solves on the presolved full grid.
-# New labels are scored at birth and waiting ones only when the incumbent
-# improves, so a pop that keeps the incumbent makes no call. The digest
+# A candidate child is scored at birth once an incumbent exists, and a
+# waiting child again only when it reaches the top after the incumbent
+# improved, so a pop that keeps the incumbent makes no call. The digest
 # is a sha256 over every call's "(vertex, prefix_resource, prefix_value,
 # dr, dv) -> cap" line, all integers.
 PINNED_BOUND_CALLS = [
-    (PINNED_STATS[3][0], 8, "044f61a433cc06c8157029ff0fa9f053535d0e9a73e64aeebf2c15e6003baa01"),
+    (PINNED_STATS[3][0], 3, "e7a02e93ad6daa767a85c89437fa0a3c6e92c25fb79a692c4e31b11a4b439475"),
     (
         dict(family="huc", periods=24, points=3, min_updown=2, seed=2),
-        130,
-        "331eddea89006cc5980006cb821ad6d18f60e5c95454a5306bfd5aa01f670855",
+        100,
+        "16f34836d43cbb3f3772dd5eb89c3508e6f09e3292d3462180956560052da90b",
     ),
 ]
 
@@ -503,16 +536,16 @@ PINNED_HUC_SOLVES = [
     (
         PINNED_BOUND_CALLS[0][0],
         (4, 13, 29, 17, 3, 1),
-        8,
-        "ff1d64578a2a1878cdd4b926caf098562d8d5653617f772abe6df19745ea8af5",
+        3,
+        "97f1077f845bdf767bde644bf3dc93e51c294b3f77011699690435e320cae3fd",
         "884b53142a37993e9586b773df2690ee74b314b8b9b0ae2fe94b4e1d712cbbb9",
     ),
     (
         PINNED_BOUND_CALLS[1][0],
-        (5, 81, 94, 66, 204, 38),
-        133,
-        "7bf7bc9213b4a3db05fb07105559d7835aff555ee9673922be91ae7701214b1f",
-        "1b7a9460245fa735ca9f0ad7b3e96e220c007d9e33ceb0069c2fe9b3583437cb",
+        (5, 81, 94, 69, 204, 35),
+        104,
+        "58b84901932452de95bf9b121989a22a04df7570b52a7e388fc56fe4f1e26bf8",
+        "a1f5268a454dd0e6b2e53d1822cc56899322a462ad58f47e2316b3e4ffcede26",
     ),
 ]
 
@@ -888,3 +921,54 @@ def test_run_phase2_gives_up_before_its_first_pop():
 def test_presolve_honours_the_deadline(wclpp):
     with pytest.raises(TimeoutExceeded, match="presolve"):
         graph.presolve(wclpp, deadline=time.monotonic() - 1.0)
+
+
+# -- every returned witness is checked ---------------------------------------------
+
+
+def test_every_dag_mixed_witness_meets_its_windows():
+    """The 18 dag-mixed instances: every optimal witness meets every
+    window, checked on Fractions by ``graph.check_windows``, apart from the
+    solver's own integer walk, and carries the value returned."""
+    solved = 0
+    for n in (40, 80, 120):
+        for seed in range(6):
+            dag = dag_from_dict(generate(GeneratorConfig(family="dag", vertices=n, seed=seed)))
+            sol = solve_awclpp(dag)
+            if sol.status == "optimal":
+                assert check_windows(dag, sol.path) is None, (n, seed)
+                assert (sol.path.start, sol.path.end, sol.value) == (dag.source, dag.sink, sol.path.value), (n, seed)
+                solved += 1
+    assert solved == 15
+
+
+def test_the_solver_refuses_a_witness_that_breaks_a_window_or_its_arcs(wclpp):
+    """The solver's witness walk: the worked example's optimum passes; a
+    path that breaks the sink window, one with a gap between two arcs and
+    one that stops short of the sink raise GraphInvariantError."""
+    names = ["s", "1", "2", "p"]
+    solver._check_witness(wclpp, path_by_vertices(wclpp, names))
+    broken = path_by_vertices(wclpp, ["s", "1", "3", "2", "p"])  # 35 over the sink's 29
+    with pytest.raises(GraphInvariantError, match="^the witness ends at vertex 4 with resource"):
+        solver._check_witness(wclpp, broken)
+    ids = path_by_vertices(wclpp, names).arc_ids
+    gap = graph.Path(0, F(0), F(0), (), (ids[0], ids[2]), wclpp, ())
+    with pytest.raises(GraphInvariantError, match="^the witness breaks at vertex 1: "):
+        solver._check_witness(wclpp, gap)
+    short = path_by_vertices(wclpp, names[:3])
+    with pytest.raises(GraphInvariantError, match="^the witness ends at vertex 2 "):
+        solver._check_witness(wclpp, short)
+
+
+def test_the_enumeration_checks_its_deadline_on_every_pop(monkeypatch):
+    layers = []
+    real = phase2.check_deadline
+
+    def counting(deadline, layer):
+        layers.append(layer)
+        return real(deadline, layer)
+
+    monkeypatch.setattr(phase2, "check_deadline", counting)
+    sol = solve_huc(huc_from_dict(generate(GeneratorConfig(**PINNED_BOUND_CALLS[1][0]))))
+    assert sol.stats.phase2_iterations == PINNED_HUC_SOLVES[1][1][1] == 81
+    assert layers.count("enumeration phase") == len(layers) >= sol.stats.phase2_iterations
