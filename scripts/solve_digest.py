@@ -99,11 +99,11 @@ def _fractional_huc(seed: int):
     level = rng.randrange(inst.levels)
     hold = rng.randint(1 - inst.min_updown, inst.min_updown - 1)
     inst = replace(inst, points=points, ramp_up=ramp_up, ramp_down=ramp_down, initial_point=level, initial_hold=hold)
-    flows = cumulative_flows(inst)
+    flows, scaled = cumulative_flows(inst), list(accumulate(inst.tables.flow))
     last_up, last_down = _hold_clock(inst)
     cum, lo, hi = Fraction(0), [], []
     for t in range(1, inst.periods + 1):
-        steps = [(lvl, *_step(inst, flows, t, level, lvl, last_up, last_down)) for lvl in range(inst.levels)]
+        steps = [(lvl, *_step(inst, scaled, t, level, lvl, last_up, last_down)) for lvl in range(inst.levels)]
         level, _, last_up, last_down = rng.choice([step for step in steps if step[1] is None])
         cum += flows[level]
         kind = rng.choice(["point", "narrow", "loose", "shifted"])

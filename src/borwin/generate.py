@@ -8,26 +8,26 @@ feasible instances and tight enough that a good share are infeasible.
 DAGs are drawn, enveloped and built on integers; their Fraction arcs
 and windows are views made on first read, and the JSON writer reads the
 integer arcs.
-Commitment instances are built around a randomly walked legal schedule,
-walked on the compiles' integer moves table (:class:`borwin.huc._Moves`)
-and re-checked by the Fraction legality oracle, so at least one feasible
-schedule is guaranteed by construction.
+Commitment instances are drawn on integers and built around a randomly
+walked legal schedule, walked on the compiles' integer moves table
+(:class:`borwin.huc._Moves`) and re-checked by the legality oracle, so
+at least one feasible schedule is guaranteed by construction. The
+instance is built once, from ratios, so its price and window lists hold
+no Fraction until one is read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .graph import WindowedDag
-from .huc import HucInstance, OperatingPoint, _Moves, schedule_is_legal
+from .huc import HucInstance, _Moves, schedule_is_legal
 from .io import dag_to_dict, huc_to_dict
 from .phase1 import GraphInvariantError
 from .rational import Ratio
-
-ZERO = Fraction(0)
 
 
 class InvalidConfig(ValueError):
@@ -148,36 +148,29 @@ def random_huc(
     min_updown: int,
     price_mode: str = "independent",
 ) -> HucInstance:
+    """A commitment instance built around a legal schedule, drawn on
+    integers: whole flows, powers and ramps, prices and water values in
+    tenths (near-flat prices in thousandths, a base price times 0.95-1.05).
+    It walks a random schedule from the idle state on a :class:`_Moves`
+    table of the integer flows and ramps, sets each period's window 0-6
+    units either side of the walk's cumulative flow (never below 0),
+    builds the instance once with :meth:`HucInstance.of_ratios`, and
+    re-checks the walk with the legality oracle."""
     flows = sorted(rng.sample(range(1, 10), points - 1))
     powers = sorted(rng.sample(range(1, 15), points - 1))
-    ops = (OperatingPoint(ZERO, ZERO),) + tuple(
-        OperatingPoint(Fraction(d), Fraction(p)) for d, p in zip(flows, powers)
-    )
-    base_price = Fraction(rng.randint(5, 300), 10)
+    base_price = rng.randint(5, 300)
     if price_mode == "near-flat":
-        prices = tuple(base_price * Fraction(rng.randint(95, 105), 100) for _ in range(periods))
+        prices = [(base_price * rng.randint(95, 105), 1000) for _ in range(periods)]
     else:
-        prices = tuple(Fraction(rng.randint(5, 300), 10) for _ in range(periods))
-    phi1 = Fraction(rng.randint(0, 120), 10)
-    phi2 = Fraction(rng.randint(0, 120), 10)
-    ramp_up = Fraction(rng.randint(max(flows[0], 2), sum(flows) + 2))
-    ramp_down = Fraction(rng.randint(max(flows[0], 2), sum(flows) + 2))
+        prices = [(rng.randint(5, 300), 10) for _ in range(periods)]
+    phi1 = (rng.randint(0, 120), 10)
+    phi2 = (rng.randint(0, 120), 10)
+    ramp_up = rng.randint(max(flows[0], 2), sum(flows) + 2)
+    ramp_down = rng.randint(max(flows[0], 2), sum(flows) + 2)
 
-    probe = HucInstance(
-        periods=periods,
-        points=ops,
-        ramp_up=ramp_up,
-        ramp_down=ramp_down,
-        min_updown=min_updown,
-        prices=prices,
-        water_value_upstream=phi1,
-        water_value_downstream=phi2,
-        win_lo=tuple(ZERO for _ in range(periods)),
-        win_hi=tuple(Fraction(10**9) for _ in range(periods)),
-    )
-    # walk a random legal schedule on the integer moves; window its
-    # cumulative flows, read on the moves' flow scale
-    moves = _Moves(probe)
+    # walk a random legal schedule on the integer moves; the flows are
+    # whole, so the flow scale is 1
+    moves = _Moves(list(accumulate([0, *flows])), 1, ramp_up, ramp_down, min_updown)
     state, cum = moves.code(0, 0), 0
     cums: list[int] = []
     walked: list[int] = []
@@ -186,14 +179,25 @@ def random_huc(
         walked.append(level)
         cum += moves.flow[level]
         cums.append(cum)
-    win_lo = []
-    win_hi = []
+    win_lo: list[Ratio] = []
+    win_hi: list[Ratio] = []
     for c in cums:
-        slack_lo = Fraction(rng.randint(0, 6))
-        slack_hi = Fraction(rng.randint(0, 6))
-        win_lo.append(max(ZERO, Fraction(c, moves.df) - slack_lo))
-        win_hi.append(Fraction(c, moves.df) + slack_hi)
-    inst = replace(probe, win_lo=tuple(win_lo), win_hi=tuple(win_hi))
+        slack_lo = rng.randint(0, 6)
+        slack_hi = rng.randint(0, 6)
+        win_lo.append((max(0, c - slack_lo), 1))
+        win_hi.append((c + slack_hi, 1))
+    inst = HucInstance.of_ratios(
+        periods,
+        [((0, 1), (0, 1))] + [((d, 1), (p, 1)) for d, p in zip(flows, powers)],
+        (ramp_up, 1),
+        (ramp_down, 1),
+        min_updown,
+        prices,
+        phi1,
+        phi2,
+        win_lo,
+        win_hi,
+    )
     if not schedule_is_legal(inst, walked):
         raise GraphInvariantError("generator walked an illegal schedule")
     return inst

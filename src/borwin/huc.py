@@ -8,17 +8,27 @@ of periods before moving the other way. Cumulative water flow since the
 start must stay inside per-period windows; the last period's window is
 the target-volume constraint that makes instances hard.
 
+An instance is one integer model, :class:`HucTables`: flows, powers,
+ramps, prices, water values and windows, each field on the lcm of its
+denominators, checked once at construction. The loader and the
+generator build it from ``(num, den)`` pairs
+(:meth:`HucInstance.of_ratios`), the writer reads it, and the price and
+window lists' Fractions are views made only when read. The legality
+oracle (:func:`schedule_is_legal`, :func:`best_schedule_bruteforce`)
+reads the tables too, comparing cross-multiplied integers, so it rounds
+nothing and stays independent of the compiles' rounded caps.
+
 Compilation produces a windowed DAG whose vertices are (period, level,
 hold) triples: ``hold`` counts the periods still to wait before a
 reversal (positive after a move up, negative after a move down). Two
 compiles share one numbering-and-arc emitter and one integer rule
-table, :class:`_Moves`: the cumulative flows, ramp caps and windows on
-the flow scale, and the moves by integer state code, filled lazily so
-that no compile grows with ``min_updown`` past the horizon; the
-generator walks the same table. The emitter writes the arcs'
-:class:`~borwin.graph.IntArcs` from integer tables of the cumulative
-values and flows, the graph's Fraction arcs are a view of them, and a
-``Window`` or label is made only when one is read (see
+table, :class:`_Moves`: the cumulative flows and ramp caps on the flow
+scale, and the moves by integer state code, filled lazily so that no
+compile grows with ``min_updown`` past the horizon; the generator walks
+the same table. The emitter writes the arcs'
+:class:`~borwin.graph.IntArcs` from the tables' prices, powers and water
+values and the rule table's flows, the graph's Fraction arcs are a view
+of them, and a ``Window`` or label is made only when one is read (see
 :meth:`WindowedDag.of_ints <borwin.graph.WindowedDag.of_ints>`).
 :func:`reached_graph` is the instance's s-p graph, which the reference
 algorithms read; :func:`build_graph`, the model view gate c07 pins,
@@ -31,7 +41,8 @@ any arc is emitted.
 :func:`~borwin.solver.solve_tight` solves that graph with the same
 default value bound as any windowed DAG and without the presolve, which
 would still cut a few arcs but costs more than it saves there; a solve
-makes no ``Arc`` and reads only the sink's ``Window``.
+makes no ``Arc``, reads only the sink's ``Window`` and no Fraction field
+of the instance.
 """
 
 from __future__ import annotations
@@ -40,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from operator import gt
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .bounds import MckpItem, NestedMckp
 from .graph import (
@@ -54,7 +66,7 @@ from .graph import (
 )
 from .phase1 import GraphInvariantError
 from .phase2 import SolveStats
-from .rational import decimal_str
+from .rational import Ratio, decimal_str
 from .solver import INFEASIBLE, OPTIMAL, AwclppSolution, solve_tight
 
 ZERO = Fraction(0)
@@ -70,53 +82,212 @@ class OperatingPoint:
     power: Fraction
 
 
-@dataclass(frozen=True)
+class HucTables(NamedTuple):
+    """A commitment instance's rationals as integers, each field on its own
+    scale, the lcm of its values' reduced denominators, so that equal
+    instances have equal tables: point ``i`` has flow ``flow[i] / df``
+    and power ``power[i] / dw``; the ramp bounds up and down are
+    ``ramp[0] / dramp`` and ``ramp[1] / dramp``; period ``t + 1`` has price
+    ``price[t] / dp`` and window ``[lo[t] / dwin, hi[t] / dwin]``; the
+    water values upstream and downstream are ``water[0] / dwater`` and
+    ``water[1] / dwater``."""
+
+    flow: tuple[int, ...]
+    df: int
+    power: tuple[int, ...]
+    dw: int
+    ramp: tuple[int, ...]
+    dramp: int
+    price: tuple[int, ...]
+    dp: int
+    water: tuple[int, ...]
+    dwater: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    dwin: int
+
+
+def _on_scale(ratios: Sequence[Ratio]) -> tuple[tuple[int, ...], int]:
+    """Rationals given as ``(num, den)`` pairs, ``den > 0`` and not
+    necessarily in lowest terms, as integers on the lcm of their reduced
+    denominators, and that lcm (see :func:`_lowest`)."""
+    scale = lcm(*{d for _, d in ratios})
+    ints, scale = _lowest([n * (scale // d) for n, d in ratios], scale)
+    return tuple(ints), scale
+
+
+def _view(ints: Sequence[int], scale: int) -> tuple[Fraction, ...]:
+    """The Fractions ``x / scale`` of ``ints``, one per distinct value: the
+    one place an instance's Fraction lists are made."""
+    made = {x: Fraction(x, scale) for x in set(ints)}
+    return tuple(map(made.__getitem__, ints))
+
+
+class _Fractions(LazyTuple):
+    """The Fractions ``ints[k] / scale`` as a view: an instance's
+    ``prices``, ``win_lo`` or ``win_hi``, made by :func:`_view` on first
+    read and then kept."""
+
+    __slots__ = ("ints", "scale")
+
+    def __init__(self, ints: tuple[int, ...], scale: int):
+        super().__init__(len(ints), lambda k: Fraction(ints[k], scale))
+        self.ints, self.scale = ints, scale
+
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = _view(self.ints, self.scale)
+        return self._items
+
+    def __repr__(self) -> str:
+        return repr(self.items())
+
+    def __reduce__(self):
+        return _Fractions, (self.ints, self.scale)
+
+
+def _ratio(q: Fraction) -> Ratio:
+    return q.numerator, q.denominator
+
+
+@dataclass(frozen=True, eq=False)
 class HucInstance:
     """Problem data. ``points`` starts with the idle point (0, 0); prices
     are per period; ``water_value_up/downstream`` price the stock left in
     each reservoir at the end of the horizon. ``win_lo/win_hi`` bound the
     cumulative flow through each period. ``initial_point``/``initial_hold``
-    carry the state inherited from the previous day. Construction, through
+    carry the state inherited from the previous day.
+
+    An instance holds its rationals as integer :class:`HucTables`,
+    ``tables``, and is checked once on them: construction, through
     ``dataclasses.replace`` too, raises :class:`InvalidInstance` on
-    inconsistent data, so no function that takes an instance checks it."""
+    inconsistent data, so no function that takes an instance checks it.
+    The constructor takes Fractions (or ints), :meth:`of_ratios` takes
+    ``(num, den)`` pairs; both give equal instances with equal hashes.
+    ``prices``, ``win_lo`` and ``win_hi`` are views of the tables whose
+    Fractions are made on first read; the other fields are made at
+    construction."""
+
+    __slots__ = ("tables", "__dict__")
 
     periods: int
     points: tuple[OperatingPoint, ...]
     ramp_up: Fraction
     ramp_down: Fraction
     min_updown: int
-    prices: tuple[Fraction, ...]
+    prices: Sequence[Fraction]
     water_value_upstream: Fraction
     water_value_downstream: Fraction
-    win_lo: tuple[Fraction, ...]
-    win_hi: tuple[Fraction, ...]
+    win_lo: Sequence[Fraction]
+    win_hi: Sequence[Fraction]
     initial_point: int = 0
     initial_hold: int = 0
 
     def __post_init__(self) -> None:
-        if self.periods < 1:
+        # checked and stored as the ratio route stores its own instance
+        built = self.of_ratios(
+            self.periods,
+            [(_ratio(p.flow), _ratio(p.power)) for p in self.points],
+            _ratio(self.ramp_up),
+            _ratio(self.ramp_down),
+            self.min_updown,
+            list(map(_ratio, self.prices)),
+            _ratio(self.water_value_upstream),
+            _ratio(self.water_value_downstream),
+            list(map(_ratio, self.win_lo)),
+            list(map(_ratio, self.win_hi)),
+            self.initial_point,
+            self.initial_hold,
+        )
+        self.__dict__.update(built.__dict__)
+        object.__setattr__(self, "tables", built.tables)
+
+    @classmethod
+    def of_ratios(
+        cls,
+        periods: int,
+        points: Sequence[tuple[Ratio, Ratio]],
+        ramp_up: Ratio,
+        ramp_down: Ratio,
+        min_updown: int,
+        prices: Sequence[Ratio],
+        water_value_upstream: Ratio,
+        water_value_downstream: Ratio,
+        win_lo: Sequence[Ratio],
+        win_hi: Sequence[Ratio],
+        initial_point: int = 0,
+        initial_hold: int = 0,
+    ) -> "HucInstance":
+        """The instance whose rationals are ``(num, den)`` pairs with
+        positive denominators, each point a (flow, power) pair: the
+        constructor's instance of the same values, built with no Fraction
+        list (the JSON loader, the generator)."""
+        flow, df = _on_scale([f for f, _ in points])
+        power, dw = _on_scale([w for _, w in points])
+        price, dp = _on_scale(prices)
+        windows, dwin = _on_scale([*win_lo, *win_hi])
+        lo, hi = windows[: len(win_lo)], windows[len(win_lo) :]
+        if periods < 1:
             raise InvalidInstance("need at least one period")
-        if not self.points or self.points[0] != OperatingPoint(ZERO, ZERO):
+        if not flow or flow[0] or power[0]:
             raise InvalidInstance("points must start with the idle point (0, 0)")
-        if any(p.flow <= 0 for p in self.points[1:]):
+        if min(flow[1:], default=1) <= 0:
             raise InvalidInstance("non-idle points need positive flow")
-        if self.min_updown < 1:
+        if min_updown < 1:
             raise InvalidInstance("minimum hold must be at least one period")
-        if len(self.prices) != self.periods:
+        if len(price) != periods:
             raise InvalidInstance("one price per period required")
-        if len(self.win_lo) != self.periods or len(self.win_hi) != self.periods:
+        if len(lo) != periods or len(hi) != periods:
             raise InvalidInstance("one window per period required")
-        for t, (lo, hi) in enumerate(zip(self.win_lo, self.win_hi), start=1):
-            if lo > hi:
-                raise InvalidInstance(f"window at period {t} is inverted")
-        if not 0 <= self.initial_point < len(self.points):
+        if any(map(gt, lo, hi)):
+            t = next(t for t, (a, b) in enumerate(zip(lo, hi), start=1) if a > b)
+            raise InvalidInstance(f"window at period {t} is inverted")
+        if not 0 <= initial_point < len(flow):
             raise InvalidInstance("initial point out of range")
-        if abs(self.initial_hold) > self.min_updown - 1:
+        if abs(initial_hold) > min_updown - 1:
             raise InvalidInstance("initial hold out of range")
+        ramp, dramp = _on_scale([ramp_up, ramp_down])
+        water, dwater = _on_scale([water_value_upstream, water_value_downstream])
+        inst = cls.__new__(cls)
+        # exactly the constructor's arguments, so HucInstance(**inst.__dict__) rebuilds it
+        inst.__dict__.update(
+            periods=periods,
+            points=tuple(OperatingPoint(Fraction(f, df), Fraction(w, dw)) for f, w in zip(flow, power)),
+            ramp_up=Fraction(ramp[0], dramp),
+            ramp_down=Fraction(ramp[1], dramp),
+            min_updown=min_updown,
+            prices=_Fractions(price, dp),
+            water_value_upstream=Fraction(water[0], dwater),
+            water_value_downstream=Fraction(water[1], dwater),
+            win_lo=_Fractions(lo, dwin),
+            win_hi=_Fractions(hi, dwin),
+            initial_point=initial_point,
+            initial_hold=initial_hold,
+        )
+        tables = HucTables(flow, df, power, dw, ramp, dramp, price, dp, water, dwater, lo, hi, dwin)
+        object.__setattr__(inst, "tables", tables)
+        return inst
+
+    def __setstate__(self, state: tuple[dict, dict]) -> None:
+        # pickle and copy restore the slot past the frozen __setattr__
+        fields, slots = state
+        self.__dict__.update(fields)
+        object.__setattr__(self, "tables", slots["tables"])
+
+    def _key(self) -> tuple:
+        return self.periods, self.min_updown, self.initial_point, self.initial_hold, self.tables
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def levels(self) -> int:
-        return len(self.points)
+        return len(self.tables.flow)
 
 
 def value_table(inst: HucInstance) -> list[list[Fraction]]:
@@ -172,12 +343,12 @@ class VertexMap:
 
 
 class _Moves(dict):
-    """The instance's ramp and hold rules on integers, its one integer
-    model of flows and windows, built once per compile with no Fraction
-    arithmetic: ``flow`` is :func:`cumulative_flows` on the lcm ``df`` of
-    the flow denominators, ``up`` and ``down`` the ramp caps ``floor(ramp
-    * df)``, and ``lo`` and ``hi`` each period's window ``ceil(lo * df)``
-    and ``floor(hi * df)``, all exact for integer flows. As a dict it maps
+    """The ramp and hold rules on integers, with no Fraction arithmetic:
+    ``flow`` holds the points' cumulative flows (points 1..i active) on
+    the flow scale ``df``, and ``up`` and ``down`` the ramp caps on it,
+    the largest cumulative-flow step up and down a ramp allows.
+    :meth:`of` reads an instance's tables, once per compile; the
+    generator builds the table from its integer draws. As a dict it maps
     a state code to its successors, filled on first lookup: moves do not
     depend on the period, and schedules reach few of the holds. State
     ``(level, hold)`` has code ``level * (2L - 1) + hold + L - 1`` for
@@ -185,13 +356,17 @@ class _Moves(dict):
     ``(code, level)`` pairs: the level held, then the levels up in
     ascending order, then the levels down in descending order."""
 
-    def __init__(self, inst: HucInstance):
-        self.inst, self.span = inst, inst.min_updown - 1
-        self.df = df = lcm(*(p.flow.denominator for p in inst.points))
-        self.flow = list(accumulate(p.flow.numerator * (df // p.flow.denominator) for p in inst.points))
-        self.up, self.down = (q.numerator * df // q.denominator for q in (inst.ramp_up, inst.ramp_down))
-        self.lo = [-(-q.numerator * df // q.denominator) for q in inst.win_lo]
-        self.hi = [q.numerator * df // q.denominator for q in inst.win_hi]
+    def __init__(self, flow: list[int], df: int, up: int, down: int, min_updown: int):
+        self.flow, self.df, self.up, self.down, self.span = flow, df, up, down, min_updown - 1
+
+    @classmethod
+    def of(cls, inst: HucInstance) -> "_Moves":
+        """The rules of ``inst``: its cumulative flows on its flow scale, and
+        the caps ``floor(ramp * df)``, exact since the flows are integers
+        on ``df``."""
+        t = inst.tables
+        up, down = (r * t.df // t.dramp for r in t.ramp)
+        return cls(list(accumulate(t.flow)), t.df, up, down, inst.min_updown)
 
     def code(self, level: int, hold: int) -> int:
         return level * (2 * self.span + 1) + hold + self.span
@@ -216,26 +391,23 @@ def _state(code: int, span: int) -> tuple[int, int]:
     return level, h - span
 
 
-def _value_ints(moves: _Moves) -> tuple[list[tuple[int, ...]], int]:
+def _value_ints(inst: HucInstance, moves: _Moves) -> tuple[list[tuple[int, ...]], int]:
     """:func:`cumulative_values` on a common multiple ``dv`` of their
-    denominators, and ``dv``, with no Fraction arithmetic: the value of
-    level ``i`` in period ``t`` is price ``t`` times the cumulative power
-    of points 1..i plus the water-value shift times their cumulative
-    flow (see :func:`value_table`), the flow read from ``moves`` and the
-    other factors each an integer on its own lcm."""
-    inst, flow, df = moves.inst, moves.flow, moves.df
-    shift = inst.water_value_downstream - inst.water_value_upstream
-    dp = lcm(*(q.denominator for q in inst.prices))
-    dw = lcm(*(p.power.denominator for p in inst.points))
-    dv = lcm(dp * dw, shift.denominator * df)
-    power = accumulate(p.power.numerator * (dw // p.power.denominator) for p in inst.points)
-    a, b = dv // (dp * dw), dv // (shift.denominator * df) * shift.numerator
-    prices = [q.numerator * (dp // q.denominator) for q in inst.prices]
-    levels = [[q * a * w + b * f for q in prices] for w, f in zip(power, flow)]
+    denominators, and ``dv``, read from the instance's tables: the value
+    of level ``i`` in period ``t`` is price ``t`` times the cumulative
+    power of points 1..i plus the water-value shift times their
+    cumulative flow (see :func:`value_table`), the flow read from
+    ``moves``."""
+    t, flow, df = inst.tables, moves.flow, moves.df
+    shift = t.water[1] - t.water[0]
+    dv = lcm(t.dp * t.dw, t.dwater * df)
+    a, b = dv // (t.dp * t.dw), dv // (t.dwater * df) * shift
+    levels = [[q * a * w + b * f for q in t.price] for w, f in zip(accumulate(t.power), flow)]
     return list(zip(*levels)), dv
 
 
 def _emit(
+    inst: HucInstance,
     table: _Moves,
     layers: Sequence[Iterable[int]],
     moves: Sequence[dict[int, list[tuple[int, int]]]],
@@ -252,9 +424,8 @@ def _emit(
     :class:`_Moves`; each vertex's range of out-arc ids; and each
     vertex's period and state code. All per-vertex work runs inside the
     per-period deadline checks."""
-    inst = table.inst
     T = inst.periods
-    values, dv = _value_ints(table)
+    values, dv = _value_ints(inst, table)
     flow, df = table.flow, table.df
     src: list[int] = []
     dst: list[int] = []
@@ -305,12 +476,15 @@ def _lowest(ints: list[int], scale: int) -> tuple[list[int], int]:
     return (ints if g == 1 else [x // g for x in ints]), scale // g
 
 
-def _rescaled(lo: list[int], hi: list[int], table: _Moves, ints: IntArcs) -> tuple[list[int], list[int]]:
-    """Integer windows on ``table``'s flow scale ``df``, on the arcs' scale
-    ``dr`` instead: exact, as ``ceil(ceil(x * df) / k) = ceil(x * dr)``
-    (and likewise floor) for ``k = df / dr``, an integer."""
-    k = table.df // ints.dr
-    return (lo, hi) if k == 1 else ([-(-a // k) for a in lo], [b // k for b in hi])
+def _rescaled(lo: Sequence[int], hi: Sequence[int], to: int, scale: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Integer windows on ``scale``, on the scale ``to`` instead:
+    ``ceil(lo * to / scale)`` and ``floor(hi * to / scale)``. Exact for
+    windows that are exact on ``scale``, and for windows rounded onto it
+    when ``to`` divides ``scale``, as ``ceil(ceil(x * scale) / k) = ceil(x
+    * to)`` (and likewise floor) for ``k = scale / to``."""
+    if to == scale:
+        return lo, hi
+    return [-(-a * to // scale) for a in lo], [b * to // scale for b in hi]
 
 
 def _graph(
@@ -364,12 +538,12 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     on one :class:`_Moves` table; every arc goes from a smaller id to a
     larger one, so ids are the topo order."""
     T = inst.periods
-    moves = _Moves(inst)
+    moves = _Moves.of(inst)
     layers = [{moves.code(inst.initial_point, inst.initial_hold)}]
     for _ in range(T):
         check_deadline(deadline, "HUC compile")
         layers.append({m for s in layers[-1] for m, _ in moves[s]})
-    ints, out, period, code = _emit(moves, layers, [moves] * T, deadline)
+    ints, out, period, code = _emit(inst, moves, layers, [moves] * T, deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     if grid:
@@ -381,7 +555,7 @@ def _reach(inst: HucInstance, grid: bool, deadline: Optional[float] = None) -> t
     # each period's window on the arcs' resource scale; the source's is
     # [0, inf), with a bound past the total of the (nonnegative) resources
     # for inf, and the sink's the last period's
-    wlo, whi = _rescaled(moves.lo, moves.hi, moves, ints)
+    wlo, whi = _rescaled(inst.tables.lo, inst.tables.hi, ints.dr, inst.tables.dwin)
     plo, phi = [0, *wlo, wlo[-1]], [sum(ints.res) + 1, *whi, whi[-1]]
     ilo = list(map(plo.__getitem__, period))
     check_deadline(deadline, "HUC compile")
@@ -400,14 +574,14 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     """Compile only the window-feasible part of the grid, or return None
     when no schedule can meet the windows.
 
-    The compile's :class:`_Moves` table gives the moves, the cumulative
-    flows on their scale ``df`` and each period's window on ``df``. Each
-    period keeps one dict from a state's code to its hull record ``[lo,
-    hi]`` of the scaled cumulative flow: a forward pass records what
-    window-feasible prefixes reach, joining each further move into the
-    state in place, and a backward pass from the last period replaces
-    each record with the part of it from which the last period is still
-    reached inside the windows. The graph keeps the states with a record,
+    The compile's :class:`_Moves` table gives the moves and the cumulative
+    flows on their scale ``df``; each period's window is the instance's,
+    rounded inwards onto ``df``. Each period keeps one dict from a state's
+    code to its hull record ``[lo, hi]`` of the scaled cumulative flow: a
+    forward pass records what window-feasible prefixes reach, joining
+    each further move into the state in place, and a backward pass from
+    the last period replaces each record with the part of it from which
+    the last period is still reached inside the windows. The graph keeps the states with a record,
     numbered as in :func:`reached_graph`, and the moves ``(s, m)`` along
     which ``hull(s) + flow`` meets ``hull(m)``; each vertex's window is
     its record, rescaled to the arcs' integer scale for the solver and as
@@ -416,11 +590,11 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
     windows, so the graph has the same feasible schedules, values and
     optimum as the full grid."""
     T = inst.periods
-    moves = _Moves(inst)
+    moves = _Moves.of(inst)
     flow, scale = moves.flow, moves.df
     # forward: hull[t][s] is what window-feasible prefixes reach
     hull: list[dict[int, list[int]]] = [{moves.code(inst.initial_point, inst.initial_hold): [0, 0]}]
-    for w_lo, w_hi in zip(moves.lo, moves.hi):
+    for w_lo, w_hi in zip(*_rescaled(inst.tables.lo, inst.tables.hi, scale, inst.tables.dwin)):
         check_deadline(deadline, "HUC compile")
         reached: dict[int, list[int]] = {}
         for s, (a, b) in hull[-1].items():
@@ -467,13 +641,13 @@ def _solve_graph(inst: HucInstance, deadline: Optional[float] = None) -> Optiona
             return None
         hull[t] = keep
 
-    ints, out, period, code = _emit(moves, hull, kept, deadline)
+    ints, out, period, code = _emit(inst, moves, hull, kept, deadline)
     check_deadline(deadline, "HUC compile")
     sink = len(code) - 1
     last = hull[T].values()
     records = [hull[t][s] for t, s in zip(period, code[:sink])]
     records.append((min(r[0] for r in last), max(r[1] for r in last)))  # the sink's hull
-    windows = _rescaled([r[0] for r in records], [r[1] for r in records], moves, ints)
+    windows = _rescaled([r[0] for r in records], [r[1] for r in records], ints.dr, scale)
     check_deadline(deadline, "HUC compile")
 
     def window(v: int) -> Window:
@@ -498,22 +672,26 @@ def _hold_clock(inst: HucInstance) -> tuple[int, int]:
 
 
 def _step(
-    inst: HucInstance, flows: Sequence[Fraction], t: int, level: int, lvl: int, last_up: int, last_down: int
+    inst: HucInstance, flows: Sequence[int], t: int, level: int, lvl: int, last_up: int, last_down: int
 ) -> tuple[Optional[str], int, int]:
     """Ramp and hold rules of moving from ``level`` to ``lvl`` in period
-    ``t``, given the periods of the last moves up and down. Returns the
+    ``t``, given the periods of the last moves up and down and ``flows``,
+    the cumulative flows on the instance's flow scale ``df``. Returns the
     violated rule name (or None) and the updated move periods. Reads
-    instance data only, never the compiled graph."""
+    instance data only, never the compiled graph: a step of ``s / df``
+    breaks the ramp ``r / dramp`` exactly when ``s * dramp > r * df``, with
+    no rounding, so the rules are independent of :class:`_Moves`' caps."""
     if not 0 <= lvl < inst.levels:
         return "order", last_up, last_down
+    tables = inst.tables
     if lvl > level:
-        if flows[lvl] - flows[level] > inst.ramp_up:
+        if (flows[lvl] - flows[level]) * tables.dramp > tables.ramp[0] * tables.df:
             return "ramp_up", last_up, last_down
         if t - last_down < inst.min_updown:
             return "min_up", last_up, last_down
         return None, t, last_down
     if lvl < level:
-        if flows[level] - flows[lvl] > inst.ramp_down:
+        if (flows[level] - flows[lvl]) * tables.dramp > tables.ramp[1] * tables.df:
             return "ramp_down", last_up, last_down
         if t - last_up < inst.min_updown:
             return "min_down", last_up, last_down
@@ -524,7 +702,7 @@ def _step(
 def _broken_rule(inst: HucInstance, steps: Iterable[tuple[int, int]]) -> Optional[str]:
     """First ramp or hold rule a sequence of (period, level) steps breaks,
     walked from the inherited state; None when it keeps them all."""
-    flows = cumulative_flows(inst)
+    flows = list(accumulate(inst.tables.flow))
     last_up, last_down = _hold_clock(inst)
     level = inst.initial_point
     for t, lvl in steps:
@@ -548,14 +726,18 @@ def check_path_legality(inst: HucInstance, path: Path, vmap: VertexMap) -> Optio
 
 def schedule_is_legal(inst: HucInstance, schedule: Sequence[int]) -> bool:
     """Ramp, hold and window legality of a level-per-period schedule,
-    checked directly on the instance data."""
+    checked directly on the instance's integer tables: a cumulative flow
+    ``c / df`` lies in the window ``[lo / dwin, hi / dwin]`` exactly when
+    ``lo * df <= c * dwin <= hi * df``."""
     if len(schedule) != inst.periods or _broken_rule(inst, enumerate(schedule, start=1)) is not None:
         return False
-    flows = cumulative_flows(inst)
-    cum = ZERO
-    for t, lvl in enumerate(schedule):
+    tables = inst.tables
+    df, dwin = tables.df, tables.dwin
+    flows = list(accumulate(tables.flow))
+    cum = 0
+    for lo, hi, lvl in zip(tables.lo, tables.hi, schedule):
         cum += flows[lvl]
-        if not inst.win_lo[t] <= cum <= inst.win_hi[t]:
+        if not lo * df <= cum * dwin <= hi * df:
             return False
     return True
 
@@ -636,12 +818,14 @@ def best_schedule_bruteforce(
     Depth-first on an explicit stack, levels in increasing order; the
     first schedule of the highest revenue wins."""
     cum_v = cumulative_values(inst)
-    flows = cumulative_flows(inst)
+    tables = inst.tables
+    df, dwin = tables.df, tables.dwin
+    flows = list(accumulate(tables.flow))
     best: Optional[tuple[Fraction, list[int]]] = None
     last_up, last_down = _hold_clock(inst)
     # one frame per decided period: level, last moves up and down,
-    # cumulative flow, revenue, next level to try after it
-    stack = [[inst.initial_point, last_up, last_down, ZERO, ZERO, 0]]
+    # cumulative flow on the flow scale, revenue, next level to try after it
+    stack = [[inst.initial_point, last_up, last_down, 0, ZERO, 0]]
     while stack:
         check_deadline(deadline, "schedule oracle")
         frame = stack[-1]
@@ -657,7 +841,7 @@ def best_schedule_bruteforce(
         if rule is not None:
             continue
         ncum = cum + flows[lvl]
-        if inst.win_lo[t] <= ncum <= inst.win_hi[t]:
+        if tables.lo[t] * df <= ncum * dwin <= tables.hi[t] * df:
             stack.append([lvl, up, down, ncum, value + cum_v[t][lvl], 0])
     return best
 

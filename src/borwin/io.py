@@ -12,12 +12,15 @@ writers emit take a fast path; everything else goes through
 every error. A DAG is built from those integers with
 :meth:`WindowedDag.of_ratios <borwin.graph.WindowedDag.of_ratios>`: its
 integer arcs and windows are computed at load, and a Fraction ``Arc`` or
-``Window`` is made only when one is read. A commitment instance keeps
-Fraction fields, made from the pairs.
+``Window`` is made only when one is read. A commitment instance is built
+from the pairs with :meth:`HucInstance.of_ratios
+<borwin.huc.HucInstance.of_ratios>`, and its price and window lists are
+written from its integer tables, so neither makes a Fraction list.
 
 A valid DAG is read column by column, each distinct ratio string parsed
 once; on any fault the field-by-field loop runs instead, and it alone
-decides what is accepted and words each error with its field path.
+decides what is accepted and words each error with its field path. A
+commitment instance's lists are read the same way.
 Instances are written by :func:`dump_json`, whose bytes are those of
 ``json.dumps(data, indent=2, sort_keys=True)`` and which renders lists
 of like objects a column at a time.
@@ -27,13 +30,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from math import gcd
 from pathlib import Path as FsPath
 from typing import Any, Optional, Union
 
 from .graph import WindowedDag
-from .huc import HucInstance, InvalidInstance, OperatingPoint
+from .huc import HucInstance, InvalidInstance
 from .rational import NotDecimal, Ratio, decimal_str, rat, rat_str
 
 
@@ -77,10 +79,6 @@ def _opt_rat_at(value: Any, field: str) -> Optional[Ratio]:
     if value is None:
         return None
     return _rat_at(value, field)
-
-
-def _fraction_at(value: Any, field: str) -> Fraction:
-    return Fraction(*_rat_at(value, field))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -244,62 +242,59 @@ def dag_to_dict(dag: WindowedDag) -> dict:
     }
 
 
-def _fraction_list(data: dict, key: str) -> tuple[Fraction, ...]:
-    """The list ``data[key]`` as Fractions, one per distinct value, parsed
-    by :func:`_parse_once`; on a fault the checked loop words it."""
+def _ratio_list(data: dict, key: str) -> list[Ratio]:
+    """The list ``data[key]`` as ratios, each distinct string parsed once by
+    :func:`_parse_once`; on a fault the checked loop words it."""
     values = _need(data, key, "", list)
     ratios = _parse_once(values)
-    if ratios is None:
-        return tuple(_fraction_at(x, f"{key}[{k}]") for k, x in enumerate(values))
-    made = {r: Fraction(*r) for r in set(ratios)}
-    return tuple(map(made.__getitem__, ratios))
+    return [_rat_at(x, f"{key}[{k}]") for k, x in enumerate(values)] if ratios is None else ratios
 
 
 def huc_from_dict(data: dict) -> HucInstance:
+    """The commitment instance in ``data``, read field by field into ratios
+    and built with :meth:`HucInstance.of_ratios`, which checks it on its
+    integer tables; makes no Fraction."""
     points = []
     for k, p in enumerate(_need(data, "points", "", list)):
         field = f"points[{k}]"
         p = _typed(p, dict, field)
-        points.append(
-            OperatingPoint(
-                flow=_fraction_at(_need(p, "D", field), f"{field}.D"),
-                power=_fraction_at(_need(p, "P", field), f"{field}.P"),
-            )
-        )
+        points.append((_rat_at(_need(p, "D", field), f"{field}.D"), _rat_at(_need(p, "P", field), f"{field}.P")))
     initial = data.get("initial")
     initial = {} if initial is None else _typed(initial, dict, "initial")
     fields = dict(
         periods=_need(data, "T", "", int),
-        points=tuple(points),
-        ramp_up=_fraction_at(_need(data, "ramp_up", ""), "ramp_up"),
-        ramp_down=_fraction_at(_need(data, "ramp_down", ""), "ramp_down"),
+        points=points,
+        ramp_up=_rat_at(_need(data, "ramp_up", ""), "ramp_up"),
+        ramp_down=_rat_at(_need(data, "ramp_down", ""), "ramp_down"),
         min_updown=_need(data, "min_updown", "", int),
-        prices=_fraction_list(data, "prices"),
-        water_value_upstream=_fraction_at(_need(data, "phi1", ""), "phi1"),
-        water_value_downstream=_fraction_at(_need(data, "phi2", ""), "phi2"),
-        win_lo=_fraction_list(data, "win_lo"),
-        win_hi=_fraction_list(data, "win_hi"),
+        prices=_ratio_list(data, "prices"),
+        water_value_upstream=_rat_at(_need(data, "phi1", ""), "phi1"),
+        water_value_downstream=_rat_at(_need(data, "phi2", ""), "phi2"),
+        win_lo=_ratio_list(data, "win_lo"),
+        win_hi=_ratio_list(data, "win_hi"),
         initial_point=_typed(initial.get("i", 0), int, "initial.i"),
         initial_hold=_typed(initial.get("l", 0), int, "initial.l"),
     )
     try:
-        return HucInstance(**fields)
+        return HucInstance.of_ratios(**fields)
     except InvalidInstance as exc:
         raise InstanceFormatError("$", str(exc)) from exc
 
 
 def huc_to_dict(inst: HucInstance) -> dict:
+    """The JSON form of ``inst``, its lists written from its integer tables."""
+    t = inst.tables
     return {
         "T": inst.periods,
         "points": [{"D": rat_str(p.flow), "P": rat_str(p.power)} for p in inst.points],
         "ramp_up": rat_str(inst.ramp_up),
         "ramp_down": rat_str(inst.ramp_down),
         "min_updown": inst.min_updown,
-        "prices": [rat_str(q) for q in inst.prices],
+        "prices": [_scaled_str(x, t.dp) for x in t.price],
         "phi1": rat_str(inst.water_value_upstream),
         "phi2": rat_str(inst.water_value_downstream),
-        "win_lo": [rat_str(q) for q in inst.win_lo],
-        "win_hi": [rat_str(q) for q in inst.win_hi],
+        "win_lo": [_scaled_str(x, t.dwin) for x in t.lo],
+        "win_hi": [_scaled_str(x, t.dwin) for x in t.hi],
         "initial": {"i": inst.initial_point, "l": inst.initial_hold},
     }
 

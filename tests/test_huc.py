@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import hashlib
 import io
+import json
+import pickle
 import random
 import re
 import time
@@ -40,8 +44,9 @@ from borwin.huc import (
     solve_huc,
     value_table,
 )
+from borwin.io import dump_json, huc_from_dict, huc_to_dict
 from borwin.phase1 import Pair, SolvedAtSp
-from borwin.rational import rat
+from borwin.rational import NotDecimal, rat
 
 F = Fraction
 
@@ -92,9 +97,9 @@ def test_each_compile_builds_one_integer_rule_table(monkeypatch):
     tables, flows = [], []
 
     class Counted(huc._Moves):
-        def __init__(self, inst):
-            tables.append(inst)
-            super().__init__(inst)
+        def __init__(self, *args):
+            tables.append(args)
+            super().__init__(*args)
 
     monkeypatch.setattr(huc, "_Moves", Counted)
     monkeypatch.setattr(huc, "cumulative_flows", lambda i: flows.append(i) or cumulative_flows(i))
@@ -464,13 +469,13 @@ def windowed_hucs(draw):
     inst = replace(
         inst, points=points, ramp_up=ramp_up, ramp_down=ramp_down, initial_point=level, initial_hold=hold
     )
-    flows = cumulative_flows(inst)
+    flows, scaled = cumulative_flows(inst), list(accumulate(inst.tables.flow))
     last_up, last_down = huc._hold_clock(inst)
     cum = F(0)
     lo, hi = [], []
     shifted = rng.randint(1, 4 * inst.periods)
     for t in range(1, inst.periods + 1):
-        steps = [(lvl, *huc._step(inst, flows, t, level, lvl, last_up, last_down)) for lvl in range(inst.levels)]
+        steps = [(lvl, *huc._step(inst, scaled, t, level, lvl, last_up, last_down)) for lvl in range(inst.levels)]
         level, _, last_up, last_down = rng.choice([step for step in steps if step[1] is None])
         cum += flows[level]
         kind = "shifted" if t == shifted else draw(st.sampled_from(["point", "narrow", "loose"]))
@@ -537,6 +542,194 @@ def test_solve_graph_matches_the_schedule_oracle(inst):
     assert sol.revenue == oracle[0]
     assert schedule_is_legal(inst, sol.schedule)
     assert sol.revenue == sum(cumulative_values(inst)[t][lvl] for t, lvl in enumerate(sol.schedule))
+
+
+# -- one instance model: integer tables, Fraction views ----------------------
+
+
+def _milp_text(inst):
+    """``export_milp``'s text, or the error it raises on non-decimal data."""
+    out = io.StringIO()
+    try:
+        export_milp(inst, out)
+    except NotDecimal as exc:
+        return str(exc)
+    return out.getvalue()
+
+
+@given(windowed_hucs(), st.integers(1, 6), st.integers(0, 99))
+@example(EXACT_RAMP, 3, 1)
+@example(ROUNDED_HULL, 1, 2)
+@settings(max_examples=100, deadline=None)
+def test_every_route_builds_the_same_instance(inst, k, period):
+    """The Fraction constructor, the ratio route (with ratios not in lowest
+    terms) and the JSON round trip give equal instances, with equal hashes,
+    integer tables, fields, value tables and LP text; an inverted window is
+    refused through ``dataclasses.replace``."""
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    fields.update(prices=tuple(inst.prices), win_lo=tuple(inst.win_lo), win_hi=tuple(inst.win_hi))
+    built = HucInstance(**fields)
+
+    def r(q):
+        return q.numerator * k, q.denominator * k
+
+    ratios = HucInstance.of_ratios(
+        fields["periods"],
+        [(r(p.flow), r(p.power)) for p in fields["points"]],
+        r(fields["ramp_up"]),
+        r(fields["ramp_down"]),
+        fields["min_updown"],
+        list(map(r, fields["prices"])),
+        r(fields["water_value_upstream"]),
+        r(fields["water_value_downstream"]),
+        list(map(r, fields["win_lo"])),
+        list(map(r, fields["win_hi"])),
+        fields["initial_point"],
+        fields["initial_hold"],
+    )
+    loaded = huc_from_dict(json.loads(dump_json(huc_to_dict(built))))
+    shift = fields["water_value_downstream"] - fields["water_value_upstream"]
+    values = [[q * p.power + shift * p.flow for p in fields["points"]] for q in fields["prices"]]
+    for other in (built, ratios, loaded):
+        assert other == built and hash(other) == hash(built) and other.tables == built.tables
+        assert {name: getattr(other, name) for name in fields} == fields
+        assert value_table(other) == values
+        assert _milp_text(other) == _milp_text(built)
+    t = period % inst.periods
+    inverted = list(fields["win_lo"])
+    inverted[t] = fields["win_hi"][t] + F(1, 3 * k)
+    for other in (built, ratios, loaded):
+        with pytest.raises(InvalidInstance, match=f"window at period {t + 1} is inverted"):
+            replace(other, win_lo=tuple(inverted))
+
+
+# sha256 over repr(value_table(inst)) and export_milp's text, recorded on
+# the Fraction instance model
+MILP_DIGESTS = [
+    ((0, 24, 3, 2, "independent"), "b7de5e38ef97fc1b16226e4832a386e1ac5d5a8a5e90266561917cbb912c7f31"),
+    ((1, 48, 4, 3, "near-flat"), "03eda29e75394a2f699dd4b130ad2fe68b20bf7b15136e29df96ba2c48e042f0"),
+    ((2, 96, 4, 2, "independent"), "fada22ea5e45f6d619b001ed04842f5a1ea40df016472f18291e78759892e494"),
+    ((3, 12, 10, 1, "near-flat"), "920475ee1a1263e4b3671b2d010ce0f1cd76bb227ed6343e3ce0736b1c15dc59"),
+    ((4, 240, 3, 2, "near-flat"), "a4af4448e0f636e598c3160fe45d6a10fe726c5166054aa6973ccd55b887e86e"),
+]
+
+
+@pytest.mark.parametrize("case,digest", MILP_DIGESTS, ids=[str(c) for c, _ in MILP_DIGESTS])
+def test_value_table_and_lp_text_are_pinned(case, digest):
+    seed, *args = case
+    inst = random_huc(random.Random(seed), *args)
+    text = repr(value_table(inst)) + _milp_text(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_huc5_value_table_and_lp_text_are_pinned(huc5):
+    text = repr(value_table(huc5)) + _milp_text(huc5)
+    assert hashlib.sha256(text.encode()).hexdigest() == "54946c1fbf3295dc9e99efefbdff0d302d5931bfd6d93e2b585961a270289c63"
+
+
+def _legal_in_fractions(inst, schedule):
+    """Ramp, hold and window legality computed plainly on the Fraction
+    fields: a move may change the cumulative flow of the active points by
+    at most the ramp, a reversal needs ``L = min_updown`` periods since
+    the last move the other way (an inherited hold ``h`` allows one from
+    period ``|h| + 1`` on), and every cumulative flow lies in its
+    window."""
+    L = inst.min_updown
+    flows = [F(0)]
+    for p in inst.points[1:]:
+        flows.append(flows[-1] + p.flow)
+    h = inst.initial_hold
+    last_up = h - L + 1 if h > 0 else -L
+    last_down = 1 - L - h if h < 0 else -L
+    level, cum = inst.initial_point, F(0)
+    for t, lvl in enumerate(schedule, start=1):
+        step = flows[lvl] - flows[level]
+        if step > 0:
+            if step > inst.ramp_up or t - last_down < L:
+                return False
+            last_up = t
+        elif step < 0:
+            if -step > inst.ramp_down or t - last_up < L:
+                return False
+            last_down = t
+        cum += flows[lvl]
+        if not inst.win_lo[t - 1] <= cum <= inst.win_hi[t - 1]:
+            return False
+        level = lvl
+    return True
+
+
+@st.composite
+def off_scale_hucs(draw):
+    """``windowed_hucs`` draws with their ramps moved to a nearby multiple
+    of 1/3 or 1/7 and their windows widened or narrowed by 7/3, off the
+    flow scale, so that rounding a ramp cap or a window decides some
+    steps."""
+    inst = draw(windowed_hucs())
+    den = draw(st.sampled_from([3, 7]))
+    ramp_up, ramp_down = (F(round(q * den) + draw(st.integers(-1, 1)), den) for q in (inst.ramp_up, inst.ramp_down))
+    widen = [draw(st.sampled_from([F(0), F(7, 3), -F(7, 3)])) for _ in range(inst.periods)]
+    lo = tuple(max(F(0), q - w) for q, w in zip(inst.win_lo, widen))
+    hi = tuple(max(a, q + w) for a, q, w in zip(lo, inst.win_hi, widen))
+    return replace(inst, ramp_up=max(ramp_up, F(1, den)), ramp_down=max(ramp_down, F(1, den)), win_lo=lo, win_hi=hi)
+
+
+@given(off_scale_hucs(), st.integers(0, 2**32))
+@example(EXACT_RAMP, 0)
+@settings(max_examples=150, deadline=None)
+def test_legality_oracle_agrees_with_a_fraction_computation(inst, seed):
+    """``schedule_is_legal`` compares on the integer tables and rounds
+    nothing, so it agrees with plain Fraction arithmetic on ramps and
+    windows off the flow scale, on random schedules and on schedules
+    walked one legal ramp step at a time."""
+    rng = random.Random(seed)
+    schedules = [[rng.randrange(inst.levels) for _ in range(inst.periods)] for _ in range(20)]
+    unwindowed = replace(inst, win_lo=(F(0),) * inst.periods, win_hi=(F(10**6),) * inst.periods)
+    for _ in range(20):
+        walk = []
+        for _ in range(inst.periods):
+            steps = [lvl for lvl in range(inst.levels) if _legal_in_fractions(unwindowed, walk + [lvl])]
+            walk.append(rng.choice(steps or [0]))
+        schedules.append(walk)
+    verdicts = [schedule_is_legal(inst, s) for s in schedules]
+    assert verdicts == [_legal_in_fractions(inst, s) for s in schedules]
+
+
+def test_exact_ramp_steps_are_decided_without_rounding():
+    """EXACT_RAMP's step 5/2 meets ramp_up = 5/2 and exceeds ramp_down =
+    23/10 (a cap of ceil or round(4.6) on the flow scale 2 would allow it);
+    a window of 7/3 on a flow scale of 2 admits 2 and not 5/2."""
+    assert schedule_is_legal(EXACT_RAMP, [1, 1, 1]) and schedule_is_legal(EXACT_RAMP, [0, 0, 1])
+    assert not schedule_is_legal(EXACT_RAMP, [1, 0, 1])
+    assert huc._broken_rule(EXACT_RAMP, [(1, 1), (2, 0)]) == "ramp_down"
+    third = replace(EXACT_RAMP, win_hi=(F(7, 3), F(100), F(100)))
+    assert schedule_is_legal(third, [0, 0, 0]) and not schedule_is_legal(third, [1, 1, 1])
+
+
+def test_an_instance_survives_pickle_and_copy():
+    inst = random_huc(random.Random(3), 24, 4, 3, "near-flat")
+    for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+        assert other == inst and hash(other) == hash(inst) and other.tables == inst.tables
+        assert (other.prices, other.win_lo, other.points) == (inst.prices, inst.win_lo, inst.points)
+
+
+def test_the_generator_writer_and_solve_build_no_fraction_list(monkeypatch):
+    """``random_huc`` and its self-check, ``huc_to_dict``, the loader and
+    ``solve_huc`` of a loaded corpus-sized instance read the integer
+    tables only: none of them makes the Fraction view of the prices or
+    the windows."""
+
+    def refuse(*args):
+        raise AssertionError("made a Fraction view of an instance list")
+
+    monkeypatch.setattr(huc, "_view", refuse)
+    inst = random_huc(random.Random(1), 1200, 3, 2)
+    loaded = huc_from_dict(json.loads(dump_json(huc_to_dict(inst))))
+    assert loaded == inst
+    sol = solve_huc(loaded)
+    assert sol.status == "optimal" and schedule_is_legal(loaded, sol.schedule)
+    with pytest.raises(AssertionError, match="Fraction view"):
+        loaded.prices[0]
 
 
 @given(windowed_hucs(), st.lists(st.sampled_from([1, 2, 3, 7]), min_size=3, max_size=3))

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from borwin import graph as graph_module
 from borwin import io as io_module
 from borwin.cli import main
-from borwin.generate import GeneratorConfig, generate, random_dag
+from borwin.generate import GeneratorConfig, generate, random_dag, random_huc
 from borwin.graph import Arc, Window, WindowedDag, validate
+from borwin.huc import HucInstance, OperatingPoint
 from borwin.io import (
     InstanceFormatError,
     dag_from_dict,
@@ -29,7 +30,7 @@ from borwin.io import (
     huc_to_dict,
     load_instance,
 )
-from borwin.rational import rat
+from borwin.rational import rat, rat_str
 
 F = Fraction
 
@@ -382,6 +383,200 @@ def test_huc_lists_refuse_what_equals_a_parsed_integer(key, odd, message):
     with pytest.raises(InstanceFormatError) as err:
         huc_from_dict(data)
     assert str(err.value) == f"{key}[1]: {message}"
+
+
+# -- the commitment loader against the Fraction constructor ------------------
+
+_DROP = object()
+_HUC_KEYS = ("T", "points", "ramp_up", "ramp_down", "min_updown", "prices", "phi1", "phi2", "win_lo", "win_hi", "initial")
+
+
+def _base_huc():
+    """A generated instance's JSON form: 5 periods, 4 points, a two-period hold."""
+    return huc_to_dict(random_huc(random.Random(7), 5, 4, 2))
+
+
+def _set(path, value):
+    """A mutation: ``value`` at ``path``, or the old value mapped by
+    ``value`` when it is a function, or the key deleted for ``_DROP``."""
+
+    def mutate(doc):
+        *where, key = path
+        obj = doc
+        for k in where:
+            obj = obj[k]
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value(obj[key]) if callable(value) else value
+
+    return mutate
+
+
+def _invert(t, by):
+    """Period ``t``'s window made inverted by ``by``."""
+
+    def mutate(doc):
+        doc["win_lo"][t - 1] = rat_str(rat(doc["win_hi"][t - 1]) + by)
+
+    return mutate
+
+
+HUC_MUTATIONS = (
+    [(f"no {key}", _set((key,), _DROP)) for key in _HUC_KEYS]
+    + [
+        ("no points[1].D", _set(("points", 1, "D"), _DROP)),
+        ("no points[2].P", _set(("points", 2, "P"), _DROP)),
+        ("no initial.i", _set(("initial", "i"), _DROP)),
+    ]
+    + [
+        (f"{key}[1] = {odd!r}", _set((key, 1), odd))
+        for key in ("prices", "win_lo", "win_hi")
+        for odd in (True, 1.0, None, "1e99999999", "x", 1, "0.5", " 2/4 ")
+    ]
+    + [
+        ("ramp_up = '1e99999999'", _set(("ramp_up",), "1e99999999")),
+        ("phi1 = true", _set(("phi1",), True)),
+        ("points[1].P = null", _set(("points", 1, "P"), None)),
+        ("points[3].D = 2.5", _set(("points", 3, "D"), 2.5)),
+        ("T = true", _set(("T",), True)),
+        ("T = 0", _set(("T",), 0)),
+        ("T = 4", _set(("T",), 4)),
+        ("prices one short", _set(("prices",), lambda v: v[:-1])),
+        ("win_lo one long", _set(("win_lo",), lambda v: v + v[-1:])),
+        ("win_hi one short", _set(("win_hi",), lambda v: v[:-1])),
+        ("prices not a list", _set(("prices",), {})),
+        ("window 3 inverted by 1/3", _invert(3, F(1, 3))),
+        ("window 5 inverted by 2", _invert(5, F(2))),
+        ("window 2 a point", _invert(2, F(0))),
+        ("points[1].D = 0", _set(("points", 1, "D"), 0)),
+        ("points[2].D = '-1/2'", _set(("points", 2, "D"), "-1/2")),
+        ("points[0].P = 1", _set(("points", 0, "P"), 1)),
+        ("points = []", _set(("points",), [])),
+        ("points[2] = 3", _set(("points", 2), 3)),
+        ("min_updown = 0", _set(("min_updown",), 0)),
+        ("initial.i = 4", _set(("initial", "i"), 4)),
+        ("initial.i = -1", _set(("initial", "i"), -1)),
+        ("initial.l = 2", _set(("initial", "l"), 2)),
+        ("initial.l = -1", _set(("initial", "l"), -1)),
+        ("initial.i = '1'", _set(("initial", "i"), "1")),
+        ("initial = null", _set(("initial",), None)),
+        ("initial = []", _set(("initial",), [])),
+        ("decimal prices", _set(("prices",), lambda v: ["0.25", "1e2", "-3", "7/14", " 1 "])),
+    ]
+)
+
+# what huc_from_dict gives on each mutation: None for an instance, else
+# the error text, recorded on the Fraction loader before the integer one
+HUC_MUTATION_ERRORS = dict(
+    [
+        ('no T', 'T: missing required field'),
+        ('no points', 'points: missing required field'),
+        ('no ramp_up', 'ramp_up: missing required field'),
+        ('no ramp_down', 'ramp_down: missing required field'),
+        ('no min_updown', 'min_updown: missing required field'),
+        ('no prices', 'prices: missing required field'),
+        ('no phi1', 'phi1: missing required field'),
+        ('no phi2', 'phi2: missing required field'),
+        ('no win_lo', 'win_lo: missing required field'),
+        ('no win_hi', 'win_hi: missing required field'),
+        ('no initial', None),
+        ('no points[1].D', 'points[1].D: missing required field'),
+        ('no points[2].P', 'points[2].P: missing required field'),
+        ('no initial.i', None),
+        ('prices[1] = True', 'prices[1]: booleans are not rationals'),
+        ('prices[1] = 1.0', 'prices[1]: floats are not accepted; use a decimal string'),
+        ('prices[1] = None', 'prices[1]: cannot interpret NoneType as a rational'),
+        ("prices[1] = '1e99999999'", "prices[1]: not a rational: '1e99999999'"),
+        ("prices[1] = 'x'", "prices[1]: not a rational: 'x'"),
+        ('prices[1] = 1', None),
+        ("prices[1] = '0.5'", None),
+        ("prices[1] = ' 2/4 '", None),
+        ('win_lo[1] = True', 'win_lo[1]: booleans are not rationals'),
+        ('win_lo[1] = 1.0', 'win_lo[1]: floats are not accepted; use a decimal string'),
+        ('win_lo[1] = None', 'win_lo[1]: cannot interpret NoneType as a rational'),
+        ("win_lo[1] = '1e99999999'", "win_lo[1]: not a rational: '1e99999999'"),
+        ("win_lo[1] = 'x'", "win_lo[1]: not a rational: 'x'"),
+        ('win_lo[1] = 1', '$: window at period 2 is inverted'),
+        ("win_lo[1] = '0.5'", '$: window at period 2 is inverted'),
+        ("win_lo[1] = ' 2/4 '", '$: window at period 2 is inverted'),
+        ('win_hi[1] = True', 'win_hi[1]: booleans are not rationals'),
+        ('win_hi[1] = 1.0', 'win_hi[1]: floats are not accepted; use a decimal string'),
+        ('win_hi[1] = None', 'win_hi[1]: cannot interpret NoneType as a rational'),
+        ("win_hi[1] = '1e99999999'", "win_hi[1]: not a rational: '1e99999999'"),
+        ("win_hi[1] = 'x'", "win_hi[1]: not a rational: 'x'"),
+        ('win_hi[1] = 1', None),
+        ("win_hi[1] = '0.5'", None),
+        ("win_hi[1] = ' 2/4 '", None),
+        ("ramp_up = '1e99999999'", "ramp_up: not a rational: '1e99999999'"),
+        ('phi1 = true', 'phi1: booleans are not rationals'),
+        ('points[1].P = null', 'points[1].P: cannot interpret NoneType as a rational'),
+        ('points[3].D = 2.5', 'points[3].D: floats are not accepted; use a decimal string'),
+        ('T = true', 'T: must be an integer'),
+        ('T = 0', '$: need at least one period'),
+        ('T = 4', '$: one price per period required'),
+        ('prices one short', '$: one price per period required'),
+        ('win_lo one long', '$: one window per period required'),
+        ('win_hi one short', '$: one window per period required'),
+        ('prices not a list', 'prices: must be a list'),
+        ('window 3 inverted by 1/3', '$: window at period 3 is inverted'),
+        ('window 5 inverted by 2', '$: window at period 5 is inverted'),
+        ('window 2 a point', None),
+        ('points[1].D = 0', '$: non-idle points need positive flow'),
+        ("points[2].D = '-1/2'", '$: non-idle points need positive flow'),
+        ('points[0].P = 1', '$: points must start with the idle point (0, 0)'),
+        ('points = []', '$: points must start with the idle point (0, 0)'),
+        ('points[2] = 3', 'points[2]: must be an object'),
+        ('min_updown = 0', '$: minimum hold must be at least one period'),
+        ('initial.i = 4', '$: initial point out of range'),
+        ('initial.i = -1', '$: initial point out of range'),
+        ('initial.l = 2', '$: initial hold out of range'),
+        ('initial.l = -1', None),
+        ("initial.i = '1'", 'initial.i: must be an integer'),
+        ('initial = null', None),
+        ('initial = []', 'initial: must be an object'),
+        ('decimal prices', None),
+    ]
+)
+
+
+def _fraction_huc(doc):
+    """The instance in ``doc`` built by the Fraction constructor, each
+    rational parsed by ``rat``."""
+    initial = doc.get("initial") or {}
+    return HucInstance(
+        periods=doc["T"],
+        points=tuple(OperatingPoint(rat(p["D"]), rat(p["P"])) for p in doc["points"]),
+        ramp_up=rat(doc["ramp_up"]),
+        ramp_down=rat(doc["ramp_down"]),
+        min_updown=doc["min_updown"],
+        prices=tuple(map(rat, doc["prices"])),
+        water_value_upstream=rat(doc["phi1"]),
+        water_value_downstream=rat(doc["phi2"]),
+        win_lo=tuple(map(rat, doc["win_lo"])),
+        win_hi=tuple(map(rat, doc["win_hi"])),
+        initial_point=initial.get("i", 0),
+        initial_hold=initial.get("l", 0),
+    )
+
+
+@pytest.mark.parametrize("name,mutate", HUC_MUTATIONS, ids=[name for name, _ in HUC_MUTATIONS])
+def test_huc_loader_agrees_with_the_fraction_constructor_on_mutated_instances(name, mutate):
+    """Whatever the mutation, the integer loader gives the Fraction
+    constructor's instance, with its hash and integer tables, or raises
+    the Fraction loader's error text."""
+    doc = _base_huc()
+    mutate(doc)
+    want = HUC_MUTATION_ERRORS[name]
+    if want is not None:
+        with pytest.raises(InstanceFormatError) as err:
+            huc_from_dict(doc)
+        assert str(err.value) == want
+        return
+    loaded, ref = huc_from_dict(doc), _fraction_huc(doc)
+    assert loaded == ref and hash(loaded) == hash(ref) and loaded.tables == ref.tables
+    assert huc_to_dict(loaded) == huc_to_dict(ref)
+    assert (loaded.prices, loaded.win_lo, loaded.win_hi) == (ref.prices, ref.win_lo, ref.win_hi)
 
 
 def test_hand_written_instance_loads_on_its_reduced_scales():

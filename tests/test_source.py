@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import borwin
@@ -106,12 +107,16 @@ def test_only_dump_json_renders_indented_json():
 
 def test_the_generator_walks_the_integer_moves():
     # random_huc walks huc._Moves, the compiles' one integer model of the
-    # ramp and hold rules; the Fraction rules are the legality oracle's
+    # ramp and hold rules; the exact rules are the legality oracle's. It
+    # draws on integers and makes no Fraction
     tree = ast.parse((SOURCE / "generate.py").read_text())
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_Moves" in names
     assert names.isdisjoint({"cumulative_flows", "_step", "_broken_rule", "legal_moves"})
+    (random_huc,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "random_huc"]
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(random_huc) if isinstance(node, ast.Call)}
+    assert "Fraction" not in calls
 
 
 # names a module imports only so that perfbench's tracer finds them there;
@@ -141,3 +146,18 @@ def test_library_imports_only_names_it_uses():
             if name not in used and (module.name, name) not in HOOK_REEXPORTS
         ]
     assert found == []
+
+
+def test_every_planted_defect_finds_its_target_text_once():
+    # scripts/mutants.py plants each defect by exact text, so a change that
+    # moves or rewords a target must update the defect with it
+    path = SOURCE.parent.parent / "scripts" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 9
+    for mutant in mutants.MUTANTS:
+        text = (SOURCE / mutant.file).read_text()
+        for old, new in mutant.edits:
+            assert text.count(old) == 1 and old != new, mutant.name
+        assert all((path.parent.parent / test).is_file() for test in mutant.tests), mutant.name
