@@ -11,11 +11,9 @@ A defect is killed when some test fails. The script prints one row per
 defect: killed or not, the number of failing tests and their names.
 
 Usage, from the root of the checkout:
-    python3 scripts/mutants.py              # every defect
-    python3 scripts/mutants.py NAME ...     # the named defects
-    python3 scripts/mutants.py --list       # names and files only
+    python3 scripts/mutants.py
 
-The exit code is 1 when a defect survives, 0 otherwise.
+It runs every defect; the exit code is 1 when one survives, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -147,20 +145,11 @@ def run(mutant: Mutant) -> tuple[list[str], float]:
         return failed, time.monotonic() - start
 
 
-def main(argv: list[str]) -> int:
-    if argv == ["--list"]:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.file} ({', '.join(m.tests)})")
-        return 0
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown defects: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     results = []
     print("| defect | file | killed | failing tests | seconds |")
     print("|---|---|---|---|---|")
-    for m in chosen:
+    for m in MUTANTS:
         failed, seconds = run(m)
         results.append((m, failed))
         names = ", ".join(f"`{f.split('::', 1)[-1]}`" for f in failed[:3]) + (", ..." if len(failed) > 3 else "")
@@ -172,4 +161,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

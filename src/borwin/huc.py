@@ -150,6 +150,67 @@ def _ratio(q: Fraction) -> Ratio:
     return q.numerator, q.denominator
 
 
+def _checked(
+    periods: int,
+    points: Sequence[tuple[Ratio, Ratio]],
+    ramp_up: Ratio,
+    ramp_down: Ratio,
+    min_updown: int,
+    prices: Sequence[Ratio],
+    water_value_upstream: Ratio,
+    water_value_downstream: Ratio,
+    win_lo: Sequence[Ratio],
+    win_hi: Sequence[Ratio],
+    initial_point: int = 0,
+    initial_hold: int = 0,
+) -> tuple[dict, HucTables]:
+    """A :class:`HucInstance`'s fields and tables from its rationals as
+    ``(num, den)`` pairs, checked on the tables: the one route both the
+    constructor and :meth:`HucInstance.of_ratios` store."""
+    flow, df = _on_scale([f for f, _ in points])
+    power, dw = _on_scale([w for _, w in points])
+    price, dp = _on_scale(prices)
+    windows, dwin = _on_scale([*win_lo, *win_hi])
+    lo, hi = windows[: len(win_lo)], windows[len(win_lo) :]
+    if periods < 1:
+        raise InvalidInstance("need at least one period")
+    if not flow or flow[0] or power[0]:
+        raise InvalidInstance("points must start with the idle point (0, 0)")
+    if min(flow[1:], default=1) <= 0:
+        raise InvalidInstance("non-idle points need positive flow")
+    if min_updown < 1:
+        raise InvalidInstance("minimum hold must be at least one period")
+    if len(price) != periods:
+        raise InvalidInstance("one price per period required")
+    if len(lo) != periods or len(hi) != periods:
+        raise InvalidInstance("one window per period required")
+    if any(map(gt, lo, hi)):
+        t = next(t for t, (a, b) in enumerate(zip(lo, hi), start=1) if a > b)
+        raise InvalidInstance(f"window at period {t} is inverted")
+    if not 0 <= initial_point < len(flow):
+        raise InvalidInstance("initial point out of range")
+    if abs(initial_hold) > min_updown - 1:
+        raise InvalidInstance("initial hold out of range")
+    ramp, dramp = _on_scale([ramp_up, ramp_down])
+    water, dwater = _on_scale([water_value_upstream, water_value_downstream])
+    # exactly the constructor's arguments, so HucInstance(**inst.__dict__) rebuilds it
+    fields = dict(
+        periods=periods,
+        points=tuple(OperatingPoint(Fraction(f, df), Fraction(w, dw)) for f, w in zip(flow, power)),
+        ramp_up=Fraction(ramp[0], dramp),
+        ramp_down=Fraction(ramp[1], dramp),
+        min_updown=min_updown,
+        prices=_Fractions(price, dp),
+        water_value_upstream=Fraction(water[0], dwater),
+        water_value_downstream=Fraction(water[1], dwater),
+        win_lo=_Fractions(lo, dwin),
+        win_hi=_Fractions(hi, dwin),
+        initial_point=initial_point,
+        initial_hold=initial_hold,
+    )
+    return fields, HucTables(flow, df, power, dw, ramp, dramp, price, dp, water, dwater, lo, hi, dwin)
+
+
 @dataclass(frozen=True, eq=False)
 class HucInstance:
     """Problem data. ``points`` starts with the idle point (0, 0); prices
@@ -184,95 +245,42 @@ class HucInstance:
     initial_hold: int = 0
 
     def __post_init__(self) -> None:
-        # checked and stored as the ratio route stores its own instance
-        built = self.of_ratios(
-            self.periods,
-            [(_ratio(p.flow), _ratio(p.power)) for p in self.points],
-            _ratio(self.ramp_up),
-            _ratio(self.ramp_down),
-            self.min_updown,
-            list(map(_ratio, self.prices)),
-            _ratio(self.water_value_upstream),
-            _ratio(self.water_value_downstream),
-            list(map(_ratio, self.win_lo)),
-            list(map(_ratio, self.win_hi)),
-            self.initial_point,
-            self.initial_hold,
+        self._store(
+            *_checked(
+                self.periods,
+                [(_ratio(p.flow), _ratio(p.power)) for p in self.points],
+                _ratio(self.ramp_up),
+                _ratio(self.ramp_down),
+                self.min_updown,
+                list(map(_ratio, self.prices)),
+                _ratio(self.water_value_upstream),
+                _ratio(self.water_value_downstream),
+                list(map(_ratio, self.win_lo)),
+                list(map(_ratio, self.win_hi)),
+                self.initial_point,
+                self.initial_hold,
+            )
         )
-        self.__dict__.update(built.__dict__)
-        object.__setattr__(self, "tables", built.tables)
 
     @classmethod
-    def of_ratios(
-        cls,
-        periods: int,
-        points: Sequence[tuple[Ratio, Ratio]],
-        ramp_up: Ratio,
-        ramp_down: Ratio,
-        min_updown: int,
-        prices: Sequence[Ratio],
-        water_value_upstream: Ratio,
-        water_value_downstream: Ratio,
-        win_lo: Sequence[Ratio],
-        win_hi: Sequence[Ratio],
-        initial_point: int = 0,
-        initial_hold: int = 0,
-    ) -> "HucInstance":
+    def of_ratios(cls, *args, **kwargs) -> "HucInstance":
         """The instance whose rationals are ``(num, den)`` pairs with
-        positive denominators, each point a (flow, power) pair: the
-        constructor's instance of the same values, built with no Fraction
-        list (the JSON loader, the generator)."""
-        flow, df = _on_scale([f for f, _ in points])
-        power, dw = _on_scale([w for _, w in points])
-        price, dp = _on_scale(prices)
-        windows, dwin = _on_scale([*win_lo, *win_hi])
-        lo, hi = windows[: len(win_lo)], windows[len(win_lo) :]
-        if periods < 1:
-            raise InvalidInstance("need at least one period")
-        if not flow or flow[0] or power[0]:
-            raise InvalidInstance("points must start with the idle point (0, 0)")
-        if min(flow[1:], default=1) <= 0:
-            raise InvalidInstance("non-idle points need positive flow")
-        if min_updown < 1:
-            raise InvalidInstance("minimum hold must be at least one period")
-        if len(price) != periods:
-            raise InvalidInstance("one price per period required")
-        if len(lo) != periods or len(hi) != periods:
-            raise InvalidInstance("one window per period required")
-        if any(map(gt, lo, hi)):
-            t = next(t for t, (a, b) in enumerate(zip(lo, hi), start=1) if a > b)
-            raise InvalidInstance(f"window at period {t} is inverted")
-        if not 0 <= initial_point < len(flow):
-            raise InvalidInstance("initial point out of range")
-        if abs(initial_hold) > min_updown - 1:
-            raise InvalidInstance("initial hold out of range")
-        ramp, dramp = _on_scale([ramp_up, ramp_down])
-        water, dwater = _on_scale([water_value_upstream, water_value_downstream])
+        positive denominators, each point a (flow, power) pair, the
+        arguments named and ordered as the constructor's: the
+        constructor's instance of the same values, built with no
+        Fraction list (the JSON loader, the generator)."""
         inst = cls.__new__(cls)
-        # exactly the constructor's arguments, so HucInstance(**inst.__dict__) rebuilds it
-        inst.__dict__.update(
-            periods=periods,
-            points=tuple(OperatingPoint(Fraction(f, df), Fraction(w, dw)) for f, w in zip(flow, power)),
-            ramp_up=Fraction(ramp[0], dramp),
-            ramp_down=Fraction(ramp[1], dramp),
-            min_updown=min_updown,
-            prices=_Fractions(price, dp),
-            water_value_upstream=Fraction(water[0], dwater),
-            water_value_downstream=Fraction(water[1], dwater),
-            win_lo=_Fractions(lo, dwin),
-            win_hi=_Fractions(hi, dwin),
-            initial_point=initial_point,
-            initial_hold=initial_hold,
-        )
-        tables = HucTables(flow, df, power, dw, ramp, dramp, price, dp, water, dwater, lo, hi, dwin)
-        object.__setattr__(inst, "tables", tables)
+        inst._store(*_checked(*args, **kwargs))
         return inst
 
-    def __setstate__(self, state: tuple[dict, dict]) -> None:
-        # pickle and copy restore the slot past the frozen __setattr__
-        fields, slots = state
+    def _store(self, fields: dict, tables: HucTables) -> None:
+        # past the frozen __setattr__; pickle and copy restore through here too
         self.__dict__.update(fields)
-        object.__setattr__(self, "tables", slots["tables"])
+        object.__setattr__(self, "tables", tables)
+
+    def __setstate__(self, state: tuple[dict, dict]) -> None:
+        fields, slots = state
+        self._store(fields, slots["tables"])
 
     def _key(self) -> tuple:
         return self.periods, self.min_updown, self.initial_point, self.initial_hold, self.tables

@@ -9,6 +9,7 @@ import tempfile
 import time
 from fractions import Fraction
 from io import StringIO
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -562,9 +563,11 @@ def _fraction_huc(doc):
 
 @pytest.mark.parametrize("name,mutate", HUC_MUTATIONS, ids=[name for name, _ in HUC_MUTATIONS])
 def test_huc_loader_agrees_with_the_fraction_constructor_on_mutated_instances(name, mutate):
-    """Whatever the mutation, the integer loader gives the Fraction
-    constructor's instance, with its hash and integer tables, or raises
-    the Fraction loader's error text."""
+    """Whatever the mutation, the integer loader raises the Fraction
+    loader's error text, or gives an instance whose fields and integer
+    tables hold the document's values, each parsed by ``rat`` and each
+    table on the lcm of its values' reduced denominators, and which
+    equals the Fraction constructor's instance, hash included."""
     doc = _base_huc()
     mutate(doc)
     want = HUC_MUTATION_ERRORS[name]
@@ -573,10 +576,35 @@ def test_huc_loader_agrees_with_the_fraction_constructor_on_mutated_instances(na
             huc_from_dict(doc)
         assert str(err.value) == want
         return
-    loaded, ref = huc_from_dict(doc), _fraction_huc(doc)
-    assert loaded == ref and hash(loaded) == hash(ref) and loaded.tables == ref.tables
-    assert huc_to_dict(loaded) == huc_to_dict(ref)
-    assert (loaded.prices, loaded.win_lo, loaded.win_hi) == (ref.prices, ref.win_lo, ref.win_hi)
+    loaded = huc_from_dict(doc)
+    initial = doc.get("initial") or {}
+    points = [(rat(p["D"]), rat(p["P"])) for p in doc["points"]]
+    ramps = [rat(doc["ramp_up"]), rat(doc["ramp_down"])]
+    water = [rat(doc["phi1"]), rat(doc["phi2"])]
+    prices, lo, hi = (list(map(rat, doc[key])) for key in ("prices", "win_lo", "win_hi"))
+    assert (loaded.periods, loaded.min_updown, loaded.initial_point, loaded.initial_hold) == (
+        doc["T"],
+        doc["min_updown"],
+        initial.get("i", 0),
+        initial.get("l", 0),
+    )
+    assert [(p.flow, p.power) for p in loaded.points] == points
+    assert [loaded.ramp_up, loaded.ramp_down] == ramps
+    assert [loaded.water_value_upstream, loaded.water_value_downstream] == water
+    assert (list(loaded.prices), list(loaded.win_lo), list(loaded.win_hi)) == (prices, lo, hi)
+    t = loaded.tables
+    for ints, scale, values in (
+        (t.flow, t.df, [f for f, _ in points]),
+        (t.power, t.dw, [w for _, w in points]),
+        (t.ramp, t.dramp, ramps),
+        (t.price, t.dp, prices),
+        (t.water, t.dwater, water),
+        (t.lo + t.hi, t.dwin, lo + hi),
+    ):
+        assert scale == lcm(*(q.denominator for q in values))
+        assert [Fraction(x, scale) for x in ints] == values
+    ref = _fraction_huc(doc)
+    assert loaded == ref and hash(loaded) == hash(ref)
 
 
 def test_hand_written_instance_loads_on_its_reduced_scales():
